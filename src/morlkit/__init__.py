@@ -1,17 +1,17 @@
 """Multi-objective RL toolkit: coverage-set solving over value vectors,
-a one-actor/multi-critic clipped policy-gradient engine with a learned
-inter-objective relationship matrix, and contrastive trade-off
-explanations."""
+a one-actor/multi-critic clipped policy-gradient engine that trains each
+objective on its own relationship-matrix row (the identity) and keeps a
+running coverage set of its critic vectors, and contrastive trade-off
+explanations. `train` at objective_count=1 is the single-objective
+baseline."""
 
 from .core import (
     Iorm,
-    MomdpSpec,
     TrajectoryBatch,
     ValueVector,
     WeightVector,
     discounted_return,
     empirical_value_estimate,
-    proxy_values,
     scalarize,
 )
 from .ccs import (
@@ -29,14 +29,12 @@ from .training import (
     TrainerConfig,
     evaluate_policy,
     train,
-    train_single_objective,
 )
 
 __all__ = [
     "AolsResult",
     "CriticBank",
     "Iorm",
-    "MomdpSpec",
     "PartialCcs",
     "TrainerConfig",
     "TrajectoryBatch",
@@ -49,10 +47,8 @@ __all__ = [
     "evaluate_policy",
     "is_convex_undominated",
     "optimistic_bound",
-    "proxy_values",
     "relative_improvement",
     "scalarize",
     "scalarized_max",
     "train",
-    "train_single_objective",
 ]

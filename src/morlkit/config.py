@@ -102,8 +102,6 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
             epochs_per_update=_get_int(cfg, "trainer.epochs_per_update", 10),
             minibatch_size=_get_int(cfg, "trainer.minibatch_size", 64),
             learning_rate=_get_float(cfg, "trainer.learning_rate", 3e-4),
-            aols_epsilon=_get_float(cfg, "trainer.aols_epsilon", 1e-3),
-            aols_iteration_cap=_get_int(cfg, "trainer.aols_iteration_cap", 1000),
             termination_epsilon=_get_float(cfg, "trainer.termination_epsilon", 0.0),
             hidden_sizes=_get(cfg, "trainer.hidden_sizes", _parse_int_tuple, (64, 64)),
             seed=seed if seed is not None else _get_int(cfg, "seed", 0),
@@ -186,10 +184,6 @@ _LOCOMOTION_QA = QaSpec(
         QaObjective("Rfor", "Standard measurement", MAXIMIZE, "the reward forward"),
     )
 )
-
-
-def locomotion_qa() -> QaSpec:
-    return _LOCOMOTION_QA
 
 
 def build_qa_spec(cfg: dict[str, str], objective_count: int) -> QaSpec:

@@ -152,61 +152,6 @@ class Iorm:
     def matrix(self) -> np.ndarray:
         return np.array([row.weights for row in self.rows], dtype=float)
 
-    def with_row(self, index: int, row: WeightVector) -> "Iorm":
-        if row.dim != self.dim:
-            raise ValueError(f"row length {row.dim} does not match dim {self.dim}")
-        rows = list(self.rows)
-        rows[index] = row
-        return Iorm(tuple(rows))
-
-
-@dataclass(frozen=True)
-class DiscreteSpace:
-    """Finite index set {0, ..., n-1}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("DiscreteSpace needs n >= 1")
-
-
-@dataclass(frozen=True)
-class BoxSpace:
-    """Axis-aligned box of reals."""
-
-    low: tuple[float, ...]
-    high: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.low) != len(self.high):
-            raise ValueError("low/high length mismatch")
-        if any(l > h for l, h in zip(self.low, self.high)):
-            raise ValueError("low must not exceed high")
-
-    @property
-    def dim(self) -> int:
-        return len(self.low)
-
-
-@dataclass(frozen=True)
-class MomdpSpec:
-    """Descriptor of a vector-reward decision problem."""
-
-    state_space: DiscreteSpace | BoxSpace
-    action_space: DiscreteSpace | BoxSpace
-    objective_count: int
-    discount: float
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.objective_count < 2:
-            raise ValueError("objective_count must be >= 2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must lie in [0, 1)")
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
@@ -284,13 +229,6 @@ class TrajectoryBatch:
 
     def complete_episodes(self) -> list[int]:
         return [j for j in range(self.num_episodes) if self.episode_is_complete(j)]
-
-
-def proxy_values(w: Iorm, v: ValueVector) -> ValueVector:
-    """Apply the relationship matrix: entry i becomes the row-i scalarization."""
-    if w.dim != v.dim:
-        raise ValueError(f"dimension mismatch: matrix {w.dim} vs value {v.dim}")
-    return ValueVector(tuple(w.matrix @ v.array))
 
 
 def discounted_return(traj: TrajectoryBatch, episode: int, gamma: float) -> ValueVector:

@@ -54,8 +54,9 @@ class TabularMomdp:
             raise ValueError("initial/terminal must have one entry per state")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rewards must be finite")
+        for name, arr in (("transitions", p), ("rewards", r), ("initial", d0)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         p = p.copy()
         r = r.copy()
         for s in np.flatnonzero(term):
@@ -337,11 +338,6 @@ class ToyLocomotion:
             ]
         )
         return self.observation(), reward, done
-
-
-def env_step(env, action, rng: np.random.Generator):
-    """Uniform step entry point over any environment in this module."""
-    return env.step(action, rng)
 
 
 class TabularSession:

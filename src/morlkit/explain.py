@@ -292,26 +292,3 @@ def render_contrastive(qa: QaSpec, alt: Alternative, current: ValueVector) -> st
             f" is not worth {_join_clauses(loss_nouns)}."
         )
     return text
-
-
-def render_qa_table(qa: QaSpec, v: ValueVector) -> str:
-    """Three-column text table: QA type, optimization objective, QA property."""
-    if v.dim != qa.dim:
-        raise ValueError("value and vocabulary dimensions must agree")
-    header = ("QA Type", "Optimization Objective", "QA Property")
-    rows = [header]
-    for k, obj in enumerate(qa.objectives):
-        rows.append(
-            (
-                obj.qa_type,
-                f"{obj.direction} {obj.phrase}",
-                f"the expected {obj.name} is {format_value(v[k], obj.precision)}",
-            )
-        )
-    widths = [max(len(row[c]) for row in rows) for c in range(3)]
-    lines = [
-        " | ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-    lines.insert(1, "-+-".join("-" * w for w in widths))
-    return "\n".join(lines)

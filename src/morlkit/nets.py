@@ -205,30 +205,6 @@ def mlp_from_param_list(template: MlpParams, arrays: Sequence[np.ndarray]) -> Ml
     )
 
 
-def gaussian_log_prob(
-    pol: GaussianPolicyParams, state: np.ndarray, action: np.ndarray
-) -> float | np.ndarray:
-    """Log density of the action under the state-conditional diagonal Gaussian."""
-    mean, _ = mlp_forward(pol.mean_net, state)
-    action = np.asarray(action, dtype=float)
-    if action.shape != mean.shape:
-        raise ValueError(f"action shape {action.shape} != mean shape {mean.shape}")
-    std = np.exp(pol.log_std)
-    z = (action - mean) / std
-    d = pol.action_dim
-    logp = -0.5 * (z**2).sum(axis=-1) - pol.log_std.sum() - 0.5 * d * LOG_2PI
-    return float(logp) if np.isscalar(logp) or logp.ndim == 0 else logp
-
-
-def gaussian_sample(
-    pol: GaussianPolicyParams, state: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw mean + std * standard normal for the given state(s)."""
-    mean, _ = mlp_forward(pol.mean_net, state)
-    std = np.exp(pol.log_std)
-    return mean + std * rng.standard_normal(mean.shape)
-
-
 def gaussian_log_prob_with_cache(
     pol: GaussianPolicyParams, states: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, tuple]:

@@ -1,13 +1,15 @@
 """Training engine: one Gaussian actor, one critic per objective, clipped
-policy-gradient updates on a proxy reward channel, and coverage-set
-bookkeeping that selects the relationship-matrix row for each objective
-sequence.
+policy-gradient updates on a proxy reward channel, and a running coverage
+set of the mean critic vectors.
 
 The engine cycles through objectives; for each it repeatedly collects
 synchronized rollouts from a bank of environment copies, fits every critic
-to its own reward channel, rescalarizes the critic outputs through the
-coverage-set machinery to pick the active matrix row, and ascends the
-clipped surrogate on the row-mixed proxy stream.
+to its own reward channel, adds the mean critic vector to the running
+coverage set, and ascends the clipped surrogate on the proxy stream mixed
+by the objective's relationship-matrix row. The rows are the identity:
+selecting them from the coverage set needs a value oracle that depends on
+the weight, and the critic bank gives one mean vector per update.
+At objective_count=1 this is plain single-objective training.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .ccs import (
     AolsResult,
     PartialCcs,
-    aols,
     is_convex_undominated,
     relative_improvement,
     scalarized_max,
@@ -75,8 +76,6 @@ class TrainerConfig:
     epochs_per_update: int = 10
     minibatch_size: int = 64
     learning_rate: float = 3e-4
-    aols_epsilon: float = 1e-3
-    aols_iteration_cap: int = 1000
     termination_epsilon: float = 0.0
     hidden_sizes: tuple[int, ...] = (64, 64)
     seed: int = 0
@@ -95,8 +94,8 @@ class TrainerConfig:
         for name in ("steps_per_update", "env_copies", "epochs_per_update", "minibatch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0 or self.aols_epsilon <= 0.0:
-            raise ValueError("learning_rate and aols_epsilon must be positive")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.termination_epsilon < 0.0:
             raise ValueError("termination_epsilon must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -104,15 +103,13 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class CriticBank:
-    """One value network per objective plus the frozen snapshots from the
-    most recent collection phase."""
+    """One value network per objective."""
 
     nets: tuple[MlpParams, ...]
-    old_nets: tuple[MlpParams, ...]
 
     def __post_init__(self) -> None:
-        if len(self.nets) != len(self.old_nets) or not self.nets:
-            raise ValueError("bank and snapshot sizes must match and be nonempty")
+        if not self.nets:
+            raise ValueError("critic bank must be nonempty")
 
     @property
     def size(self) -> int:
@@ -322,6 +319,10 @@ def iorm_row_select(
     weakly their largest; among them the one maximizing the scalarized critic
     value wins, with near-ties resolved toward the higher-entropy (more
     interior) weight. Falls back to the plain extremum when nothing qualifies.
+
+    train does not call this: on AOLS over a constant oracle it always
+    returns the extremum. It stays because perfbench/tracing.py wraps it by
+    name.
     """
     if not result.explored_weights:
         raise ValueError("result has no explored weights")
@@ -513,11 +514,7 @@ def _delta_probe(
     return gap, rel
 
 
-def _update_running_ccs(
-    vectors: list[ValueVector], observations: list[tuple[WeightVector, float]],
-    vbar: ValueVector, result: AolsResult,
-) -> None:
-    observations.extend(result.ccs.observations)
+def _update_running_ccs(vectors: list[ValueVector], vbar: ValueVector) -> None:
     if any(float(np.max(np.abs(vbar.array - v.array))) <= 1e-6 for v in vectors):
         return
     if not is_convex_undominated(vbar, vectors):
@@ -556,7 +553,7 @@ def _init_networks(cfg: TrainerConfig, obs_dim: int, act_dim: int, init_rng):
 
 def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
     """Full multi-objective run: objective sequences outer, collection /
-    critic regression / row selection / proxy policy ascent inner."""
+    critic regression / coverage-set update / proxy policy ascent inner."""
     env_list = [env_factory() for _ in range(cfg.env_copies)]
     if env_list[0].objective_count != cfg.objective_count:
         raise ValueError(
@@ -570,19 +567,17 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
     iorm = Iorm.identity(cfg.objective_count)
     collector = _init_collector(env_list, env_rngs, cfg.objective_count)
     running_vectors: list[ValueVector] = []
-    running_obs: list[tuple[WeightVector, float]] = []
     metrics: list[UpdateMetrics] = []
-    snapshot_nets = tuple(critics)
     update_index = 0
     early = False
 
     for objective in range(cfg.objective_count):
+        row = iorm.rows[objective]
         for _ in range(cfg.updates_per_objective):
             batch, collector = collect_rollout(
                 env_list, collector, actor, cfg.steps_per_update, cfg.discount,
                 rollout_rng, env_rngs,
             )
-            snapshot_nets = tuple(critics)
             snapshot_values = _critic_values(critics, batch.traj.states)
             snapshot_boot = _critic_values(critics, batch.bootstrap_obs)
 
@@ -595,15 +590,8 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
 
             updated_values = _critic_values(critics, batch.traj.states)
             vbar = ValueVector(tuple(updated_values.mean(axis=0)))
-            result = aols(
-                lambda _w: vbar, cfg.objective_count, cfg.aols_epsilon,
-                max_iterations=cfg.aols_iteration_cap,
-            )
-            row = iorm_row_select(result, objective, vbar)
-            iorm = iorm.with_row(objective, row)
-
             delta_abs, delta_r = _delta_probe(vbar, running_vectors)
-            _update_running_ccs(running_vectors, running_obs, vbar, result)
+            _update_running_ccs(running_vectors, vbar)
 
             advantages = _proxy_advantages(batch, row, snapshot_values, snapshot_boot, cfg)
             actor, actor_opt, diag = ppo_actor_update(
@@ -631,96 +619,11 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
 
     return RunArtifacts(
         actor=actor,
-        critics=CriticBank(nets=tuple(critics), old_nets=snapshot_nets),
+        critics=CriticBank(nets=tuple(critics)),
         iorm=iorm,
         metrics=metrics,
-        ccs=PartialCcs(tuple(running_vectors), tuple(running_obs)),
+        ccs=PartialCcs(tuple(running_vectors), ()),
         early_stopped=early,
-        config=cfg,
-    )
-
-
-def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
-    """Reference single-objective clipped policy-gradient loop.
-
-    Trains on a one-channel environment with the same collection, critic
-    regression, and actor update primitives as the full engine, but none of
-    the relationship-matrix or coverage-set machinery. Serves as the
-    baseline for benchmark comparisons and as the reduction target the full
-    engine must match bit for bit when objective_count is one.
-    """
-    if cfg.objective_count != 1:
-        raise ValueError("reference trainer expects objective_count == 1")
-    env_list = [env_factory() for _ in range(cfg.env_copies)]
-    if env_list[0].objective_count != 1:
-        raise ValueError("reference trainer expects a one-channel environment")
-    obs_dim = env_list[0].observation_dim
-    act_dim = env_list[0].action_dim
-    init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, critics, actor_opt, critic_opts = _init_networks(cfg, obs_dim, act_dim, init_rng)
-    collector = _init_collector(env_list, env_rngs, 1)
-    running_vectors: list[ValueVector] = []
-    running_obs: list[tuple[WeightVector, float]] = []
-    metrics: list[UpdateMetrics] = []
-    snapshot_nets = tuple(critics)
-
-    for update_index in range(cfg.updates_per_objective):
-        batch, collector = collect_rollout(
-            env_list, collector, actor, cfg.steps_per_update, cfg.discount,
-            rollout_rng, env_rngs,
-        )
-        snapshot_nets = tuple(critics)
-        snapshot_values = _critic_values(critics, batch.traj.states)
-        snapshot_boot = _critic_values(critics, batch.bootstrap_obs)
-
-        targets = _rtg_targets(batch, 0, cfg)
-        critics[0], critic_opts[0] = critic_update(
-            critics[0], critic_opts[0], batch.traj.states, targets, cfg, minibatch_rng
-        )
-
-        updated_values = _critic_values(critics, batch.traj.states)
-        vbar = ValueVector(tuple(updated_values.mean(axis=0)))
-        delta_abs, delta_r = _delta_probe(vbar, running_vectors)
-        if (
-            all(float(np.max(np.abs(vbar.array - v.array))) > 1e-6 for v in running_vectors)
-            and is_convex_undominated(vbar, running_vectors)
-        ):
-            running_vectors.append(vbar)
-            running_vectors[:] = [
-                v
-                for k, v in enumerate(running_vectors)
-                if is_convex_undominated(
-                    v, running_vectors[:k] + running_vectors[k + 1 :]
-                )
-            ]
-        unit = simplex_extremum(1, 0)
-        running_obs.append((unit, scalarize(unit, vbar)))
-
-        row = unit
-        advantages = _proxy_advantages(batch, row, snapshot_values, snapshot_boot, cfg)
-        actor, actor_opt, diag = ppo_actor_update(
-            actor, actor_opt, batch.traj.states, batch.traj.actions,
-            batch.traj.log_probs, advantages, cfg, minibatch_rng,
-        )
-        metrics.append(
-            UpdateMetrics(
-                update_index=update_index,
-                objective_index=0,
-                mean_returns=_mean_returns(batch, cfg.discount),
-                delta_abs=delta_abs,
-                delta_r=delta_r,
-                clip_fraction=diag.clip_fraction,
-                approx_kl=diag.approx_kl,
-            )
-        )
-
-    return RunArtifacts(
-        actor=actor,
-        critics=CriticBank(nets=tuple(critics), old_nets=snapshot_nets),
-        iorm=Iorm.identity(1),
-        metrics=metrics,
-        ccs=PartialCcs(tuple(running_vectors), tuple(running_obs)),
-        early_stopped=False,
         config=cfg,
     )
 

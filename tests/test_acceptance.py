@@ -52,8 +52,8 @@ from morlkit.training import (
     gae,
     td_residuals,
     train,
-    train_single_objective,
 )
+from reference_trainer import train_single_objective
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -405,9 +405,7 @@ def test_criterion_9_comparative_claim(tmp_path):
         )
         multi = train(factory, cfg)
         single_cfg = replace(cfg, objective_count=1, updates_per_objective=32)
-        single = train_single_objective(
-            lambda: SingleObjectiveView(ToyLocomotion(), 3), single_cfg
-        )
+        single = train(lambda: SingleObjectiveView(ToyLocomotion(), 3), single_cfg)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         multi_mean, multi_std, _ = evaluate_policy(
             ToyLocomotion(), multi.actor, 10, cfg.discount, rng

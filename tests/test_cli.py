@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from morlkit import cli
+from morlkit.ccs import PartialCcs
 from morlkit.cli import main, read_iorm, read_vectors
 from morlkit.config import (
     ConfigError,
@@ -142,6 +146,32 @@ class TestCmdCcs:
         out = capsys.readouterr().out
         assert code == 0
         assert "VERIFIED" in out
+
+    @pytest.mark.parametrize("instance", [0, 1, 2, 13, 17, 18, 19])
+    def test_verified_where_grid_misses_vectors(self, tmp_path, capsys, instance):
+        # The weight grid misses 1-2 coverage-set vectors on these instances;
+        # each lies between grid weights and beats every grid vector there.
+        m = random_tabular_momdp(np.random.default_rng(instance), 5, 3, 3, discount=0.85)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "VERIFIED" in out and "grid confirmed" in out
+
+    def test_verify_fails_when_a_vector_is_missing(self, tmp_path, capsys, monkeypatch):
+        m = random_tabular_momdp(np.random.default_rng(17), 10, 3, 2, discount=0.9)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        solve = cli.aols
+
+        def drop_best_first_objective(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            kept = sorted(result.ccs.vectors, key=lambda v: v[0])[:-1]
+            return replace(result, ccs=PartialCcs(tuple(kept), result.ccs.observations))
+
+        monkeypatch.setattr(cli, "aols", drop_best_first_objective)
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 2
+        assert "MISMATCH" in capsys.readouterr().out
 
     def test_constant_reward_single_vector(self, tmp_path, capsys):
         m_path = tmp_path / "const.momdp"

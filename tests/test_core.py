@@ -4,22 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morlkit.core import (
-    BoxSpace,
-    DiscreteSpace,
     Iorm,
-    MomdpSpec,
     TrajectoryBatch,
     ValueVector,
     WeightVector,
     discounted_return,
     empirical_value_estimate,
-    proxy_values,
     scalarize,
     simplex_extrema,
     uniform_weight,
 )
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def make_batch(rewards, dones, starts):
@@ -108,61 +102,6 @@ class TestIorm:
             assert abs(sum(row.weights) - 1.0) <= 1e-9
             assert min(row.weights) >= 0.0
 
-    def test_with_row_replaces_only_target(self):
-        m = Iorm.identity(2).with_row(0, WeightVector((0.3, 0.7)))
-        assert m.rows[0].weights == (0.3, 0.7)
-        assert m.rows[1].weights == (0.0, 1.0)
-
-
-class TestProxyValues:
-    def test_identity_matrix_is_identity_map(self):
-        v = ValueVector((1.0, -2.0, 0.5))
-        assert proxy_values(Iorm.identity(3), v).values == v.values
-
-    def test_row_selection_symmetry(self):
-        e2 = WeightVector((0.0, 1.0, 0.0))
-        m = Iorm((e2, e2, e2))
-        assert proxy_values(m, ValueVector((4, 7, 9))).values == (7.0, 7.0, 7.0)
-
-    def test_reference_matrix_vector_multiply(self):
-        # Oracle: plain matrix-vector product.
-        m = Iorm((WeightVector((0.5, 0.5)), WeightVector((0.25, 0.75))))
-        v = ValueVector((2.0, 4.0))
-        expected = np.array([[0.5, 0.5], [0.25, 0.75]]) @ np.array([2.0, 4.0])
-        assert proxy_values(m, v).values == tuple(expected)
-        assert proxy_values(m, v).values == (3.0, 3.5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            proxy_values(Iorm.identity(2), ValueVector((1.0, 2.0, 3.0)))
-
-    @given(
-        st.lists(finite_floats, min_size=3, max_size=3),
-        st.lists(finite_floats, min_size=3, max_size=3),
-        st.floats(min_value=-10, max_value=10),
-        st.floats(min_value=-10, max_value=10),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linearity(self, v1, v2, a, b, data):
-        rows = []
-        for _ in range(3):
-            raw = np.array(
-                data.draw(
-                    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3)
-                )
-            )
-            rows.append(WeightVector(tuple(raw / raw.sum())))
-        m = Iorm(tuple(rows))
-        lhs = proxy_values(
-            m, ValueVector(tuple(a * x + b * y for x, y in zip(v1, v2)))
-        ).array
-        rhs = a * proxy_values(m, ValueVector(tuple(v1))).array + b * proxy_values(
-            m, ValueVector(tuple(v2))
-        ).array
-        scale = 1.0 + np.max(np.abs(rhs))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
-
 
 class TestScalarize:
     def test_matches_dot(self):
@@ -242,15 +181,3 @@ class TestTrajectoryBatch:
         batch = make_batch([[1.0]], [True], [0])
         with pytest.raises(ValueError):
             batch.rewards[0, 0] = 5.0
-
-
-class TestMomdpSpec:
-    def test_validation(self):
-        spec = MomdpSpec(DiscreteSpace(4), DiscreteSpace(2), 2, 0.9, 10)
-        assert spec.objective_count == 2
-        with pytest.raises(ValueError):
-            MomdpSpec(DiscreteSpace(4), DiscreteSpace(2), 1, 0.9, 10)
-        with pytest.raises(ValueError):
-            MomdpSpec(DiscreteSpace(4), DiscreteSpace(2), 2, 1.0, 10)
-        with pytest.raises(ValueError):
-            MomdpSpec(BoxSpace((0.0,), (1.0,)), DiscreteSpace(2), 2, 0.9, 0)

@@ -15,7 +15,6 @@ from morlkit.envs import (
     boxed_tabular,
     boxed_treasure,
     enumerate_ccs,
-    env_step,
     finite_horizon_values,
     load_tabular,
     random_tabular_momdp,
@@ -59,6 +58,20 @@ class TestTabularMomdp:
                 initial=np.array([1.0]),
                 discount=0.9,
                 terminal=np.zeros(1, dtype=bool),
+            )
+
+    def test_nan_transitions_rejected(self):
+        # Comparisons with NaN are False, so the sign and row-sum checks let it through.
+        p = np.full((2, 1, 2), 0.5)
+        p[0, 0] = [np.nan, 1.0]
+        with pytest.raises(ValueError, match="transitions"):
+            TabularMomdp(p, np.zeros((2, 1, 2)), np.array([1.0, 0.0]), 0.9, np.zeros(2, dtype=bool))
+
+    def test_nan_initial_rejected(self):
+        with pytest.raises(ValueError, match="initial"):
+            TabularMomdp(
+                np.full((2, 1, 2), 0.5), np.zeros((2, 1, 2)), np.array([np.nan, 1.0]), 0.9,
+                np.zeros(2, dtype=bool),
             )
 
     def test_terminal_rows_rewritten_absorbing(self):
@@ -321,12 +334,6 @@ class TestToyLocomotion:
             if done:
                 break
         assert done
-
-    def test_env_step_entry_point(self):
-        env = ToyLocomotion(start_noise=0.0)
-        env.reset(np.random.default_rng(0))
-        _, reward, _ = env_step(env, np.zeros(2), np.random.default_rng(0))
-        assert len(reward) == 4
 
 
 class TestAdapters:

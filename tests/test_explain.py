@@ -18,7 +18,6 @@ from morlkit.explain import (
     generate_alternatives,
     render_contrastive,
     render_policy_statement,
-    render_qa_table,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -289,23 +288,3 @@ class TestExplainBlocksGolden:
             blocks.append(render_contrastive(qa, alt, current))
         text = "\n\n".join(blocks) + "\n"
         assert text == (GOLDEN / "explain_blocks.txt").read_text()
-
-
-class TestRenderQaTable:
-    def test_alive_bonus_property_cell(self):
-        qa = QaSpec(
-            (QaObjective("alive bonus", "Standard measurement", MAXIMIZE, "the alive bonus", precision=0),)
-        )
-        table = render_qa_table(qa, vv(150.0))
-        assert "the expected alive bonus is 150" in table
-        assert "maximize the alive bonus" in table
-
-    def test_four_rows_and_header(self):
-        table = render_qa_table(qa_locomotion(), vv(-5.025, -4.0, 92.546, 0.818))
-        lines = table.splitlines()
-        assert lines[0].startswith("QA Type")
-        assert len(lines) == 6  # header, rule, four rows
-
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            render_qa_table(qa_locomotion(), vv(1.0))

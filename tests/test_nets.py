@@ -9,10 +9,8 @@ from morlkit.nets import (
     MlpParams,
     adam_init,
     adam_step,
-    gaussian_log_prob,
     gaussian_log_prob_backward,
     gaussian_log_prob_with_cache,
-    gaussian_sample,
     mlp_backward,
     mlp_forward,
     mlp_from_param_list,
@@ -155,12 +153,17 @@ class TestGaussianPolicy:
             log_std=np.full(action_dim, float(log_std)),
         )
 
+    @staticmethod
+    def log_prob(pol, s, a) -> float:
+        logp, _ = gaussian_log_prob_with_cache(pol, s[None], np.asarray(a)[None])
+        return float(logp[0])
+
     def test_mode_density(self):
         rng = np.random.default_rng(0)
         pol = self.make_policy(rng, action_dim=3)
         s = rng.standard_normal(3)
         mean, _ = mlp_forward(pol.mean_net, s)
-        assert gaussian_log_prob(pol, s, mean) == pytest.approx(
+        assert self.log_prob(pol, s, mean) == pytest.approx(
             -1.5 * math.log(2 * math.pi), abs=1e-12
         )
 
@@ -170,7 +173,7 @@ class TestGaussianPolicy:
         wide = GaussianPolicyParams(pol.mean_net, pol.log_std + math.log(2.0))
         s = rng.standard_normal(3)
         mean, _ = mlp_forward(pol.mean_net, s)
-        drop = gaussian_log_prob(pol, s, mean) - gaussian_log_prob(wide, s, mean)
+        drop = self.log_prob(pol, s, mean) - self.log_prob(wide, s, mean)
         assert drop == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
     def test_matches_scalar_gaussian_product(self):
@@ -188,26 +191,17 @@ class TestGaussianPolicy:
                 - math.log(std[k])
                 - 0.5 * math.log(2 * math.pi)
             )
-        assert gaussian_log_prob(pol, s, a) == pytest.approx(expected, abs=1e-12)
+        assert self.log_prob(pol, s, a) == pytest.approx(expected, abs=1e-12)
 
     def test_density_integrates_to_one_on_grid(self):
         rng = np.random.default_rng(4)
         pol = self.make_policy(rng, state_dim=2, action_dim=1, log_std=0.1)
         s = rng.standard_normal(2)
         grid = np.linspace(-8, 8, 4001)
-        densities = np.array(
-            [math.exp(gaussian_log_prob(pol, s, np.array([a]))) for a in grid]
-        )
+        logp, _ = gaussian_log_prob_with_cache(pol, np.tile(s, (grid.size, 1)), grid[:, None])
+        densities = np.exp(logp)
         integral = np.trapezoid(densities, grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
-
-    def test_sampling_seeded_and_deterministic(self):
-        rng = np.random.default_rng(5)
-        pol = self.make_policy(rng)
-        s = np.zeros(3)
-        a1 = gaussian_sample(pol, s, np.random.default_rng(99))
-        a2 = gaussian_sample(pol, s, np.random.default_rng(99))
-        assert np.array_equal(a1, a2)
 
     def test_log_prob_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)

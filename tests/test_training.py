@@ -36,9 +36,9 @@ from morlkit.training import (
     rewards_to_go,
     td_residuals,
     train,
-    train_single_objective,
     _init_collector,
 )
+from reference_trainer import train_single_objective
 
 
 def vv(*xs):
@@ -445,6 +445,19 @@ class TestTrain:
             assert m.delta_r >= 0.0
         assert art.critics.size == 2
 
+    @pytest.mark.parametrize(
+        "objective_count, factory",
+        [
+            (2, lambda: boxed_treasure(TreasureGrid(3, 3, ((0, 2, 3.0), (2, 2, 12.0)), horizon=10))),
+            (4, lambda: ToyLocomotion(horizon=40)),
+        ],
+        ids=["treasure", "locomotion"],
+    )
+    def test_trained_iorm_is_identity(self, objective_count, factory):
+        # Each objective trains on its own channel, so the rows stay the identity.
+        art = train(factory, tiny_cfg(objective_count=objective_count, updates_per_objective=1))
+        assert np.array_equal(art.iorm.matrix, np.eye(objective_count))
+
     def test_locomotion_smoke(self):
         cfg = tiny_cfg(objective_count=4, updates_per_objective=1, steps_per_update=64)
         art = train(lambda: ToyLocomotion(horizon=40), cfg)
@@ -498,7 +511,7 @@ class TestTrain:
             env_copies=1, epochs_per_update=10, minibatch_size=64,
             discount=0.99, seed=0,
         )
-        trained = train_single_objective(factory, cfg)
+        trained = train(factory, cfg)
         rng = np.random.default_rng(1)
         random_actor = GaussianPolicyParams(
             mean_net=mlp_init([4, 64, 64, 2], rng, output_gain=0.01),
