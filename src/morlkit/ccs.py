@@ -12,7 +12,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,12 @@ log = logging.getLogger(__name__)
 
 DUPLICATE_VALUE_ATOL = 1e-6
 WEIGHT_MATCH_ATOL = 1e-9
+# corner_weights solves this many facet subsets per batch, so its memory
+# does not grow with the number of subsets.
+CORNER_BLOCK = 4096
+# A system counts as rank-deficient when |det| is below this fraction of
+# the product of its row norms (the Hadamard bound on |det|).
+RANK_RTOL = 1e-12
 
 Oracle = Callable[[WeightVector], ValueVector]
 
@@ -113,12 +119,9 @@ def _max_norm(a: ValueVector, b: ValueVector) -> float:
     return float(np.max(np.abs(a.array - b.array)))
 
 
-def _weight_close(a: WeightVector, b: WeightVector, atol: float) -> bool:
-    return float(np.max(np.abs(a.array - b.array))) <= atol
-
-
-def _near_any(w: WeightVector, pool: Sequence[WeightVector], atol: float) -> bool:
-    return any(_weight_close(w, other, atol) for other in pool)
+def _max_dist(points: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Max-norm distance from each row of points to point."""
+    return np.max(np.abs(points - point), axis=1)
 
 
 def scalarized_max(
@@ -168,75 +171,76 @@ def is_convex_undominated(
     return best_slack > margin + WEIGHT_MATCH_ATOL
 
 
-def _clean_simplex_point(raw: np.ndarray) -> WeightVector | None:
-    if not np.all(np.isfinite(raw)):
-        return None
-    if np.min(raw) < -WEIGHT_MATCH_ATOL or abs(raw.sum() - 1.0) > 1e-7:
-        return None
-    clipped = np.clip(raw, 0.0, None)
-    return WeightVector(tuple(clipped / clipped.sum()))
-
-
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
-    """Vertices of the upper surface max_V w.V over the simplex.
+    """Vertices of the upper surface max_V w.V over the simplex, sorted.
 
-    Candidate vertices come from solving the square systems formed by
-    dim-1 constraints chosen among pairwise-equality hyperplanes
-    {w.(V_a - V_b) = 0} and boundary planes {w_k = 0}, together with the
-    simplex normalization; candidates where the equalized vectors are not
-    envelope-maximal are discarded. Simplex extrema are always included.
-    Combinatorial in len(s) and dim, intended for small coverage sets.
+    The surface is the lower boundary of the polytope
+    {(w, u) : w in simplex, u >= w.V for every V in s}, whose facet rows
+    over (w, u) are [V, -1] (u = w.V) for each vector and [e_k, 0]
+    (w_k = 0) for each bound. Every vertex solves the simplex row
+    [1..1, 0] = 1 together with some dim of these n + dim rows, so all
+    C(n + dim, dim) such systems are solved in batches. Rank-deficient
+    systems are dropped before the solve; a solution is kept when it solves
+    its system, lies on the simplex and its u reaches the envelope there.
+    Simplex extrema are always included; points within WEIGHT_MATCH_ATOL
+    of an earlier one are dropped.
     """
     if not s:
         raise ValueError("corner_weights needs a nonempty set")
     dim = s[0].dim
+    # A common shift of every vector leaves the corners unchanged; removing
+    # it keeps the rank test below about the gaps between vectors, not
+    # their magnitude.
     vals = np.array([v.values for v in s])
-    corners: list[WeightVector] = list(simplex_extrema(dim))
+    vals -= vals.max(axis=0)
+    facets = np.vstack(
+        [
+            np.hstack([vals, -np.ones((len(s), 1))]),
+            np.hstack([np.eye(dim), np.zeros((dim, 1))]),
+        ]
+    )
+    simplex_row = np.append(np.ones(dim), 0.0)
+    rhs = np.zeros(dim + 1)
+    rhs[0] = 1.0
 
-    if dim == 1:
-        return corners
+    found = [np.eye(dim)]
+    subsets = combinations(range(len(facets)), dim)
+    for _ in range(0, math.comb(len(facets), dim), CORNER_BLOCK):
+        block = np.fromiter(
+            chain.from_iterable(islice(subsets, CORNER_BLOCK)), dtype=np.intp
+        ).reshape(-1, dim)
+        systems = np.empty((len(block), dim + 1, dim + 1))
+        systems[:, 0] = simplex_row
+        systems[:, 1:] = facets[block]
+        scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+        full_rank = np.abs(np.linalg.det(systems)) > RANK_RTOL * scale
+        block, systems = block[full_rank], systems[full_rank]
+        # A stack of column vectors as b, which numpy 1.x and 2.x read alike.
+        columns = np.broadcast_to(rhs[:, None], (len(systems), dim + 1, 1))
+        raw = np.linalg.solve(systems, columns)[..., 0]
+        residual = np.max(np.abs(np.einsum("bij,bj->bi", systems, raw) - rhs), axis=1)
+        w, u = raw[:, :dim].copy(), raw[:, dim]
+        # A bound row pins its weight to exactly zero, which the solve can
+        # miss by round-off.
+        picked, slot = np.nonzero(block >= len(s))
+        w[picked, block[picked, slot] - len(s)] = 0.0
+        # Comparisons with NaN are false, so a non-finite solution fails here.
+        ok = (
+            (residual <= 1e-7)
+            & (np.min(w, axis=1) >= -WEIGHT_MATCH_ATOL)
+            & (np.abs(w.sum(axis=1) - 1.0) <= 1e-7)
+        )
+        w = np.clip(w[ok], 0.0, None)
+        w /= w.sum(axis=1, keepdims=True)
+        envelope = np.max(w @ vals.T, axis=1)
+        found.append(w[u[ok] >= envelope - WEIGHT_MATCH_ATOL])
 
-    # Constraint rows: ("pair", a, b) -> (V_a - V_b).w = 0 ; ("bound", k) -> w_k = 0.
-    pair_rows = [
-        (vals[a] - vals[b], a, b) for a, b in combinations(range(len(s)), 2)
-    ]
-    bound_rows = [(np.eye(dim)[k], -1, k) for k in range(dim)]
-    all_rows = [("pair", row, a, b) for row, a, b in pair_rows] + [
-        ("bound", row, -1, k) for row, _, k in bound_rows
-    ]
-
-    for combo in combinations(range(len(all_rows)), dim - 1):
-        system = np.ones((dim, dim))
-        rhs = np.zeros(dim)
-        rhs[0] = 1.0
-        for j, idx in enumerate(combo):
-            system[j + 1] = all_rows[idx][1]
-        try:
-            raw = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(system @ raw - rhs)) > 1e-7:
-            continue
-        w = _clean_simplex_point(raw)
-        if w is None:
-            continue
-        dots = vals @ w.array
-        top = float(dots.max())
-        active = True
-        for idx in combo:
-            kind, _, a, b = all_rows[idx]
-            if kind == "pair" and (
-                dots[a] < top - WEIGHT_MATCH_ATOL or dots[b] < top - WEIGHT_MATCH_ATOL
-            ):
-                active = False
-                break
-        if not active:
-            continue
-        if not _near_any(w, corners, WEIGHT_MATCH_ATOL):
-            corners.append(w)
-
-    corners.sort(key=lambda wv: wv.weights)
-    return corners
+    points = np.vstack(found)
+    keep: list[int] = []
+    for k, point in enumerate(points):
+        if not keep or _max_dist(points[keep], point).min() > WEIGHT_MATCH_ATOL:
+            keep.append(k)
+    return sorted((WeightVector(tuple(points[k])) for k in keep), key=lambda wv: wv.weights)
 
 
 def optimistic_bound(
@@ -368,18 +372,17 @@ def aols(
             inserted = True
 
         if s and pending_extrema == 0 and (inserted or seeded_now):
-            queued = queue.weights()
+            # Corners are pairwise farther apart than WEIGHT_MATCH_ATOL, so a
+            # corner pushed here never makes a later one count as seen.
+            seen = np.array([w.weights for w in explored + queue.weights()])
             for corner in corner_weights(s):
-                if _near_any(corner, explored, WEIGHT_MATCH_ATOL):
-                    continue
-                if _near_any(corner, queued, WEIGHT_MATCH_ATOL):
+                if _max_dist(seen, corner.array).min() <= WEIGHT_MATCH_ATOL:
                     continue
                 surface, _ = scalarized_max(s, corner)
                 bound = optimistic_bound(wv, corner, epsilon)
                 gap = bound - surface
                 if gap > epsilon:
                     queue.push(corner, gap, bound)
-                    queued.append(corner)
 
         gap_left, rel_left = _remaining_delta(queue)
         history.append(

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: train, ccs, eval, explain, bench. Exit codes: 0 success,
-1 usage or configuration error, 2 runtime failure. All commands honor
---seed; output files are byte-deterministic for a fixed seed, with wall
-clock timing kept in a separate log file.
+1 usage, configuration or problem-file error, 2 runtime failure. All
+commands honor --seed; output files are byte-deterministic for a fixed
+seed, with wall clock timing kept in a separate log file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ import numpy as np
 from .ccs import aols, is_convex_undominated, write_history_csv
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .core import Iorm, ValueVector, WeightVector
-from .envs import SingleObjectiveView, enumerate_ccs, load_tabular, value_iteration
+from .envs import (
+    SingleObjectiveView,
+    TabularFormatError,
+    enumerate_ccs,
+    load_tabular,
+    value_iteration,
+)
 from .explain import generate_alternatives, render_contrastive, render_policy_statement
 from .nets import mlp_to_arrays, policy_from_arrays, policy_to_arrays, read_arrays, write_arrays
 from .training import RunArtifacts, evaluate_policy, train
@@ -351,7 +357,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, TabularFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -121,36 +121,67 @@ def save_tabular(m: TabularMomdp, path) -> None:
         fh.write(buf.getvalue())
 
 
+class TabularFormatError(ValueError):
+    """A tabular problem file that does not hold a valid problem. The
+    message names the file and, for a malformed line, its line number."""
+
+
 def load_tabular(path) -> TabularMomdp:
+    """Read a file written by save_tabular; raise TabularFormatError on
+    any line with the wrong number of values or on an invalid problem."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != TABULAR_FORMAT_VERSION:
-        raise ValueError(f"{path}: not a recognized tabular problem file")
-    ns, na, ni = (int(tok) for tok in lines[1].split()[:3])
-    gamma = float(lines[1].split()[3])
-    initial = np.array([float(tok) for tok in lines[2].split()])
+        lines = [
+            (number, text)
+            for number, text in enumerate(fh.read().splitlines(), start=1)
+            if text.strip() and not text.startswith("#")
+        ]
+    if not lines or lines[0][1] != TABULAR_FORMAT_VERSION:
+        raise TabularFormatError(f"{path}: not a recognized tabular problem file")
+    if len(lines) < 4:
+        raise TabularFormatError(f"{path}: missing header, initial or terminal line")
+
+    def values(k: int, count: int | None, what: str, kind=float) -> list:
+        number, text = lines[k]
+        found = text.split()
+        if count is not None and len(found) != count:
+            raise TabularFormatError(
+                f"{path}:{number}: {what} should hold {count} values, got {len(found)}"
+            )
+        try:
+            return [kind(tok) for tok in found]
+        except ValueError as exc:
+            raise TabularFormatError(f"{path}:{number}: {what}: {exc}") from exc
+
+    *sizes, gamma = values(1, 4, "header 'S A I gamma'")
+    if not all(x.is_integer() and x >= 1 for x in sizes):
+        raise TabularFormatError(f"{path}:{lines[1][0]}: S, A and I must be positive integers")
+    ns, na, ni = (int(x) for x in sizes)
+    initial = values(2, ns, "initial distribution")
+    terminals = values(3, None, "terminal list", int)
+    if terminals[0] != len(terminals) - 1 or not all(0 <= t < ns for t in terminals[1:]):
+        raise TabularFormatError(
+            f"{path}:{lines[3][0]}: terminal list should be a count and that many "
+            f"state indices in 0..{ns - 1}"
+        )
+    if len(lines) - 4 != 2 * ns * na:
+        raise TabularFormatError(
+            f"{path}: expected {2 * ns * na} table rows, got {len(lines) - 4}"
+        )
+    cells = ns * na
+    transitions = [values(4 + k, ns, "transition row") for k in range(cells)]
+    rewards = [values(4 + cells + k, ni, "reward row") for k in range(cells)]
     terminal = np.zeros(ns, dtype=bool)
-    terminal_tokens = lines[3].split()
-    count = int(terminal_tokens[0])
-    if len(terminal_tokens) != count + 1:
-        raise ValueError(f"{path}: terminal list should carry {count} indices")
-    for tok in terminal_tokens[1:]:
-        terminal[int(tok)] = True
-    rows = lines[4:]
-    if len(rows) != 2 * ns * na:
-        raise ValueError(f"{path}: expected {2 * ns * na} table rows, got {len(rows)}")
-    transitions = np.zeros((ns, na, ns))
-    rewards = np.zeros((ns, na, ni))
-    k = 0
-    for s in range(ns):
-        for a in range(na):
-            transitions[s, a] = [float(tok) for tok in rows[k].split()]
-            k += 1
-    for s in range(ns):
-        for a in range(na):
-            rewards[s, a] = [float(tok) for tok in rows[k].split()]
-            k += 1
-    return TabularMomdp(transitions, rewards, initial, gamma, terminal)
+    terminal[terminals[1:]] = True
+    try:
+        return TabularMomdp(
+            np.reshape(transitions, (ns, na, ns)),
+            np.reshape(rewards, (ns, na, ni)),
+            np.array(initial),
+            gamma,
+            terminal,
+        )
+    except ValueError as exc:
+        raise TabularFormatError(f"{path}: {exc}") from exc
 
 
 def random_tabular_momdp(

@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ from morlkit.ccs import (
 )
 from morlkit.core import ValueVector, WeightVector, scalarize, simplex_extrema
 from morlkit.envs import random_tabular_momdp, value_iteration
+from reference_corners import pairwise_corner_weights
+
+# Time bound for AOLS on the 20 three-objective exactness instances. They
+# take 0.8 s together on a 2-CPU host (2 s under pytest with other load);
+# with the earlier pairwise corner enumeration they took 15 s.
+RUNTIME_BOUND_S = 10.0
 
 
 def vv(*xs):
@@ -28,6 +36,64 @@ def wv(*xs):
 
 def grid_weights_2d(points=10_001):
     return [wv(t, 1.0 - t) for t in np.linspace(0.0, 1.0, points)]
+
+
+def corner_test_set(kind, seed, dim):
+    """Seeded vector set: uniform random, on a concave front, or small
+    integers (many exact ties and degenerate vertices)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    if kind == "random":
+        vals = rng.uniform(0, 3, (n, dim))
+    elif kind == "concave":
+        raw = np.abs(rng.normal(size=(n, dim)))
+        vals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    else:
+        vals = rng.integers(0, 4, (n, dim)).astype(float)
+    return [vv(*row) for row in np.unique(vals, axis=0)]
+
+
+def max_norm_gaps(points, pool):
+    """For each point (a weight or value vector), its max-norm distance to
+    the nearest pool point."""
+    a = np.array([tuple(p) for p in points])
+    b = np.array([tuple(p) for p in pool])
+    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2).min(axis=1)
+
+
+def active_rank(w, vals):
+    """Rank over (w, u) of the simplex row and the facet rows tight at w."""
+    dim = len(w)
+    u = np.max(vals @ w)
+    rows = [np.append(np.ones(dim), 0.0)]
+    rows += [np.append(v, -1.0) for v in vals if w @ v >= u - 1e-9]
+    rows += [np.append(np.eye(dim)[k], 0.0) for k in range(dim) if w[k] <= 1e-9]
+    return np.linalg.matrix_rank(np.array(rows), tol=1e-8)
+
+
+def exact_ccs(m):
+    """Coverage set of a tabular problem from all A^S deterministic
+    stationary policies, each evaluated exactly by a linear solve."""
+    states = np.arange(m.num_states)
+    eye = np.eye(m.num_states)
+    vectors = []
+    for policy in product(range(m.num_actions), repeat=m.num_states):
+        pol = np.array(policy)
+        values = np.linalg.solve(
+            eye - m.discount * m.transitions[states, pol], m.rewards[states, pol]
+        )
+        vectors.append(m.initial @ values)
+    vectors = np.unique(np.array(vectors), axis=0)
+    # Only Pareto-optimal vectors can be strictly best at a simplex weight,
+    # and the best of the Pareto set is the best of the whole set.
+    front = [
+        vv(*v)
+        for v in vectors
+        if not np.any(np.all(vectors >= v, axis=1) & np.any(vectors > v, axis=1))
+    ]
+    return [
+        v for k, v in enumerate(front) if is_convex_undominated(v, front[:k] + front[k + 1 :])
+    ]
 
 
 def grid_undominated_oracle(v, s, points=10_001):
@@ -153,6 +219,45 @@ class TestCornerWeights:
             assert abs(sum(c.weights) - 1.0) <= 1e-9
             assert min(c.weights) >= 0.0
 
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    @pytest.mark.parametrize("kind", ["random", "concave", "integer"])
+    def test_matches_pairwise_reference_at_three_objectives(self, kind, offset):
+        for seed in range(50):
+            s = [vv(*(np.array(v.values) + offset)) for v in corner_test_set(kind, seed, 3)]
+            got = corner_weights(s)
+            want = pairwise_corner_weights(s)
+            assert len(got) == len(want), f"{kind} seed {seed}"
+            assert np.max(max_norm_gaps(got, want)) <= 1e-9, f"{kind} seed {seed}"
+            assert np.max(max_norm_gaps(want, got)) <= 1e-9, f"{kind} seed {seed}"
+
+    def test_small_gaps_on_a_large_common_offset(self):
+        # Shifting every vector by a common vector keeps the corners; the
+        # interior vertex must survive the rank test at any offset.
+        for offset in (0.0, 1000.0, 1e6):
+            s = [vv(*(offset + 0.02 * row)) for row in np.eye(3)]
+            got = corner_weights(s)
+            assert len(got) == 7, offset
+            assert np.max(max_norm_gaps([wv(1 / 3, 1 / 3, 1 / 3)], got)) <= 1e-9, offset
+
+    def test_four_objective_corners_are_vertices(self):
+        # The pairwise reference can choose linearly dependent pair rows at
+        # dim >= 4 and then returns points on edges of the surface; every
+        # point only it returns must be such a point (active rank < 5).
+        spurious = 0
+        for seed in range(100):
+            s = corner_test_set("random", 1000 + seed, 4)
+            vals = np.array([v.values for v in s])
+            got = corner_weights(s)
+            want = pairwise_corner_weights(s)
+            assert np.max(max_norm_gaps(got, want)) <= 1e-9, f"seed {seed}"
+            for corner in got:
+                assert active_rank(corner.array, vals) == 5, f"seed {seed}"
+            for corner, gap in zip(want, max_norm_gaps(want, got)):
+                if gap > 1e-9:
+                    spurious += 1
+                    assert active_rank(corner.array, vals) < 5, f"seed {seed}"
+        assert spurious > 0
+
 
 class TestOptimisticBound:
     def test_single_observation_at_same_weight(self):
@@ -265,6 +370,27 @@ class TestAols:
         for x, y in zip(got, want):
             assert max(abs(a - b) for a, b in zip(x, y)) <= 1e-6
         assert result.delta_max <= 1e-6
+
+    @pytest.mark.parametrize(
+        "instances, shape",
+        [(range(20), (5, 3, 3)), ([0], (5, 2, 4))],
+        ids=["three-objectives", "four-objectives"],
+    )
+    def test_matches_exact_policy_enumeration(self, instances, shape):
+        # Not enumerate_ccs: its 3-objective weight grid misses vectors.
+        elapsed = 0.0
+        for i in instances:
+            m = random_tabular_momdp(np.random.default_rng(i), *shape, discount=0.85)
+            started = time.perf_counter()
+            result = aols(lambda w: value_iteration(m, w)[1], shape[2], 1e-6)
+            elapsed += time.perf_counter() - started
+            got = result.ccs.vectors
+            want = exact_ccs(m)
+            assert len(got) == len(want), f"instance {i}"
+            assert np.max(max_norm_gaps(got, want)) <= 1e-6, f"instance {i}"
+            assert np.max(max_norm_gaps(want, got)) <= 1e-6, f"instance {i}"
+            assert result.delta_max <= 1e-6, f"instance {i}"
+        assert elapsed < RUNTIME_BOUND_S, f"AOLS took {elapsed:.1f} s"
 
     def test_monotone_surface_growth(self):
         # V_S*(w) never decreases as the set grows, for 100 random weights.

@@ -173,6 +173,23 @@ class TestCmdCcs:
         assert main(["ccs", "--momdp", str(path), "--verify"]) == 2
         assert "MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:-1] + ["nan 0.5"], "rewards must be finite"),
+            (lambda lines: lines[:1] + ["2 2"] + lines[2:], ":2: header"),
+            (lambda lines: lines[:-1] + ["0.5"], ":12: reward row"),
+        ],
+        ids=["nan", "truncated-header", "short-row"],
+    )
+    def test_rejected_problem_file_exits_1(self, tmp_path, capsys, edit, message):
+        m = random_tabular_momdp(np.random.default_rng(10), 2, 2, 2, discount=0.85)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert main(["ccs", "--momdp", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_constant_reward_single_vector(self, tmp_path, capsys):
         m_path = tmp_path / "const.momdp"
         import numpy as np

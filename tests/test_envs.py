@@ -8,6 +8,7 @@ from morlkit.core import ValueVector, WeightVector
 from morlkit.envs import (
     DiscreteToBox,
     SingleObjectiveView,
+    TabularFormatError,
     TabularMomdp,
     ToyLocomotion,
     TreasureGrid,
@@ -117,7 +118,43 @@ class TestTabularMomdp:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.momdp"
         path.write_text("nonsense\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(TabularFormatError):
+            load_tabular(path)
+
+    @staticmethod
+    def _edited_file(tmp_path, edit):
+        # 2 states, 2 actions, 2 objectives: lines 1-4 are the version,
+        # header, initial and terminal lines, 5-8 transition rows, 9-12 rewards.
+        m = random_tabular_momdp(np.random.default_rng(10), 2, 2, 2, discount=0.85)
+        path = tmp_path / "problem.momdp"
+        save_tabular(m, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_short_reward_row_names_line(self, tmp_path):
+        # One value on a 2-objective reward row used to load as that value twice.
+        path = self._edited_file(tmp_path, lambda lines: lines[:-1] + ["0.5"])
+        with pytest.raises(TabularFormatError, match=r":12: reward row should hold 2 values, got 1"):
+            load_tabular(path)
+
+    @pytest.mark.parametrize("line", [2, 3, 4, 5, 12])
+    def test_extra_token_names_line(self, tmp_path, line):
+        def edit(lines):
+            lines[line - 1] += " 1"
+            return lines
+
+        with pytest.raises(TabularFormatError, match=f":{line}: "):
+            load_tabular(self._edited_file(tmp_path, edit))
+
+    def test_truncated_header_names_line(self, tmp_path):
+        path = self._edited_file(tmp_path, lambda lines: lines[:1] + ["2 2"] + lines[2:])
+        with pytest.raises(TabularFormatError, match=r":2: header"):
+            load_tabular(path)
+
+    def test_invalid_problem_is_format_error(self, tmp_path):
+        path = self._edited_file(tmp_path, lambda lines: lines[:-1] + ["nan 0.5"])
+        with pytest.raises(TabularFormatError, match="rewards must be finite"):
             load_tabular(path)
 
 
