@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: train, ccs, eval, explain, bench. Exit codes: 0 success,
-1 usage, configuration or problem-file error, 2 runtime failure. All
-commands honor --seed; output files are byte-deterministic for a fixed
-seed, with wall clock timing kept in a separate log file.
+1 usage, configuration, problem-file or checkpoint-file error, 2 runtime
+failure. All commands honor --seed; output files are byte-deterministic
+for a fixed seed, with wall clock timing kept in a separate log file.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .ccs import aols, is_convex_undominated, write_history_csv
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .core import Iorm, ValueVector, WeightVector
 from .envs import (
+    SIZE_GUARD_OBJECTIVES,
     SingleObjectiveView,
     TabularFormatError,
     enumerate_ccs,
@@ -27,7 +28,14 @@ from .envs import (
     value_iteration,
 )
 from .explain import generate_alternatives, render_contrastive, render_policy_statement
-from .nets import mlp_to_arrays, policy_from_arrays, policy_to_arrays, read_arrays, write_arrays
+from .nets import (
+    CheckpointFormatError,
+    mlp_to_arrays,
+    policy_from_arrays,
+    policy_to_arrays,
+    read_arrays,
+    write_arrays,
+)
 from .training import RunArtifacts, evaluate_policy, train
 
 
@@ -120,6 +128,15 @@ def load_run(run_dir: Path) -> tuple[dict[str, str], RunConfig]:
     return raw, RunConfig.from_dict(raw)
 
 
+def load_actor(run_dir: Path):
+    path = run_dir / "actor.ckpt"
+    arrays = read_arrays(path)
+    try:
+        return policy_from_arrays(arrays)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+
+
 def _eval_table(qa, mean: ValueVector, std: ValueVector) -> str:
     names = [obj.name for obj in qa.objectives]
     width = max(len(n) for n in names)
@@ -144,6 +161,11 @@ def cmd_train(args) -> int:
 
 def cmd_ccs(args) -> int:
     momdp = load_tabular(args.momdp)
+    if args.verify and momdp.objective_count > SIZE_GUARD_OBJECTIVES:
+        raise UsageError(
+            f"--verify enumerates a weight grid, which supports at most "
+            f"{SIZE_GUARD_OBJECTIVES} objectives; this problem has {momdp.objective_count}"
+        )
     epsilon = args.epsilon
     oracle = lambda w: value_iteration(momdp, w)[1]
     result = aols(oracle, momdp.objective_count, epsilon)
@@ -188,7 +210,7 @@ def _verify_against_grid(found, grid, tol: float) -> None:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     raw, run = load_run(run_dir)
-    actor = policy_from_arrays(read_arrays(run_dir / "actor.ckpt"))
+    actor = load_actor(run_dir)
     seed = args.seed if args.seed is not None else run.trainer.seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = run.env_factory()
@@ -208,7 +230,7 @@ def cmd_explain(args) -> int:
         overlay.update(load_config(args.config))
         raw = overlay
         run = RunConfig.from_dict(raw)
-    actor = policy_from_arrays(read_arrays(run_dir / "actor.ckpt"))
+    actor = load_actor(run_dir)
     seed = args.seed if args.seed is not None else run.trainer.seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = run.env_factory()
@@ -357,7 +379,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, TabularFormatError, UsageError) as exc:
+    except (CheckpointFormatError, ConfigError, TabularFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

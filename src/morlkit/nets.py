@@ -2,14 +2,17 @@
 hand-derived gradients, a diagonal-Gaussian policy head, Adam, and an
 exact-round-trip text checkpoint format.
 
-Parameter containers are immutable snapshots; every update produces new
-arrays, so rollout workers can hold references without copying.
+Parameter containers are plain frozen records. Every update returns fresh
+arrays and never writes into the ones it was given, so rollout workers can
+hold references without copying. Parameters are validated once, where they
+enter from outside: the checkpoint readers and loaders reject a malformed
+file or array with a CheckpointFormatError that names the line or array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +21,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_MAGIC = "morlkit-checkpoint v1"
 
-_ACTIVATIONS = ("linear", "tanh")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
+class CheckpointFormatError(ValueError):
+    """A checkpoint file or array set that does not describe a network."""
 
 
 @dataclass(frozen=True)
@@ -35,33 +38,6 @@ class MlpParams:
     biases: tuple[np.ndarray, ...]
     activations: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ValueError("layer count mismatch")
-        if not self.weights:
-            raise ValueError("need at least one layer")
-        for tag in self.activations:
-            if tag not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {tag!r}")
-        prev_out = None
-        frozen_w = []
-        frozen_b = []
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"layer {k} has incompatible shapes {w.shape} / {b.shape}")
-            if prev_out is not None and w.shape[0] != prev_out:
-                raise ValueError(f"layer {k} input {w.shape[0]} != previous output {prev_out}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {k} has non-finite parameters")
-            prev_out = w.shape[1]
-            frozen_w.append(_freeze(w))
-            frozen_b.append(_freeze(b))
-        object.__setattr__(self, "weights", tuple(frozen_w))
-        object.__setattr__(self, "biases", tuple(frozen_b))
-        object.__setattr__(self, "activations", tuple(self.activations))
-
     @property
     def input_dim(self) -> int:
         return int(self.weights[0].shape[0])
@@ -69,10 +45,6 @@ class MlpParams:
     @property
     def output_dim(self) -> int:
         return int(self.weights[-1].shape[1])
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(int(w.shape[1]) for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -82,14 +54,6 @@ class GaussianPolicyParams:
 
     mean_net: MlpParams
     log_std: np.ndarray
-
-    def __post_init__(self) -> None:
-        log_std = np.asarray(self.log_std, dtype=float)
-        if log_std.shape != (self.mean_net.output_dim,):
-            raise ValueError("log_std must match the mean head's output dimension")
-        if not np.all(np.isfinite(log_std)):
-            raise ValueError("log_std must be finite")
-        object.__setattr__(self, "log_std", _freeze(log_std))
 
     @property
     def action_dim(self) -> int:
@@ -104,13 +68,6 @@ class AdamState:
     v: tuple[np.ndarray, ...]
     step: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(_freeze(a) for a in self.m))
-        object.__setattr__(self, "v", tuple(_freeze(a) for a in self.v))
 
 
 def _orthogonal(rng: np.random.Generator, n_in: int, n_out: int, gain: float) -> np.ndarray:
@@ -187,22 +144,13 @@ def mlp_backward(
 
 
 def mlp_param_list(p: MlpParams) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for w, b in zip(p.weights, p.biases):
-        out.append(w)
-        out.append(b)
-    return out
+    """Flat [W0, b0, W1, b1, ...], the order of mlp_backward's gradients."""
+    return [a for layer in zip(p.weights, p.biases) for a in layer]
 
 
 def mlp_from_param_list(template: MlpParams, arrays: Sequence[np.ndarray]) -> MlpParams:
-    n = len(template.weights)
-    if len(arrays) != 2 * n:
-        raise ValueError("parameter list length mismatch")
-    return MlpParams(
-        tuple(arrays[2 * k] for k in range(n)),
-        tuple(arrays[2 * k + 1] for k in range(n)),
-        template.activations,
-    )
+    """Inverse of mlp_param_list, with the template's activations."""
+    return MlpParams(tuple(arrays[0::2]), tuple(arrays[1::2]), template.activations)
 
 
 def gaussian_log_prob_with_cache(
@@ -239,47 +187,38 @@ def policy_param_list(pol: GaussianPolicyParams) -> list[np.ndarray]:
 def policy_from_param_list(
     template: GaussianPolicyParams, arrays: Sequence[np.ndarray]
 ) -> GaussianPolicyParams:
-    return GaussianPolicyParams(
-        mean_net=mlp_from_param_list(template.mean_net, arrays[:-1]),
-        log_std=arrays[-1],
-    )
+    return GaussianPolicyParams(mlp_from_param_list(template.mean_net, arrays[:-1]), arrays[-1])
 
 
-def adam_init(params: Sequence[np.ndarray], learning_rate: float, **kwargs) -> AdamState:
+def adam_init(params: Sequence[np.ndarray], learning_rate: float) -> AdamState:
     return AdamState(
         m=tuple(np.zeros_like(p) for p in params),
         v=tuple(np.zeros_like(p) for p in params),
         step=0,
         learning_rate=learning_rate,
-        **kwargs,
     )
 
 
 def adam_step(
     state: AdamState, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam descent step on the given gradients."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ValueError("parameter/gradient count mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+    """One bias-corrected Adam descent step on the given gradients.
+
+    Pure arithmetic on fresh arrays: the caller passes finite gradients
+    aligned with params.
+    """
     t = state.step + 1
     new_params: list[np.ndarray] = []
-    new_m = []
-    new_v = []
+    new_m, new_v = [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=float)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m_t = state.beta1 * m + (1.0 - state.beta1) * g
-        v_t = state.beta2 * v + (1.0 - state.beta2) * g**2
-        m_hat = m_t / (1.0 - state.beta1**t)
-        v_hat = v_t / (1.0 - state.beta2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
+        m_t = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v_t = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+        m_hat = m_t / (1.0 - ADAM_BETA1**t)
+        v_hat = v_t / (1.0 - ADAM_BETA2**t)
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m_t)
         new_v.append(v_t)
-    return new_params, replace(state, m=tuple(new_m), v=tuple(new_v), step=t)
+    return new_params, AdamState(tuple(new_m), tuple(new_v), t, state.learning_rate)
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
@@ -297,30 +236,62 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
+    """Inverse of write_arrays; a malformed file raises CheckpointFormatError
+    naming the file and line."""
+
+    def error(line: int, problem: str) -> CheckpointFormatError:
+        return CheckpointFormatError(f"{path}:{line}: {problem}")
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a recognized checkpoint file")
+        raise CheckpointFormatError(f"{path}: not a recognized checkpoint file")
     arrays: dict[str, np.ndarray] = {}
     k = 1
     while k < len(lines):
         if not lines[k].strip():
             k += 1
             continue
-        head = lines[k].split()
-        if head[0] != "array" or len(head) < 3:
-            raise ValueError(f"{path}: malformed header at line {k + 1}")
+        head = lines[k].split()  # array NAME NDIM D1 .. Dn
+        try:
+            shape = tuple(int(d) for d in head[3:])
+            ok = head[0] == "array" and int(head[2]) == len(shape) and min(shape, default=0) >= 0
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            raise error(k + 1, f"malformed array header {lines[k]!r}")
         name = head[1]
-        ndim = int(head[2])
-        shape = tuple(int(d) for d in head[3 : 3 + ndim])
-        values = np.array([float(tok) for tok in lines[k + 1].split()], dtype=float)
+        if name in arrays:
+            raise error(k + 1, f"array {name!r} appears twice")
+        if k + 1 >= len(lines):
+            raise error(k + 1, f"array {name!r} has no value line")
+        try:
+            values = np.array([float(tok) for tok in lines[k + 1].split()], dtype=float)
+        except ValueError:
+            raise error(k + 2, f"array {name!r} has a non-number value") from None
+        if values.size != math.prod(shape):
+            raise error(k + 2, f"array {name!r} should hold {math.prod(shape)} values, found {values.size}")
         arrays[name] = values.reshape(shape)
         k += 2
     return arrays
 
 
 _ACT_CODE = {"linear": 0.0, "tanh": 1.0}
-_CODE_ACT = {0: "linear", 1: "tanh"}
+_CODE_ACT = {code: act for act, code in _ACT_CODE.items()}
+
+
+def _checked(arrays: dict[str, np.ndarray], key: str, shape: tuple) -> np.ndarray:
+    """The named array if it has the given shape (None matches any size)
+    and only finite values."""
+    if key not in arrays:
+        raise CheckpointFormatError(f"array {key!r} is missing")
+    arr = arrays[key]
+    if arr.ndim != len(shape) or any(s is not None and s != n for s, n in zip(shape, arr.shape)):
+        want = str(tuple("*" if s is None else s for s in shape)).replace("'", "")
+        raise CheckpointFormatError(f"array {key!r} has shape {arr.shape}, expected {want}")
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointFormatError(f"array {key!r} has non-finite values")
+    return arr
 
 
 def mlp_to_arrays(p: MlpParams, prefix: str) -> dict[str, np.ndarray]:
@@ -332,13 +303,21 @@ def mlp_to_arrays(p: MlpParams, prefix: str) -> dict[str, np.ndarray]:
 
 
 def mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> MlpParams:
-    acts = arrays[f"{prefix}.activations"]
-    n = acts.shape[0]
-    return MlpParams(
-        tuple(arrays[f"{prefix}.w{k}"] for k in range(n)),
-        tuple(arrays[f"{prefix}.b{k}"] for k in range(n)),
-        tuple(_CODE_ACT[int(a)] for a in acts),
-    )
+    """Checked inverse of mlp_to_arrays: one layer per activation code, each
+    weight matrix fed by the previous layer's output."""
+    codes = _checked(arrays, f"{prefix}.activations", (None,))
+    if codes.size == 0 or any(c not in _CODE_ACT for c in codes):
+        raise CheckpointFormatError(
+            f"array '{prefix}.activations' must list codes from {sorted(_CODE_ACT)}, "
+            f"got {codes.tolist()}"
+        )
+    weights, biases = [], []
+    rows = None
+    for k in range(codes.size):
+        weights.append(_checked(arrays, f"{prefix}.w{k}", (rows, None)))
+        rows = weights[-1].shape[1]
+        biases.append(_checked(arrays, f"{prefix}.b{k}", (rows,)))
+    return MlpParams(tuple(weights), tuple(biases), tuple(_CODE_ACT[c] for c in codes))
 
 
 def policy_to_arrays(pol: GaussianPolicyParams, prefix: str = "actor") -> dict[str, np.ndarray]:
@@ -348,7 +327,9 @@ def policy_to_arrays(pol: GaussianPolicyParams, prefix: str = "actor") -> dict[s
 
 
 def policy_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "actor") -> GaussianPolicyParams:
+    """Checked inverse of policy_to_arrays."""
+    mean_net = mlp_from_arrays(arrays, f"{prefix}.mean")
     return GaussianPolicyParams(
-        mean_net=mlp_from_arrays(arrays, f"{prefix}.mean"),
-        log_std=arrays[f"{prefix}.log_std"],
+        mean_net=mean_net,
+        log_std=_checked(arrays, f"{prefix}.log_std", (mean_net.output_dim,)),
     )

@@ -181,20 +181,6 @@ def gae(
     return out
 
 
-def rewards_to_go(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> np.ndarray:
-    """Discounted reward tails within each episode."""
-    rewards = np.asarray(rewards, dtype=float)
-    dones = np.asarray(dones, dtype=bool)
-    if rewards.shape[0] < 1:
-        raise ValueError("rewards must be nonempty")
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.shape[0] - 1, -1, -1):
-        acc = rewards[t] + gamma * (0.0 if dones[t] else acc)
-        out[t] = acc
-    return out
-
-
 def clipped_surrogate(
     log_probs_new: np.ndarray,
     log_probs_old: np.ndarray,
@@ -223,6 +209,10 @@ def normalize_advantages(advantages: np.ndarray, std_floor: float = 1e-8) -> np.
     return centered / max(float(advantages.std()), std_floor)
 
 
+def _all_finite(arrays: Sequence[np.ndarray]) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
 def ppo_actor_update(
     actor: GaussianPolicyParams,
     opt: AdamState,
@@ -236,12 +226,13 @@ def ppo_actor_update(
     """Epochs of minibatch ascent on the clipped surrogate.
 
     Advantages are normalized here, once per update. A non-finite objective
-    or gradient aborts the update and restores the incoming snapshot.
+    or gradient aborts the update and returns the incoming actor and
+    optimizer state.
     """
-    snapshot = (actor, opt)
+    aborted = (actor, opt, PpoDiagnostics(0.0, 0.0, aborted=True))
     if not np.all(np.isfinite(advantages)):
         log.warning("non-finite advantages; aborting actor update")
-        return snapshot[0], snapshot[1], PpoDiagnostics(0.0, 0.0, aborted=True)
+        return aborted
     adv = normalize_advantages(advantages)
     n = obs.shape[0]
     clip_fractions: list[float] = []
@@ -256,13 +247,12 @@ def ppo_actor_update(
             )
             if not math.isfinite(objective):
                 log.warning("non-finite surrogate; aborting actor update")
-                return snapshot[0], snapshot[1], PpoDiagnostics(0.0, 0.0, aborted=True)
+                return aborted
             grads = gaussian_log_prob_backward(actor, cache, -dlogp)
-            try:
-                params, opt = adam_step(opt, policy_param_list(actor), grads)
-            except ValueError:
+            if not _all_finite(grads):
                 log.warning("non-finite gradient; aborting actor update")
-                return snapshot[0], snapshot[1], PpoDiagnostics(0.0, 0.0, aborted=True)
+                return aborted
+            params, opt = adam_step(opt, policy_param_list(actor), grads)
             actor = policy_from_param_list(actor, params)
             clip_fractions.append(float(clip_mask.mean()))
             kls.append(float((old_log_probs[idx] - logp).mean()))
@@ -280,7 +270,11 @@ def critic_update(
     cfg: TrainerConfig,
     rng: np.random.Generator,
 ) -> tuple[MlpParams, AdamState]:
-    """Minibatch regression of one value head onto its reward-to-go targets."""
+    """Minibatch regression of one value head onto its reward-to-go targets.
+
+    A non-finite loss or gradient aborts the update and returns the
+    incoming network and optimizer state.
+    """
     if not np.all(np.isfinite(targets)):
         raise ValueError("regression targets must be finite")
     snapshot = (net, opt)
@@ -297,11 +291,10 @@ def critic_update(
                 return snapshot
             dout = (2.0 * err / err.shape[0])[:, None]
             grads, _ = mlp_backward(net, cache, dout)
-            try:
-                params, opt = adam_step(opt, mlp_param_list(net), grads)
-            except ValueError:
+            if not _all_finite(grads):
                 log.warning("non-finite critic gradient; aborting critic update")
                 return snapshot
+            params, opt = adam_step(opt, mlp_param_list(net), grads)
             net = mlp_from_param_list(net, params)
     return net, opt
 
@@ -472,10 +465,11 @@ def _proxy_advantages(
 
 
 def _rtg_targets(batch: RolloutBatch, objective: int, cfg: TrainerConfig) -> np.ndarray:
+    # Discounted reward tails per episode: GAE at lambda=1 on the raw rewards.
     rewards = batch.traj.rewards[:, objective]
     dones = batch.traj.dones
     return np.concatenate(
-        [rewards_to_go(rewards[sl], dones[sl], cfg.discount) for sl in batch.stream_slices]
+        [gae(rewards[sl], dones[sl], cfg.discount, 1.0) for sl in batch.stream_slices]
     )
 
 

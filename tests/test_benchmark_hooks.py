@@ -1,12 +1,17 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps morlkit functions that
-it looks up by name. Renaming or deleting one of them would otherwise only
-show as an AttributeError inside a traced benchmark run."""
+"""The benchmark binds morlkit names that no import of the package checks:
+the tracer (perfbench/tracing.py) wraps functions it looks up by name, and
+the workloads (perfbench/workload.py) import names inside functions.
+Renaming or deleting one of them would otherwise only show as an
+AttributeError or ImportError in the middle of a benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOAD = PERFBENCH / "workload.py"
 
 
 def tracing_targets():
@@ -29,3 +34,25 @@ def test_tracing_targets_resolve():
         if not found:
             missing.append(f"morlkit.{module_name}.{attr}")
     assert not missing, f"perfbench/tracing.py targets not found: {missing}"
+
+
+def test_workload_imports_resolve():
+    # Parsed, not loaded: the imports sit inside functions, so loading the
+    # file would not resolve them.
+    tree = ast.parse(WORKLOAD.read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "morlkit"
+        for alias in node.names
+    ]
+    assert any(module != "morlkit" for module, _ in imports), "no morlkit imports found"
+    missing = []
+    for module, name in imports:
+        home = importlib.import_module(module)
+        if not hasattr(home, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
+    assert not missing, f"perfbench/workload.py imports not found: {missing}"

@@ -40,6 +40,14 @@ def write_cfg(tmp_path, text=TREASURE_CFG, name="run.cfg"):
     return path
 
 
+def edit_array(lines, name, replace_values):
+    """Checkpoint lines with one array's value line replaced by the lines
+    replace_values returns; no lines drops the array's header as well."""
+    k = next(k for k, line in enumerate(lines) if line.startswith(f"array {name} "))
+    new = replace_values(lines[k + 1])
+    return lines[:k] + (lines[k : k + 1] + new if new else []) + lines[k + 2 :]
+
+
 class TestConfigParsing:
     def test_round_trip_lossless(self):
         parsed = parse_config_text(TREASURE_CFG)
@@ -190,6 +198,15 @@ class TestCmdCcs:
         assert main(["ccs", "--momdp", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_verify_beyond_grid_objective_limit_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        m = random_tabular_momdp(np.random.default_rng(0), 5, 2, 4, discount=0.85)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        monkeypatch.setattr(cli, "aols", lambda *a, **k: pytest.fail("solved before rejecting"))
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "at most 3 objectives" in captured.err and captured.out == ""
+
     def test_constant_reward_single_vector(self, tmp_path, capsys):
         m_path = tmp_path / "const.momdp"
         import numpy as np
@@ -268,6 +285,32 @@ class TestCmdEvalExplain:
     def test_explain_missing_run(self, tmp_path, capsys):
         code = main(["explain", str(tmp_path / "nope"), "--episodes", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: edit_array(lines, "actor.mean.w0", lambda v: [v.rsplit(" ", 1)[0]]),
+                "array 'actor.mean.w0' should hold",
+            ),
+            (lambda lines: lines[:-1], "array 'actor.mean.w2' has no value line"),
+            (
+                lambda lines: edit_array(lines, "actor.mean.w0", lambda v: ["nan " + v.split(" ", 1)[1]]),
+                "array 'actor.mean.w0' has non-finite values",
+            ),
+            (
+                lambda lines: edit_array(lines, "actor.log_std", lambda v: []),
+                "array 'actor.log_std' is missing",
+            ),
+        ],
+        ids=["short-line", "truncated", "nan", "no-log-std"],
+    )
+    def test_rejected_checkpoint_exits_1(self, run_dir, capsys, edit, message):
+        path = run_dir / "actor.ckpt"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert main(["eval", str(run_dir), "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
     def test_eval_run_dir_without_config(self, tmp_path):
         empty = tmp_path / "empty"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morlkit.nets import (
-    AdamState,
+    CheckpointFormatError,
     GaussianPolicyParams,
     MlpParams,
     adam_init,
@@ -13,9 +13,11 @@ from morlkit.nets import (
     gaussian_log_prob_with_cache,
     mlp_backward,
     mlp_forward,
+    mlp_from_arrays,
     mlp_from_param_list,
     mlp_init,
     mlp_param_list,
+    mlp_to_arrays,
     policy_from_arrays,
     policy_from_param_list,
     policy_param_list,
@@ -253,12 +255,6 @@ class TestAdam:
             params, state = adam_step(state, params, [np.array([g])])
         assert params[0][0] == pytest.approx(theta, abs=1e-15)
 
-    def test_non_finite_gradient_rejected(self):
-        params = [np.array([1.0])]
-        state = adam_init(params, 1e-3)
-        with pytest.raises(ValueError):
-            adam_step(state, params, [np.array([float("nan")])])
-
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(11)
@@ -308,6 +304,68 @@ class TestCheckpoints:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             read_arrays(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("array x 1 3\n1.0 2.0\n", ":3: array 'x' should hold 3 values, found 2"),
+            ("array x 1 3\n", ":2: array 'x' has no value line"),
+            ("array x 1.5 3\n1.0 2.0 3.0\n", ":2: malformed array header"),
+            ("array x 2 3\n1.0 2.0 3.0\n", ":2: malformed array header"),
+            ("vector x 1 3\n1.0 2.0 3.0\n", ":2: malformed array header"),
+            ("array x 1 1\n1.0\narray x 1 1\n2.0\n", ":4: array 'x' appears twice"),
+            ("array x 1 1\none\n", ":3: array 'x' has a non-number value"),
+        ],
+        ids=["short-line", "no-value-line", "non-integer-ndim", "ndim-mismatch", "keyword",
+             "duplicate", "non-number"],
+    )
+    def test_malformed_file_names_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("morlkit-checkpoint v1\n" + text)
+        with pytest.raises(CheckpointFormatError, match=message):
+            read_arrays(path)
+
+    def test_empty_and_scalar_arrays_round_trip(self, tmp_path):
+        arrays = {"empty": np.zeros((2, 0)), "scalar": np.array(2.5)}
+        path = tmp_path / "odd.ckpt"
+        write_arrays(path, arrays)
+        loaded = read_arrays(path)
+        assert loaded["empty"].shape == (2, 0) and loaded["scalar"].shape == ()
+        assert float(loaded["scalar"]) == 2.5
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("net.b1"), "array 'net.b1' is missing"),
+            (lambda a: a.update({"net.w1": np.ones((3, 2))}), r"array 'net.w1' has shape \(3, 2\), expected \(4, \*\)"),
+            (lambda a: a.update({"net.b0": np.ones(3)}), r"array 'net.b0' has shape \(3,\), expected \(4,\)"),
+            (lambda a: a.update({"net.w0": np.ones(4)}), r"array 'net.w0' has shape \(4,\), expected \(\*, \*\)"),
+            (lambda a: a.update({"net.activations": np.array([1.0, 2.0])}), "codes from"),
+            (lambda a: a.update({"net.activations": np.array([0.5, 0.0])}), "codes from"),
+            (lambda a: a.update({"net.activations": np.zeros(0)}), "codes from"),
+            (lambda a: a["net.w1"].__setitem__((0, 0), np.inf), "array 'net.w1' has non-finite values"),
+        ],
+        ids=["missing", "layer-chain", "bias", "weight-ndim", "unknown-code", "fractional-code",
+             "no-layers", "inf"],
+    )
+    def test_mlp_loader_names_bad_array(self, edit, message):
+        arrays = mlp_to_arrays(mlp_init([3, 4, 2], np.random.default_rng(5)), "net")
+        arrays = {k: v.copy() for k, v in arrays.items()}
+        edit(arrays)
+        with pytest.raises(CheckpointFormatError, match=message):
+            mlp_from_arrays(arrays, "net")
+
+    @pytest.mark.parametrize(
+        "log_std, message",
+        [(np.zeros(3), r"has shape \(3,\), expected \(2,\)"), (np.array([0.0, np.nan]), "has non-finite values")],
+        ids=["shape", "nan"],
+    )
+    def test_policy_loader_checks_log_std(self, log_std, message):
+        pol = GaussianPolicyParams(mlp_init([4, 8, 2], np.random.default_rng(6)), np.zeros(2))
+        arrays = policy_to_arrays(pol)
+        arrays["actor.log_std"] = log_std
+        with pytest.raises(CheckpointFormatError, match=f"'actor.log_std' {message}"):
+            policy_from_arrays(arrays)
 
     def test_byte_identical_rewrites(self, tmp_path):
         rng = np.random.default_rng(23)

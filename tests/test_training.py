@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morlkit import training
 from morlkit.ccs import AolsResult, PartialCcs, aols
 from morlkit.core import Iorm, ValueVector, WeightVector
 from morlkit.envs import (
@@ -33,7 +35,6 @@ from morlkit.training import (
     iorm_row_select,
     normalize_advantages,
     ppo_actor_update,
-    rewards_to_go,
     td_residuals,
     train,
     _init_collector,
@@ -135,21 +136,23 @@ class TestGae:
         values = np.zeros(21)
         deltas = td_residuals(rewards, values, dones, 1.0)
         adv = gae(deltas, dones, 1.0, 1.0)
-        tails = rewards_to_go(rewards, dones, 1.0)
+        tails = explicit_gae_double_sum(rewards, dones, 1.0, 1.0)
         assert np.max(np.abs(adv - tails)) < 1e-12
 
 
 class TestRewardsToGo:
+    """Reward-to-go targets are gae at lambda=1 on the raw rewards."""
+
     def test_gamma_zero(self):
         r = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(rewards_to_go(r, [False] * 3, 0.0), r)
+        assert np.array_equal(gae(r, [False] * 3, 0.0, 1.0), r)
 
     def test_hand_sum(self):
-        out = rewards_to_go([1.0, 1.0, 1.0], [False, False, False], 0.5)
+        out = gae([1.0, 1.0, 1.0], [False, False, False], 0.5, 1.0)
         assert out == pytest.approx([1.75, 1.5, 1.0], abs=1e-15)
 
     def test_episode_cut(self):
-        out = rewards_to_go([5.0, 100.0], [True, True], 0.9)
+        out = gae([5.0, 100.0], [True, True], 0.9, 1.0)
         assert out == pytest.approx([5.0, 100.0])
 
 
@@ -337,6 +340,82 @@ class TestCriticUpdate:
         grads, _ = mlp_backward(net, cache, (2 * err / 16)[:, None])
         total = sum(float(np.abs(g).sum()) for g in grads)
         assert total < 1e-8
+
+
+class TestAbortPaths:
+    """A non-finite gradient aborts an update before any Adam step, and a
+    normal update never writes into the arrays it was given."""
+
+    CFG = TrainerConfig(
+        objective_count=1, updates_per_objective=1, epochs_per_update=2,
+        minibatch_size=16, steps_per_update=1, env_copies=1,
+    )
+
+    @staticmethod
+    def critic_problem():
+        rng = np.random.default_rng(2)
+        net = mlp_init([3, 8, 1], rng)
+        return net, rng.standard_normal((32, 3)), rng.standard_normal(32)
+
+    @staticmethod
+    def no_adam_step(monkeypatch):
+        def fail(*args):
+            pytest.fail("adam_step called on a non-finite gradient")
+
+        monkeypatch.setattr(training, "adam_step", fail)
+
+    def test_non_finite_critic_gradient_aborts(self, monkeypatch, caplog):
+        net, obs, targets = self.critic_problem()
+        opt = adam_init(mlp_param_list(net), self.CFG.learning_rate)
+        backward = training.mlp_backward
+
+        def nan_backward(*args):
+            grads, grad_input = backward(*args)
+            return grads[:-1] + [np.full_like(grads[-1], np.nan)], grad_input
+
+        monkeypatch.setattr(training, "mlp_backward", nan_backward)
+        self.no_adam_step(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="morlkit.training"):
+            new_net, new_opt = critic_update(net, opt, obs, targets, self.CFG, np.random.default_rng(0))
+        assert new_net is net and new_opt is opt
+        assert caplog.messages == ["non-finite critic gradient; aborting critic update"]
+
+    def test_non_finite_actor_gradient_aborts(self, monkeypatch, caplog):
+        actor, obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
+        opt = adam_init(policy_param_list(actor), self.CFG.learning_rate)
+        backward = training.gaussian_log_prob_backward
+
+        def nan_backward(*args):
+            grads = backward(*args)
+            return grads[:-1] + [np.full_like(grads[-1], np.inf)]
+
+        monkeypatch.setattr(training, "gaussian_log_prob_backward", nan_backward)
+        self.no_adam_step(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="morlkit.training"):
+            new_actor, new_opt, diag = ppo_actor_update(
+                actor, opt, obs, actions, logp, adv, self.CFG, np.random.default_rng(0)
+            )
+        assert new_actor is actor and new_opt is opt and diag.aborted
+        assert caplog.messages == ["non-finite gradient; aborting actor update"]
+
+    def test_updates_leave_incoming_arrays_unchanged(self):
+        net, obs, targets = self.critic_problem()
+        net_opt = adam_init(mlp_param_list(net), self.CFG.learning_rate)
+        actor, a_obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
+        actor_opt = adam_init(policy_param_list(actor), self.CFG.learning_rate)
+        incoming = [
+            *mlp_param_list(net), *net_opt.m, *net_opt.v,
+            *policy_param_list(actor), *actor_opt.m, *actor_opt.v,
+        ]
+        before = [a.copy() for a in incoming]
+        new_net, _ = critic_update(net, net_opt, obs, targets, self.CFG, np.random.default_rng(0))
+        new_actor, _, diag = ppo_actor_update(
+            actor, actor_opt, a_obs, actions, logp, adv, self.CFG, np.random.default_rng(0)
+        )
+        assert not diag.aborted
+        assert all(np.array_equal(a, b) for a, b in zip(incoming, before))
+        assert not np.array_equal(new_net.weights[0], net.weights[0])
+        assert not np.array_equal(new_actor.log_std, actor.log_std)
 
 
 class TestIormRowSelect:
