@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: train, ccs, eval, explain, bench. Exit codes: 0 success,
-1 usage, configuration, problem-file or checkpoint-file error, 2 runtime
-failure. All commands honor --seed; output files are byte-deterministic
-for a fixed seed, with wall clock timing kept in a separate log file.
+1 usage, configuration, problem-file, checkpoint-file or vector-file
+error, 2 runtime failure. All commands honor --seed; output files are
+byte-deterministic for a fixed seed, with wall clock timing kept in a
+separate log file. Run-directory files are written atomically.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .ccs import aols, is_convex_undominated, write_history_csv
 from .config import ConfigError, RunConfig, load_config, serialize_config
-from .core import Iorm, ValueVector, WeightVector
+from .core import Iorm, ValueVector
 from .envs import (
     SIZE_GUARD_OBJECTIVES,
     SingleObjectiveView,
@@ -35,12 +36,18 @@ from .nets import (
     policy_to_arrays,
     read_arrays,
     write_arrays,
+    write_text_atomic,
 )
 from .training import RunArtifacts, evaluate_policy, train
 
 
 class UsageError(Exception):
     pass
+
+
+class VectorFileError(ValueError):
+    """A value-vector file line that is not a row of numbers as long as the
+    file's first row."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +72,7 @@ def write_metrics_csv(artifacts: RunArtifacts, path: Path) -> None:
         cells += [_fmt(r) for r in row.mean_returns]
         cells += [_fmt(row.delta_abs), _fmt(row.delta_r), _fmt(row.clip_fraction), _fmt(row.approx_kl)]
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_delta_csv(artifacts: RunArtifacts, path: Path) -> None:
@@ -74,38 +81,42 @@ def write_delta_csv(artifacts: RunArtifacts, path: Path) -> None:
         lines.append(
             f"{row.update_index},{row.objective_index},{_fmt(row.delta_abs)},{_fmt(row.delta_r)}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_iorm(iorm: Iorm, path: Path) -> None:
     lines = [" ".join(_fmt(w) for w in row.weights) for row in iorm.rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_iorm(path: Path) -> Iorm:
-    rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append(WeightVector(tuple(float(tok) for tok in line.split())))
-    return Iorm(tuple(rows))
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_vectors(vectors, path: Path) -> None:
     lines = [" ".join(_fmt(x) for x in v.values) for v in vectors]
-    path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def read_vectors(path: Path) -> list[ValueVector]:
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(ValueVector(tuple(float(tok) for tok in line.split())))
+    """Inverse of write_vectors; raises VectorFileError naming the file and
+    line for a non-number, a non-finite value or a row whose length differs
+    from the first."""
+    out: list[ValueVector] = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            vector = ValueVector(tuple(float(tok) for tok in line.split()))
+        except ValueError as exc:
+            raise VectorFileError(f"{path}:{lineno}: {exc}") from None
+        if out and vector.dim != out[0].dim:
+            raise VectorFileError(
+                f"{path}:{lineno}: row has {vector.dim} values, the first row has {out[0].dim}"
+            )
+        out.append(vector)
     return out
 
 
 def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str], elapsed: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(serialize_config(raw_config), encoding="utf-8")
+    write_text_atomic(out_dir / "config.txt", serialize_config(raw_config))
     write_metrics_csv(artifacts, out_dir / "metrics.csv")
     write_delta_csv(artifacts, out_dir / "delta_r.csv")
     write_iorm(artifacts.iorm, out_dir / "iorm.txt")
@@ -113,10 +124,10 @@ def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str],
     write_arrays(out_dir / "actor.ckpt", policy_to_arrays(artifacts.actor))
     for k, net in enumerate(artifacts.critics.nets):
         write_arrays(out_dir / f"critic_{k}.ckpt", mlp_to_arrays(net, "critic"))
-    (out_dir / "log.txt").write_text(
+    write_text_atomic(
+        out_dir / "log.txt",
         f"finished_unix_time={time.time()!r}\nelapsed_seconds={elapsed!r}\n"
         f"updates={len(artifacts.metrics)}\nearly_stopped={artifacts.early_stopped}\n",
-        encoding="utf-8",
     )
 
 
@@ -379,7 +390,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CheckpointFormatError, ConfigError, TabularFormatError, UsageError) as exc:
+    except (CheckpointFormatError, ConfigError, TabularFormatError, UsageError, VectorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -1,18 +1,28 @@
 """Minimal feed-forward substrate: MLP forward/backward passes with
-hand-derived gradients, a diagonal-Gaussian policy head, Adam, and an
-exact-round-trip text checkpoint format.
+hand-derived gradients, a diagonal-Gaussian policy head, Adam on flat
+parameter vectors, and an exact-round-trip text checkpoint format.
 
-Parameter containers are plain frozen records. Every update returns fresh
-arrays and never writes into the ones it was given, so rollout workers can
-hold references without copying. Parameters are validated once, where they
-enter from outside: the checkpoint readers and loaders reject a malformed
-file or array with a CheckpointFormatError that names the line or array.
+Parameter containers are plain frozen records. A stack of I networks of
+one shape (the critic bank) is the same record with a leading lane axis:
+weights (I, in, out) and biases (I, out), run by the same forward and
+backward code through matmul broadcasting. For Adam a network's parameters
+and moments live in one contiguous float64 vector, shape (P,) or (I, P)
+lane-major, with per-layer views into it (param_vector, mlp_views,
+policy_views). adam_step writes into that vector and the moments; the
+training updates first copy their incoming parameters and moments into a
+fresh working vector, so an update returns fresh arrays and never writes
+into the ones it was given, and rollout workers can hold references
+without copying. Parameters are validated once, where they enter from
+outside: the checkpoint readers and loaders reject a malformed file or
+array with a CheckpointFormatError that names the line or array.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +42,11 @@ class CheckpointFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Per-layer weight matrices (in x out), bias vectors, activation tags."""
+    """Per-layer weight matrices (in x out), bias vectors, activation tags.
+
+    A stack of I networks of one shape has weights (I, in, out) and biases
+    (I, out); lane i is network i.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -40,11 +54,16 @@ class MlpParams:
 
     @property
     def input_dim(self) -> int:
-        return int(self.weights[0].shape[0])
+        return int(self.weights[0].shape[-2])
 
     @property
     def output_dim(self) -> int:
-        return int(self.weights[-1].shape[1])
+        return int(self.weights[-1].shape[-1])
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        """(I,) for a stack of I networks, () for one network."""
+        return self.weights[0].shape[:-2]
 
 
 @dataclass(frozen=True)
@@ -62,11 +81,13 @@ class GaussianPolicyParams:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators aligned with a flat parameter list."""
+    """First/second moments shaped like a flat parameter vector, (P,) or
+    (I, P) for a stack, and the steps taken: an int, or an int array with
+    one count per lane for a stack."""
 
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
-    step: int
+    m: np.ndarray
+    v: np.ndarray
+    step: int | np.ndarray
     learning_rate: float
 
 
@@ -102,20 +123,27 @@ def mlp_init(
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Affine + activation composition; cache carries what backward needs."""
+    """Affine + activation composition; cache carries what backward needs.
+
+    x is one input (d,) or a batch (n, d). A stack of I networks takes
+    either of these, shared by every lane, or one batch per lane (I, n, d),
+    and returns its outputs lane first.
+    """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     h = x.reshape(1, -1) if squeeze else x
-    if h.shape[1] != p.input_dim:
-        raise ValueError(f"input has {h.shape[1]} features, expected {p.input_dim}")
+    if h.shape[-1] != p.input_dim:
+        raise ValueError(f"input has {h.shape[-1]} features, expected {p.input_dim}")
+    stacked = p.weights[0].ndim == 3
+    biases = [b[:, None, :] for b in p.biases] if stacked else p.biases
     inputs = [h]
     posts = []
-    for w, b, act in zip(p.weights, p.biases, p.activations):
+    for w, b, act in zip(p.weights, biases, p.activations):
         z = h @ w + b
         h = np.tanh(z) if act == "tanh" else z
         posts.append(h)
         inputs.append(h)
-    out = h[0] if squeeze else h
+    out = (h[:, 0] if stacked else h[0]) if squeeze else h
     return out, (inputs[:-1], posts, squeeze)
 
 
@@ -124,22 +152,23 @@ def mlp_backward(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients for all parameters and the input.
 
-    Returns (grads, grad_input) with grads flat as [dW0, db0, dW1, db1, ...].
-    The cache must come from a matching mlp_forward call.
+    Returns (grads, grad_input) with grads flat as [dW0, db0, dW1, db1, ...],
+    each shaped like its parameter (lane first for a stack). The cache must
+    come from a matching mlp_forward call.
     """
     inputs, posts, squeeze = cache
     grad_out = np.asarray(grad_out, dtype=float)
-    g = grad_out.reshape(1, -1) if squeeze else grad_out
+    g = grad_out[..., None, :] if squeeze else grad_out
     if g.shape != posts[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} != output shape {posts[-1].shape}")
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(p.weights))
     for k in range(len(p.weights) - 1, -1, -1):
         if p.activations[k] == "tanh":
             g = g * (1.0 - posts[k] ** 2)
-        grads[2 * k] = inputs[k].T @ g
-        grads[2 * k + 1] = g.sum(axis=0)
-        g = g @ p.weights[k].T
-    grad_input = g[0] if squeeze else g
+        grads[2 * k] = inputs[k].swapaxes(-1, -2) @ g
+        grads[2 * k + 1] = g.sum(axis=-2)
+        g = g @ p.weights[k].swapaxes(-1, -2)
+    grad_input = g[..., 0, :] if squeeze else g
     return grads, grad_input
 
 
@@ -150,6 +179,59 @@ def mlp_param_list(p: MlpParams) -> list[np.ndarray]:
 
 def mlp_from_param_list(template: MlpParams, arrays: Sequence[np.ndarray]) -> MlpParams:
     """Inverse of mlp_param_list, with the template's activations."""
+    return MlpParams(tuple(arrays[0::2]), tuple(arrays[1::2]), template.activations)
+
+
+def mlp_stack(nets: Sequence[MlpParams]) -> MlpParams:
+    """Same-shape networks as one stack (fresh arrays); lane i is nets[i]."""
+    if any(net.activations != nets[0].activations for net in nets):
+        raise ValueError("stacked networks must share their activations")
+    return MlpParams(
+        tuple(np.stack(ws) for ws in zip(*(net.weights for net in nets))),
+        tuple(np.stack(bs) for bs in zip(*(net.biases for net in nets))),
+        nets[0].activations,
+    )
+
+
+def mlp_unstack(stack: MlpParams) -> tuple[MlpParams, ...]:
+    """The stack's lanes as separate networks (views into its arrays)."""
+    return tuple(
+        MlpParams(
+            tuple(w[i] for w in stack.weights), tuple(b[i] for b in stack.biases), stack.activations
+        )
+        for i in range(stack.lanes[0])
+    )
+
+
+def param_vector(arrays: Sequence[np.ndarray], lanes: tuple[int, ...] = ()) -> np.ndarray:
+    """The arrays in order in one fresh contiguous float64 vector, shape
+    lanes + (P,): lane-major when every array leads with the lane axes."""
+    return np.concatenate([a.reshape(lanes + (-1,)) for a in arrays], axis=-1)
+
+
+def mlp_vector(p: MlpParams) -> np.ndarray:
+    """param_vector of the network's [W0, b0, W1, b1, ...], per lane for a stack."""
+    return param_vector(mlp_param_list(p), p.lanes)
+
+
+def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    lanes = flat.shape[:-1]
+    views = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[..., start:stop].reshape(lanes + shape))
+        start = stop
+    if start != flat.shape[-1]:
+        raise ValueError(f"vector holds {flat.shape[-1]} values, layout needs {start}")
+    return views
+
+
+def mlp_views(template: MlpParams, flat: np.ndarray) -> MlpParams:
+    """The template's network with every array a view into flat, laid out
+    as mlp_vector lays it out; writing into flat updates the network."""
+    lead = len(template.lanes)
+    arrays = _views(flat, [a.shape[lead:] for a in mlp_param_list(template)])
     return MlpParams(tuple(arrays[0::2]), tuple(arrays[1::2]), template.activations)
 
 
@@ -190,39 +272,75 @@ def policy_from_param_list(
     return GaussianPolicyParams(mlp_from_param_list(template.mean_net, arrays[:-1]), arrays[-1])
 
 
-def adam_init(params: Sequence[np.ndarray], learning_rate: float) -> AdamState:
-    return AdamState(
-        m=tuple(np.zeros_like(p) for p in params),
-        v=tuple(np.zeros_like(p) for p in params),
-        step=0,
-        learning_rate=learning_rate,
-    )
+def policy_views(template: GaussianPolicyParams, flat: np.ndarray) -> GaussianPolicyParams:
+    """The template's policy as views into flat, laid out as
+    param_vector(policy_param_list(template)) lays it out."""
+    split = flat.shape[-1] - template.action_dim
+    return GaussianPolicyParams(mlp_views(template.mean_net, flat[:split]), flat[split:])
 
 
-def adam_step(
-    state: AdamState, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam descent step on the given gradients.
+def adam_init(params: np.ndarray, learning_rate: float) -> AdamState:
+    """Zero moments for a flat parameter vector (P,) or a stack's (I, P)."""
+    step = 0 if params.ndim == 1 else np.zeros(params.shape[:-1], dtype=np.int64)
+    return AdamState(np.zeros_like(params), np.zeros_like(params), step, learning_rate)
 
-    Pure arithmetic on fresh arrays: the caller passes finite gradients
-    aligned with params.
+
+def _bias_correction(beta: float, t: int | np.ndarray) -> float | np.ndarray:
+    # Python float powers, one per lane as an (I, 1) column for a stack.
+    if isinstance(t, int):
+        return 1.0 - beta**t
+    return np.array([[1.0 - beta**k] for k in t.tolist()])
+
+
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> AdamState:
+    """One bias-corrected Adam descent step, in place.
+
+    Writes the new parameters into params and the new moments into
+    state.m and state.v, and returns the state with its step count
+    advanced. Plain arithmetic: the caller passes finite gradients shaped
+    like params.
     """
     t = state.step + 1
-    new_params: list[np.ndarray] = []
-    new_m, new_v = [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m_t = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_t = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
-        m_hat = m_t / (1.0 - ADAM_BETA1**t)
-        v_hat = v_t / (1.0 - ADAM_BETA2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m_t)
-        new_v.append(v_t)
-    return new_params, AdamState(tuple(new_m), tuple(new_v), t, state.learning_rate)
+    m, v = state.m, state.v
+    # Two scratch arrays. The operations keep the rounding order of
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # params -= (lr m_hat) / (sqrt(v_hat) + eps), so a run gives the same
+    # bits as Adam written out per array.
+    work = (1.0 - ADAM_BETA1) * grads
+    m *= ADAM_BETA1
+    m += work
+    np.square(grads, out=work)
+    work *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += work
+    denom = v / _bias_correction(ADAM_BETA2, t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, _bias_correction(ADAM_BETA1, t), out=work)
+    work *= state.learning_rate
+    work /= denom
+    params -= work
+    return AdamState(m, v, t, state.learning_rate)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    then rename it over path: a write that fails or a process that dies
+    midway leaves path as it was, never half written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Versioned text checkpoint; floats round-trip exactly via repr."""
+    """Versioned text checkpoint, written atomically; floats round-trip
+    exactly via repr."""
     lines = [CHECKPOINT_MAGIC]
     for name in sorted(arrays):
         if " " in name or "\n" in name:
@@ -231,8 +349,7 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         shape = " ".join(str(d) for d in arr.shape)
         lines.append(f"array {name} {arr.ndim} {shape}".rstrip())
         lines.append(" ".join(repr(float(x)) for x in arr.ravel()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:

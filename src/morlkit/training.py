@@ -4,7 +4,8 @@ set of the mean critic vectors.
 
 The engine cycles through objectives; for each it repeatedly collects
 synchronized rollouts from a bank of environment copies, fits every critic
-to its own reward channel, adds the mean critic vector to the running
+to its own reward channel (the critics are one stacked network bank,
+trained in one minibatch pass), adds the mean critic vector to the running
 coverage set, and ascends the clipped surrogate on the proxy stream mixed
 by the objective's relationship-matrix row. The rows are the identity:
 selecting them from the coverage set needs a value oracle that depends on
@@ -48,13 +49,16 @@ from .nets import (
     adam_step,
     gaussian_log_prob_backward,
     gaussian_log_prob_with_cache,
-    mlp_forward,
-    mlp_from_param_list,
-    mlp_init,
-    mlp_param_list,
     mlp_backward,
-    policy_from_param_list,
+    mlp_forward,
+    mlp_init,
+    mlp_stack,
+    mlp_unstack,
+    mlp_vector,
+    mlp_views,
+    param_vector,
     policy_param_list,
+    policy_views,
 )
 
 log = logging.getLogger(__name__)
@@ -209,8 +213,9 @@ def normalize_advantages(advantages: np.ndarray, std_floor: float = 1e-8) -> np.
     return centered / max(float(advantages.std()), std_floor)
 
 
-def _all_finite(arrays: Sequence[np.ndarray]) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+def _working_copy(opt: AdamState) -> AdamState:
+    # adam_step writes into the moments; an update must not touch its input.
+    return AdamState(opt.m.copy(), opt.v.copy(), opt.step, opt.learning_rate)
 
 
 def ppo_actor_update(
@@ -225,15 +230,18 @@ def ppo_actor_update(
 ) -> tuple[GaussianPolicyParams, AdamState, PpoDiagnostics]:
     """Epochs of minibatch ascent on the clipped surrogate.
 
-    Advantages are normalized here, once per update. A non-finite objective
-    or gradient aborts the update and returns the incoming actor and
-    optimizer state.
+    Advantages are normalized here, once per update. The actor and its
+    moments are copied once into a flat working vector that Adam updates
+    in place. A non-finite objective or gradient aborts the update and
+    returns the incoming actor and optimizer state.
     """
     aborted = (actor, opt, PpoDiagnostics(0.0, 0.0, aborted=True))
     if not np.all(np.isfinite(advantages)):
         log.warning("non-finite advantages; aborting actor update")
         return aborted
     adv = normalize_advantages(advantages)
+    params = param_vector(policy_param_list(actor))
+    work, state = policy_views(actor, params), _working_copy(opt)
     n = obs.shape[0]
     clip_fractions: list[float] = []
     kls: list[float] = []
@@ -241,62 +249,81 @@ def ppo_actor_update(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.minibatch_size):
             idx = perm[start : start + cfg.minibatch_size]
-            logp, cache = gaussian_log_prob_with_cache(actor, obs[idx], actions[idx])
+            logp, cache = gaussian_log_prob_with_cache(work, obs[idx], actions[idx])
             objective, dlogp, clip_mask = clipped_surrogate(
                 logp, old_log_probs[idx], adv[idx], cfg.clip_epsilon
             )
             if not math.isfinite(objective):
                 log.warning("non-finite surrogate; aborting actor update")
                 return aborted
-            grads = gaussian_log_prob_backward(actor, cache, -dlogp)
-            if not _all_finite(grads):
+            grad = param_vector(gaussian_log_prob_backward(work, cache, -dlogp))
+            if not np.isfinite(grad).all():
                 log.warning("non-finite gradient; aborting actor update")
                 return aborted
-            params, opt = adam_step(opt, policy_param_list(actor), grads)
-            actor = policy_from_param_list(actor, params)
+            state = adam_step(state, params, grad)
             clip_fractions.append(float(clip_mask.mean()))
             kls.append(float((old_log_probs[idx] - logp).mean()))
-    return actor, opt, PpoDiagnostics(
+    return work, state, PpoDiagnostics(
         clip_fraction=float(np.mean(clip_fractions)),
         approx_kl=float(np.mean(kls)),
     )
 
 
 def critic_update(
-    net: MlpParams,
+    bank: MlpParams,
     opt: AdamState,
     obs: np.ndarray,
     targets: np.ndarray,
     cfg: TrainerConfig,
     rng: np.random.Generator,
 ) -> tuple[MlpParams, AdamState]:
-    """Minibatch regression of one value head onto its reward-to-go targets.
+    """Minibatch regression of a stacked bank of value heads, lane j onto
+    its reward-to-go targets targets[j], in one minibatch pass for all lanes.
 
-    A non-finite loss or gradient aborts the update and returns the
-    incoming network and optimizer state.
+    Each lane takes its rows from its own permutations, drawn lane by lane
+    with all of a lane's epochs before the next lane's, so lane j sees what
+    a separate update of critic j after critics 0..j-1 would. A non-finite
+    loss or gradient aborts its lane alone: that lane's network and
+    optimizer state return to their incoming values and the other lanes
+    carry on. If every lane aborts, the incoming bank and state are returned.
     """
     if not np.all(np.isfinite(targets)):
         raise ValueError("regression targets must be finite")
-    snapshot = (net, opt)
+    lanes = bank.lanes
     n = obs.shape[0]
-    for _ in range(cfg.epochs_per_update):
-        perm = rng.permutation(n)
+    perms = np.array(
+        [[rng.permutation(n) for _ in range(cfg.epochs_per_update)] for _ in range(lanes[0])]
+    )
+    rows = np.arange(lanes[0])[:, None]
+    params = mlp_vector(bank)
+    net, state = mlp_views(bank, params), _working_copy(opt)
+    live = np.ones(lanes, dtype=bool)
+    for epoch in range(cfg.epochs_per_update):
         for start in range(0, n, cfg.minibatch_size):
-            idx = perm[start : start + cfg.minibatch_size]
+            idx = perms[:, epoch, start : start + cfg.minibatch_size]
             pred, cache = mlp_forward(net, obs[idx])
-            err = pred[:, 0] - targets[idx]
-            loss = float((err**2).mean())
-            if not math.isfinite(loss):
-                log.warning("non-finite critic loss; aborting critic update")
-                return snapshot
-            dout = (2.0 * err / err.shape[0])[:, None]
+            err = pred[..., 0] - targets[rows, idx]
+            loss_ok = np.isfinite((err**2).mean(axis=-1))
+            dout = (2.0 * err / err.shape[-1])[..., None]
             grads, _ = mlp_backward(net, cache, dout)
-            if not _all_finite(grads):
-                log.warning("non-finite critic gradient; aborting critic update")
-                return snapshot
-            params, opt = adam_step(opt, mlp_param_list(net), grads)
-            net = mlp_from_param_list(net, params)
-    return net, opt
+            grad = param_vector(grads, lanes)
+            ok = loss_ok & np.isfinite(grad).all(axis=-1)
+            if not ok.all():
+                for lane in np.flatnonzero(live & ~ok):
+                    what = "gradient" if loss_ok[lane] else "loss"
+                    log.warning("non-finite critic %s; aborting critic update", what)
+                live &= ok
+                if not live.any():
+                    return bank, opt
+            if not live.all():
+                grad[~live] = 0.0
+            state = adam_step(state, params, grad)
+    if not live.all():
+        params[~live] = mlp_vector(bank)[~live]
+        state.m[~live] = opt.m[~live]
+        state.v[~live] = opt.v[~live]
+        state = AdamState(state.m, state.v, np.where(live, state.step, opt.step), state.learning_rate)
+    return net, state
 
 
 def _weight_entropy(w: WeightVector) -> float:
@@ -440,8 +467,11 @@ def collect_rollout(
     return batch, _CollectorState(obs=obs, return_acc=acc, discount_pos=pos)
 
 
-def _critic_values(nets: Sequence[MlpParams], obs: np.ndarray) -> np.ndarray:
-    return np.column_stack([mlp_forward(net, obs)[0][:, 0] for net in nets])
+def _critic_values(bank: MlpParams, obs: np.ndarray) -> np.ndarray:
+    # (n, I), C-contiguous, so that column means sum in a fixed order. One
+    # lane at a time: a stacked pass over a whole batch would hold I times
+    # the activations at once.
+    return np.column_stack([mlp_forward(net, obs)[0][:, 0] for net in mlp_unstack(bank)])
 
 
 def _proxy_advantages(
@@ -536,13 +566,12 @@ def _init_networks(cfg: TrainerConfig, obs_dim: int, act_dim: int, init_rng):
         mean_net=mlp_init([obs_dim, *cfg.hidden_sizes, act_dim], init_rng, output_gain=0.01),
         log_std=np.zeros(act_dim),
     )
-    critics = [
-        mlp_init([obs_dim, *cfg.hidden_sizes, 1], init_rng)
-        for _ in range(cfg.objective_count)
-    ]
-    actor_opt = adam_init(policy_param_list(actor), cfg.learning_rate)
-    critic_opts = [adam_init(mlp_param_list(c), cfg.learning_rate) for c in critics]
-    return actor, critics, actor_opt, critic_opts
+    bank = mlp_stack(
+        [mlp_init([obs_dim, *cfg.hidden_sizes, 1], init_rng) for _ in range(cfg.objective_count)]
+    )
+    actor_opt = adam_init(param_vector(policy_param_list(actor)), cfg.learning_rate)
+    bank_opt = adam_init(mlp_vector(bank), cfg.learning_rate)
+    return actor, bank, actor_opt, bank_opt
 
 
 def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
@@ -557,7 +586,7 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
     obs_dim = env_list[0].observation_dim
     act_dim = env_list[0].action_dim
     init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, critics, actor_opt, critic_opts = _init_networks(cfg, obs_dim, act_dim, init_rng)
+    actor, bank, actor_opt, bank_opt = _init_networks(cfg, obs_dim, act_dim, init_rng)
     iorm = Iorm.identity(cfg.objective_count)
     collector = _init_collector(env_list, env_rngs, cfg.objective_count)
     running_vectors: list[ValueVector] = []
@@ -572,17 +601,15 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
                 env_list, collector, actor, cfg.steps_per_update, cfg.discount,
                 rollout_rng, env_rngs,
             )
-            snapshot_values = _critic_values(critics, batch.traj.states)
-            snapshot_boot = _critic_values(critics, batch.bootstrap_obs)
+            snapshot_values = _critic_values(bank, batch.traj.states)
+            snapshot_boot = _critic_values(bank, batch.bootstrap_obs)
 
-            for j in range(cfg.objective_count):
-                targets = _rtg_targets(batch, j, cfg)
-                critics[j], critic_opts[j] = critic_update(
-                    critics[j], critic_opts[j], batch.traj.states, targets, cfg,
-                    minibatch_rng,
-                )
+            targets = np.array([_rtg_targets(batch, j, cfg) for j in range(cfg.objective_count)])
+            bank, bank_opt = critic_update(
+                bank, bank_opt, batch.traj.states, targets, cfg, minibatch_rng
+            )
 
-            updated_values = _critic_values(critics, batch.traj.states)
+            updated_values = _critic_values(bank, batch.traj.states)
             vbar = ValueVector(tuple(updated_values.mean(axis=0)))
             delta_abs, delta_r = _delta_probe(vbar, running_vectors)
             _update_running_ccs(running_vectors, vbar)
@@ -613,7 +640,7 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
 
     return RunArtifacts(
         actor=actor,
-        critics=CriticBank(nets=tuple(critics)),
+        critics=CriticBank(nets=mlp_unstack(bank)),
         iorm=iorm,
         metrics=metrics,
         ccs=PartialCcs(tuple(running_vectors), ()),

@@ -13,6 +13,7 @@ import numpy as np
 
 from morlkit.ccs import PartialCcs, is_convex_undominated
 from morlkit.core import Iorm, ValueVector, WeightVector, scalarize, simplex_extremum
+from morlkit.nets import mlp_unstack
 from morlkit.training import (
     CriticBank,
     EnvFactory,
@@ -49,7 +50,7 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
     obs_dim = env_list[0].observation_dim
     act_dim = env_list[0].action_dim
     init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, critics, actor_opt, critic_opts = _init_networks(cfg, obs_dim, act_dim, init_rng)
+    actor, critic, actor_opt, critic_opt = _init_networks(cfg, obs_dim, act_dim, init_rng)
     collector = _init_collector(env_list, env_rngs, 1)
     running_vectors: list[ValueVector] = []
     running_obs: list[tuple[WeightVector, float]] = []
@@ -60,15 +61,16 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
             env_list, collector, actor, cfg.steps_per_update, cfg.discount,
             rollout_rng, env_rngs,
         )
-        snapshot_values = _critic_values(critics, batch.traj.states)
-        snapshot_boot = _critic_values(critics, batch.bootstrap_obs)
+        snapshot_values = _critic_values(critic, batch.traj.states)
+        snapshot_boot = _critic_values(critic, batch.bootstrap_obs)
 
-        targets = _rtg_targets(batch, 0, cfg)
-        critics[0], critic_opts[0] = critic_update(
-            critics[0], critic_opts[0], batch.traj.states, targets, cfg, minibatch_rng
+        # The critic is a bank of one lane.
+        targets = _rtg_targets(batch, 0, cfg)[None, :]
+        critic, critic_opt = critic_update(
+            critic, critic_opt, batch.traj.states, targets, cfg, minibatch_rng
         )
 
-        updated_values = _critic_values(critics, batch.traj.states)
+        updated_values = _critic_values(critic, batch.traj.states)
         vbar = ValueVector(tuple(updated_values.mean(axis=0)))
         delta_abs, delta_r = _delta_probe(vbar, running_vectors)
         if (
@@ -106,7 +108,7 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
 
     return RunArtifacts(
         actor=actor,
-        critics=CriticBank(nets=tuple(critics)),
+        critics=CriticBank(nets=mlp_unstack(critic)),
         iorm=Iorm.identity(1),
         metrics=metrics,
         ccs=PartialCcs(tuple(running_vectors), tuple(running_obs)),

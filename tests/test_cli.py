@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morlkit import cli
+from morlkit import cli, nets
 from morlkit.ccs import PartialCcs
-from morlkit.cli import main, read_iorm, read_vectors
+from morlkit.cli import VectorFileError, main, read_vectors
 from morlkit.config import (
     ConfigError,
     RunConfig,
@@ -15,6 +15,7 @@ from morlkit.config import (
     parse_config_text,
     serialize_config,
 )
+from morlkit.core import Iorm, WeightVector
 from morlkit.envs import random_tabular_momdp, save_tabular
 
 TREASURE_CFG = """\
@@ -109,7 +110,8 @@ class TestCmdTrain:
             "log.txt",
         ):
             assert (out / name).exists(), name
-        iorm = read_iorm(out / "iorm.txt")
+        rows = np.loadtxt(out / "iorm.txt", ndmin=2)
+        iorm = Iorm(tuple(WeightVector(tuple(row)) for row in rows))
         assert iorm.dim == 2
         header = (out / "metrics.csv").read_text().splitlines()
         assert header[0] == "# morlkit-metrics v1"
@@ -282,6 +284,24 @@ class TestCmdEvalExplain:
             assert len(blocks) >= 2
             assert any(block.startswith("I could") for block in blocks[1:])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0 2.0\n1.0 abc\n", ":2: could not convert string to float: 'abc'"),
+            ("1.0 2.0\n\n3.0\n", ":3: row has 1 values, the first row has 2"),
+            ("1.0 nan\n", ":1: ValueVector entries must be finite"),
+        ],
+        ids=["non-number", "short-row", "nan"],
+    )
+    def test_rejected_value_library_exits_1(self, run_dir, capsys, text, message):
+        path = run_dir / "ccs.txt"
+        path.write_text(text)
+        with pytest.raises(VectorFileError, match=message):
+            read_vectors(path)
+        assert main(["explain", str(run_dir), "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}{message}" in err
+
     def test_explain_missing_run(self, tmp_path, capsys):
         code = main(["explain", str(tmp_path / "nope"), "--episodes", "1"])
         assert code == 1
@@ -316,6 +336,50 @@ class TestCmdEvalExplain:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["eval", str(empty)]) == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open = open
+
+        class DiskFull:
+            # Writes the first half of the text, then fails.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            writing = "w" in (args[0] if args else kwargs.get("mode", "r"))
+            return DiskFull(fh) if writing and "actor.ckpt" in str(path) else fh
+
+        monkeypatch.setattr(nets, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            nets.write_arrays(out / "actor.ckpt", {"x": np.arange(1000.0)})
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after["actor.ckpt"] == before["actor.ckpt"]
+        assert set(after) == set(before)  # no temporary files left behind
+        assert nets.read_arrays(out / "actor.ckpt")
+
+        fresh = tmp_path / "fresh"
+        assert main(["train", "--config", str(cfg), "--out", str(fresh)]) == 2
+        assert not (fresh / "actor.ckpt").exists()
+        assert not [p for p in fresh.iterdir() if "actor" in p.name]
 
 
 class TestCmdBench:

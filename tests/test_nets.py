@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morlkit.nets import (
+    AdamState,
     CheckpointFormatError,
     GaussianPolicyParams,
     MlpParams,
@@ -17,14 +18,21 @@ from morlkit.nets import (
     mlp_from_param_list,
     mlp_init,
     mlp_param_list,
+    mlp_stack,
     mlp_to_arrays,
+    mlp_unstack,
+    mlp_vector,
+    mlp_views,
+    param_vector,
     policy_from_arrays,
     policy_from_param_list,
     policy_param_list,
     policy_to_arrays,
+    policy_views,
     read_arrays,
     write_arrays,
 )
+from reference_critic import list_adam_init, list_adam_step
 
 
 def finite_difference_grads(fn, params, h=1e-5):
@@ -223,19 +231,93 @@ class TestGaussianPolicy:
         assert relative_error(analytic, numeric) < 1e-4
 
 
+class TestStackedNetworks:
+    """A stack runs through the same forward and backward code as its
+    lanes, and each lane's results equal the lone network's bit for bit."""
+
+    @staticmethod
+    def nets(count, sizes=(3, 8, 6, 1)):
+        rng = np.random.default_rng(40 + count)
+        return [mlp_init(sizes, rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_forward_backward_match_each_lane(self, count):
+        nets = self.nets(count)
+        stack = mlp_stack(nets)
+        rng = np.random.default_rng(7)
+        per_lane = rng.standard_normal((count, 13, 3))
+        shared = rng.standard_normal((13, 3))
+        probe = rng.standard_normal((count, 13, 1))
+        for x, lane_x in ((per_lane, lambda i: per_lane[i]), (shared, lambda i: shared)):
+            out, cache = mlp_forward(stack, x)
+            grads, dx = mlp_backward(stack, cache, probe)
+            assert out.shape == (count, 13, 1)
+            for i, net in enumerate(nets):
+                lone, lone_cache = mlp_forward(net, lane_x(i))
+                lone_grads, lone_dx = mlp_backward(net, lone_cache, probe[i])
+                assert np.array_equal(out[i], lone)
+                assert np.array_equal(dx[i], lone_dx)
+                assert all(np.array_equal(g[i], h) for g, h in zip(grads, lone_grads))
+
+    def test_single_input(self):
+        nets = self.nets(3)
+        x = np.array([0.5, -1.0, 2.0])
+        out, cache = mlp_forward(mlp_stack(nets), x)
+        grads, dx = mlp_backward(mlp_stack(nets), cache, np.ones((3, 1)))
+        assert out.shape == (3, 1) and dx.shape == (3, 3)
+        for i, net in enumerate(nets):
+            lone, lone_cache = mlp_forward(net, x)
+            assert np.array_equal(out[i], lone)
+            assert np.array_equal(dx[i], mlp_backward(net, lone_cache, np.ones(1))[1])
+
+    def test_stack_round_trip(self):
+        nets = self.nets(3)
+        back = mlp_unstack(mlp_stack(nets))
+        assert len(back) == 3
+        for a, b in zip(nets, back):
+            assert a.activations == b.activations
+            assert all(np.array_equal(x, y) for x, y in zip(mlp_param_list(a), mlp_param_list(b)))
+        with pytest.raises(ValueError, match="activations"):
+            mlp_stack([nets[0], MlpParams(nets[1].weights, nets[1].biases, ("tanh",) * 3)])
+
+
+class TestFlatParameters:
+    def test_views_share_the_vector(self):
+        for net in (mlp_init([3, 5, 2], np.random.default_rng(1)), mlp_stack(TestStackedNetworks.nets(2))):
+            flat = mlp_vector(net)
+            assert flat.shape == net.lanes + (sum(a[(0,) * len(net.lanes)].size for a in mlp_param_list(net)),)
+            view = mlp_views(net, flat)
+            assert all(np.array_equal(a, b) for a, b in zip(mlp_param_list(view), mlp_param_list(net)))
+            assert all(np.shares_memory(a, flat) for a in mlp_param_list(view))
+            flat += 1.0
+            assert np.array_equal(view.weights[0], net.weights[0] + 1.0)
+
+    def test_policy_views(self):
+        pol = GaussianPolicyParams(mlp_init([4, 8, 2], np.random.default_rng(2)), np.array([0.1, -0.2]))
+        flat = param_vector(policy_param_list(pol))
+        view = policy_views(pol, flat)
+        assert all(np.array_equal(a, b) for a, b in zip(policy_param_list(view), policy_param_list(pol)))
+        assert np.shares_memory(view.log_std, flat) and view.mean_net.activations == pol.mean_net.activations
+
+    def test_layout_mismatch_rejected(self):
+        net = mlp_init([3, 5, 2], np.random.default_rng(1))
+        with pytest.raises(ValueError, match="layout needs"):
+            mlp_views(net, np.zeros(mlp_vector(net).size + 1))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        params = [np.array([1.0, 2.0]), np.array([[3.0]])]
+        params = np.array([1.0, 2.0, 3.0])
         state = adam_init(params, 1e-3)
-        new_params, new_state = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-        assert all(np.array_equal(a, b) for a, b in zip(params, new_params))
+        new_state = adam_step(state, params, np.zeros(3))
+        assert np.array_equal(params, [1.0, 2.0, 3.0])
         assert new_state.step == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = [np.array([5.0])]
+        params = np.array([5.0])
         state = adam_init(params, 0.01)
-        new_params, _ = adam_step(state, params, [np.array([7.3])])
-        step = params[0][0] - new_params[0][0]
+        adam_step(state, params, np.array([7.3]))
+        step = 5.0 - params[0]
         assert step == pytest.approx(0.01, rel=1e-6)
 
     def test_two_steps_match_scalar_reference(self):
@@ -249,26 +331,65 @@ class TestAdam:
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
             theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = adam_init(params, lr)
         for _ in range(2):
-            params, state = adam_step(state, params, [np.array([g])])
-        assert params[0][0] == pytest.approx(theta, abs=1e-15)
+            state = adam_step(state, params, np.array([g]))
+        assert params[0] == pytest.approx(theta, abs=1e-15)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(11)
-            p = mlp_init([2, 4, 1], rng)
-            params = mlp_param_list(p)
+            params = mlp_vector(mlp_init([2, 4, 1], rng))
             state = adam_init(params, 1e-3)
             for _ in range(5):
-                grads = [np.full_like(q, 0.1) for q in params]
-                params, state = adam_step(state, params, grads)
+                state = adam_step(state, params, np.full_like(params, 0.1))
             return params
 
-        a = run()
-        b = run()
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(run(), run())
+
+    def test_flat_step_matches_per_array_reference(self):
+        # Oracle: per-array Adam on the parameter list, bit for bit.
+        rng = np.random.default_rng(12)
+        net = mlp_init([3, 6, 2], rng)
+        arrays = mlp_param_list(net)
+        ref_state = list_adam_init(arrays, 1e-2)
+        flat = mlp_vector(net)
+        state = adam_init(flat, 1e-2)
+        for _ in range(4):
+            grads = [rng.standard_normal(a.shape) for a in arrays]
+            arrays, ref_state = list_adam_step(ref_state, arrays, grads)
+            state = adam_step(state, flat, param_vector(grads))
+        assert np.array_equal(flat, param_vector(arrays))
+        assert np.array_equal(state.m, param_vector(ref_state.m))
+        assert np.array_equal(state.v, param_vector(ref_state.v))
+        assert state.step == ref_state.step == 4
+
+    def test_stack_lanes_count_their_own_steps(self):
+        # Oracle: each lane stepped as a separate vector, bit for bit, with
+        # lane 1 two steps ahead of the others.
+        rng = np.random.default_rng(13)
+        lone = []
+        for lane in range(3):
+            row = rng.standard_normal(5)
+            state = adam_init(row, 1e-2)
+            for _ in range(2 if lane == 1 else 0):
+                state = adam_step(state, row, np.full(5, 0.3))
+            lone.append((row, state))
+        flat = np.array([row for row, _ in lone])
+        state = AdamState(
+            np.array([st.m for _, st in lone]), np.array([st.v for _, st in lone]),
+            np.array([st.step for _, st in lone]), 1e-2,
+        )
+        assert adam_init(flat, 1e-2).step.tolist() == [0, 0, 0]
+        for _ in range(3):
+            grads = rng.standard_normal((3, 5))
+            state = adam_step(state, flat, grads)
+            lone = [(row, adam_step(st, row, g)) for (row, st), g in zip(lone, grads)]
+        assert state.step.tolist() == [3, 5, 3]
+        for i, (row, st) in enumerate(lone):
+            assert np.array_equal(flat[i], row)
+            assert np.array_equal(state.m[i], st.m) and np.array_equal(state.v[i], st.v)
 
 
 class TestCheckpoints:

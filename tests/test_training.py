@@ -22,6 +22,10 @@ from morlkit.nets import (
     mlp_forward,
     mlp_init,
     mlp_param_list,
+    mlp_stack,
+    mlp_unstack,
+    mlp_vector,
+    param_vector,
     policy_param_list,
     policy_to_arrays,
     mlp_to_arrays,
@@ -39,6 +43,7 @@ from morlkit.training import (
     train,
     _init_collector,
 )
+from reference_critic import list_adam_init, reference_critic_update
 from reference_trainer import train_single_objective
 
 
@@ -48,6 +53,12 @@ def vv(*xs):
 
 def wv(*xs):
     return WeightVector(tuple(float(x) for x in xs))
+
+
+def one_lane(net, learning_rate):
+    """A single critic as a bank of one lane, with fresh Adam state."""
+    bank = mlp_stack([net])
+    return bank, adam_init(mlp_vector(bank), learning_rate)
 
 
 def explicit_gae_double_sum(deltas, dones, gamma, lam):
@@ -249,7 +260,7 @@ class TestPpoActorUpdate:
             objective_count=1, updates_per_objective=1, epochs_per_update=3,
             minibatch_size=16, steps_per_update=1, env_copies=1,
         )
-        opt = adam_init(policy_param_list(actor), cfg.learning_rate)
+        opt = adam_init(param_vector(policy_param_list(actor)), cfg.learning_rate)
         new_actor, _, diag = ppo_actor_update(
             actor, opt, obs, actions, logp, adv, cfg, np.random.default_rng(0)
         )
@@ -269,7 +280,7 @@ class TestPpoActorUpdate:
             objective_count=1, updates_per_objective=1, epochs_per_update=1,
             minibatch_size=16, steps_per_update=1, env_copies=1,
         )
-        opt = adam_init(policy_param_list(actor), cfg.learning_rate)
+        opt = adam_init(param_vector(policy_param_list(actor)), cfg.learning_rate)
         new_actor, new_opt, diag = ppo_actor_update(
             actor, opt, obs, actions, logp, adv, cfg, np.random.default_rng(0)
         )
@@ -287,14 +298,14 @@ class TestCriticUpdate:
             objective_count=1, updates_per_objective=1, epochs_per_update=1,
             minibatch_size=64, steps_per_update=1, env_copies=1,
         )
-        opt = adam_init(mlp_param_list(net), cfg.learning_rate)
+        bank, opt = one_lane(net, cfg.learning_rate)
         losses = []
         for _ in range(12):
-            pred, _ = mlp_forward(net, obs)
-            losses.append(float(((pred[:, 0] - targets) ** 2).mean()))
-            net, opt = critic_update(net, opt, obs, targets, cfg, np.random.default_rng(0))
-        pred, _ = mlp_forward(net, obs)
-        losses.append(float(((pred[:, 0] - targets) ** 2).mean()))
+            pred, _ = mlp_forward(bank, obs)
+            losses.append(float(((pred[0, :, 0] - targets) ** 2).mean()))
+            bank, opt = critic_update(bank, opt, obs, targets[None], cfg, np.random.default_rng(0))
+        pred, _ = mlp_forward(bank, obs)
+        losses.append(float(((pred[0, :, 0] - targets) ** 2).mean()))
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-12
 
@@ -308,9 +319,10 @@ class TestCriticUpdate:
             minibatch_size=32, steps_per_update=1, env_copies=1,
             learning_rate=1e-2,
         )
-        opt = adam_init(mlp_param_list(net), cfg.learning_rate)
+        bank, opt = one_lane(net, cfg.learning_rate)
         for _ in range(60):
-            net, opt = critic_update(net, opt, obs, targets, cfg, np.random.default_rng(1))
+            bank, opt = critic_update(bank, opt, obs, targets[None], cfg, np.random.default_rng(1))
+        (net,) = mlp_unstack(bank)
         pred, _ = mlp_forward(net, np.ones(1))
         assert abs(float(pred[0]) - 0.7) < 0.01
 
@@ -321,9 +333,9 @@ class TestCriticUpdate:
             objective_count=1, updates_per_objective=1, epochs_per_update=1,
             minibatch_size=8, steps_per_update=1, env_copies=1,
         )
-        opt = adam_init(mlp_param_list(net), cfg.learning_rate)
+        bank, opt = one_lane(net, cfg.learning_rate)
         with pytest.raises(ValueError):
-            critic_update(net, opt, np.zeros((4, 2)), np.array([1.0, 2.0, np.nan, 0.0]),
+            critic_update(bank, opt, np.zeros((4, 2)), np.array([[1.0, 2.0, np.nan, 0.0]]),
                           cfg, np.random.default_rng(0))
 
     def test_perfect_fit_stationary(self):
@@ -354,8 +366,8 @@ class TestAbortPaths:
     @staticmethod
     def critic_problem():
         rng = np.random.default_rng(2)
-        net = mlp_init([3, 8, 1], rng)
-        return net, rng.standard_normal((32, 3)), rng.standard_normal(32)
+        bank = mlp_stack([mlp_init([3, 8, 1], rng)])
+        return bank, rng.standard_normal((32, 3)), rng.standard_normal((1, 32))
 
     @staticmethod
     def no_adam_step(monkeypatch):
@@ -366,7 +378,7 @@ class TestAbortPaths:
 
     def test_non_finite_critic_gradient_aborts(self, monkeypatch, caplog):
         net, obs, targets = self.critic_problem()
-        opt = adam_init(mlp_param_list(net), self.CFG.learning_rate)
+        opt = adam_init(mlp_vector(net), self.CFG.learning_rate)
         backward = training.mlp_backward
 
         def nan_backward(*args):
@@ -382,7 +394,7 @@ class TestAbortPaths:
 
     def test_non_finite_actor_gradient_aborts(self, monkeypatch, caplog):
         actor, obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
-        opt = adam_init(policy_param_list(actor), self.CFG.learning_rate)
+        opt = adam_init(param_vector(policy_param_list(actor)), self.CFG.learning_rate)
         backward = training.gaussian_log_prob_backward
 
         def nan_backward(*args):
@@ -400,12 +412,12 @@ class TestAbortPaths:
 
     def test_updates_leave_incoming_arrays_unchanged(self):
         net, obs, targets = self.critic_problem()
-        net_opt = adam_init(mlp_param_list(net), self.CFG.learning_rate)
+        net_opt = adam_init(mlp_vector(net), self.CFG.learning_rate)
         actor, a_obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
-        actor_opt = adam_init(policy_param_list(actor), self.CFG.learning_rate)
+        actor_opt = adam_init(param_vector(policy_param_list(actor)), self.CFG.learning_rate)
         incoming = [
-            *mlp_param_list(net), *net_opt.m, *net_opt.v,
-            *policy_param_list(actor), *actor_opt.m, *actor_opt.v,
+            *mlp_param_list(net), net_opt.m, net_opt.v,
+            *policy_param_list(actor), actor_opt.m, actor_opt.v,
         ]
         before = [a.copy() for a in incoming]
         new_net, _ = critic_update(net, net_opt, obs, targets, self.CFG, np.random.default_rng(0))
@@ -416,6 +428,116 @@ class TestAbortPaths:
         assert all(np.array_equal(a, b) for a, b in zip(incoming, before))
         assert not np.array_equal(new_net.weights[0], net.weights[0])
         assert not np.array_equal(new_actor.log_std, actor.log_std)
+
+
+class TestCriticBank:
+    """critic_update trains I critics as one stacked bank; oracle: the
+    per-network update of tests/reference_critic.py, run on each critic in
+    turn on one generator, bit for bit."""
+
+    @staticmethod
+    def problem(lanes, n=50):
+        rng = np.random.default_rng(30 + lanes)
+        nets = [mlp_init([3, 8, 8, 1], rng) for _ in range(lanes)]
+        obs = rng.standard_normal((n, 3))
+        targets = rng.standard_normal((lanes, n)) * np.arange(1, lanes + 1)[:, None]
+        return nets, obs, targets
+
+    @staticmethod
+    def cfg(epochs=3, minibatch=16):
+        # 50 rows in minibatches of 16 leave a short last minibatch of 2.
+        return TrainerConfig(
+            objective_count=1, updates_per_objective=1, epochs_per_update=epochs,
+            minibatch_size=minibatch, steps_per_update=1, env_copies=1, learning_rate=1e-2,
+        )
+
+    @staticmethod
+    def reference(nets, states, obs, targets, cfg, rng):
+        out = [
+            reference_critic_update(net, st, obs, t, cfg.epochs_per_update, cfg.minibatch_size, rng)
+            for net, st, t in zip(nets, states, targets)
+        ]
+        return [net for net, _ in out], [st for _, st in out]
+
+    @staticmethod
+    def assert_lane_equals(bank, opt, lane, net, m, v, step):
+        lone = mlp_unstack(bank)[lane]
+        assert all(np.array_equal(a, b) for a, b in zip(mlp_param_list(lone), mlp_param_list(net)))
+        assert np.array_equal(opt.m[lane], m) and np.array_equal(opt.v[lane], v)
+        assert opt.step[lane] == step
+
+    def trained_once(self, lanes, cfg, seed):
+        """A bank and the matching reference critics after one update, with
+        the two generators at the same point."""
+        nets, obs, targets = self.problem(lanes)
+        bank = mlp_stack(nets)
+        opt = adam_init(mlp_vector(bank), cfg.learning_rate)
+        states = [list_adam_init(mlp_param_list(net), cfg.learning_rate) for net in nets]
+        rng_bank, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        bank, opt = critic_update(bank, opt, obs, targets, cfg, rng_bank)
+        nets, states = self.reference(nets, states, obs, targets, cfg, rng_ref)
+        return bank, opt, nets, states, obs, targets, rng_bank, rng_ref
+
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    def test_bank_equals_independent_updates(self, lanes):
+        cfg = self.cfg()
+        bank, opt, nets, states, obs, targets, rng_bank, rng_ref = self.trained_once(lanes, cfg, 5)
+        # A second update, from nonzero moments.
+        bank, opt = critic_update(bank, opt, obs, targets, cfg, rng_bank)
+        nets, states = self.reference(nets, states, obs, targets, cfg, rng_ref)
+        for lane, (net, st) in enumerate(zip(nets, states)):
+            self.assert_lane_equals(bank, opt, lane, net, param_vector(st.m), param_vector(st.v), st.step)
+        assert rng_bank.integers(1 << 62) == rng_ref.integers(1 << 62)
+
+    def test_one_lane_gradient_abort_leaves_the_others(self, monkeypatch, caplog):
+        cfg = self.cfg()
+        bank, opt, nets, states, obs, targets, rng_bank, rng_ref = self.trained_once(3, cfg, 1)
+        before = [a.copy() for a in (mlp_vector(bank), opt.m, opt.v, opt.step)]
+        # The bank draws all of a lane's permutations up front, so the
+        # faulted lane's draws match a reference update that runs to the end.
+        nets, states = self.reference(nets, states, obs, targets, cfg, rng_ref)
+        backward = training.mlp_backward
+        calls = []
+
+        def nan_in_lane_1(*args):
+            grads, grad_input = backward(*args)
+            calls.append(None)
+            if len(calls) == 5:
+                grads[0] = grads[0].copy()
+                grads[0][1, 0, 0] = np.nan
+            return grads, grad_input
+
+        monkeypatch.setattr(training, "mlp_backward", nan_in_lane_1)
+        with caplog.at_level(logging.WARNING, logger="morlkit.training"):
+            new_bank, new_opt = critic_update(bank, opt, obs, targets, cfg, rng_bank)
+        assert caplog.messages == ["non-finite critic gradient; aborting critic update"]
+        assert len(calls) == 12  # the other lanes ran every minibatch
+        lane_1 = mlp_unstack(bank)[1]
+        self.assert_lane_equals(new_bank, new_opt, 1, lane_1, before[1][1], before[2][1], before[3][1])
+        for lane in (0, 2):
+            st = states[lane]
+            self.assert_lane_equals(new_bank, new_opt, lane, nets[lane], param_vector(st.m), param_vector(st.v), st.step)
+        after = (mlp_vector(bank), opt.m, opt.v, opt.step)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_one_lane_loss_abort_leaves_the_others(self, caplog):
+        # One epoch: the reference draws the faulted lane's one permutation
+        # before it aborts, as the bank does.
+        cfg = self.cfg(epochs=1)
+        bank, opt, nets, states, obs, targets, rng_bank, rng_ref = self.trained_once(3, cfg, 2)
+        targets = targets.copy()
+        targets[2] = 1e200  # finite targets whose squared error overflows
+        with np.errstate(over="ignore"):
+            nets, states = self.reference(nets, states, obs, targets, cfg, rng_ref)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="morlkit.training"):
+                new_bank, new_opt = critic_update(bank, opt, obs, targets, cfg, rng_bank)
+        assert caplog.messages == ["non-finite critic loss; aborting critic update"]
+        assert new_opt.step.tolist() == [8, 8, 4]
+        for lane in range(3):
+            st = states[lane]
+            self.assert_lane_equals(new_bank, new_opt, lane, nets[lane], param_vector(st.m), param_vector(st.v), st.step)
+        assert rng_bank.integers(1 << 62) == rng_ref.integers(1 << 62)
 
 
 class TestIormRowSelect:
