@@ -65,12 +65,11 @@ class PartialCcs:
 @dataclass(frozen=True)
 class AolsIteration:
     """One pop of the weight queue: what was queried and how much
-    improvement the queue still promises afterwards."""
+    relative improvement the queue still promises afterwards."""
 
     index: int
     weight: WeightVector
     inserted: bool
-    remaining_gap: float
     remaining_delta_r: float
 
 
@@ -282,28 +281,24 @@ def relative_improvement(v_bound: float, v_star: float) -> float:
     return (v_bound - v_star) / v_bound
 
 
-def _remaining_delta(queue: MarginalWeightQueue) -> tuple[float, float]:
-    """Largest absolute and largest relative gap still promised by the queue.
+def _remaining_delta_r(queue: MarginalWeightQueue) -> float:
+    """Largest relative gap still promised by the queue.
 
     The queue itself is ordered by the absolute gap (the selection rule);
     the relative form used for convergence reporting maximizes over all
     queued entries since the two orders can differ.
     """
-    if len(queue) == 0:
-        return 0.0, 0.0
-    best_abs = 0.0
-    best_rel = 0.0
+    best = 0.0
     for priority, bound in queue.entries():
         if math.isinf(priority):
-            return math.inf, math.inf
-        best_abs = max(best_abs, priority)
+            return math.inf
         try:
             rel = relative_improvement(bound, bound - priority)
         except ZeroDivisionError:
             log.warning("zero optimistic bound; logging absolute gap instead")
             rel = priority
-        best_rel = max(best_rel, rel)
-    return best_abs, best_rel
+        best = max(best, rel)
+    return best
 
 
 def aols(
@@ -384,14 +379,12 @@ def aols(
                 if gap > epsilon:
                     queue.push(corner, gap, bound)
 
-        gap_left, rel_left = _remaining_delta(queue)
         history.append(
             AolsIteration(
                 index=iterations,
                 weight=weight,
                 inserted=inserted,
-                remaining_gap=gap_left,
-                remaining_delta_r=rel_left,
+                remaining_delta_r=_remaining_delta_r(queue),
             )
         )
 

@@ -326,7 +326,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> AdamSt
 def write_text_atomic(path, text: str) -> None:
     """Write text to path through a temporary file in the same directory,
     then rename it over path: a write that fails or a process that dies
-    midway leaves path as it was, never half written."""
+    midway leaves path as it was, never half written.
+
+    There is deliberately no fsync, so the write is atomic but not durable:
+    after an operating-system crash or power loss the file may hold its old
+    contents or none. Every artifact can be rebuilt by rerunning the same
+    config and seed, so a flush to disk per file would buy nothing a rerun
+    does not give."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

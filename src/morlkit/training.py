@@ -7,10 +7,12 @@ synchronized rollouts from a bank of environment copies, fits every critic
 to its own reward channel (the critics are one stacked network bank,
 trained in one minibatch pass), adds the mean critic vector to the running
 coverage set, and ascends the clipped surrogate on the proxy stream mixed
-by the objective's relationship-matrix row. The rows are the identity:
-selecting them from the coverage set needs a value oracle that depends on
-the weight, and the critic bank gives one mean vector per update.
-At objective_count=1 this is plain single-objective training.
+by the objective's relationship-matrix row. Rollouts stay time-major; one
+GAE recursion per update over every copy and channel gives the critic
+targets and the actor's advantages, in copy-major rows. The rows are the
+identity: selecting them from the coverage set needs a value oracle that
+depends on the weight, and the critic bank gives one mean vector per
+update. At objective_count=1 this is plain single-objective training.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
     TrajectoryBatch,
     ValueVector,
     WeightVector,
-    discounted_return,
     empirical_value_estimate,
     scalarize,
     simplex_extremum,
@@ -152,8 +153,9 @@ class RunArtifacts:
 def td_residuals(
     rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """One-step temporal-difference errors; values carries one extra entry
-    for the bootstrap and terminal steps bootstrap with zero."""
+    """One-step temporal-difference errors along axis 0; values carries one
+    extra entry for the bootstrap and terminal steps bootstrap with zero.
+    Trailing axes are independent streams."""
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     dones = np.asarray(dones, dtype=bool)
@@ -166,22 +168,24 @@ def td_residuals(
 
 
 def gae(
-    deltas: np.ndarray, dones: np.ndarray, gamma: float, lam: float
+    deltas: np.ndarray, dones: np.ndarray, gamma: float, lam: float | np.ndarray
 ) -> np.ndarray:
     """Exponentially weighted advantage estimates, truncated at episode cuts.
 
-    Backward recursion A_t = delta_t + gamma * lam * (1 - done_t) * A_{t+1}.
+    Backward recursion A_t = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
+    along axis 0. Trailing axes of deltas are independent streams: dones
+    covers deltas' leading axes and lam broadcasts over its trailing ones,
+    so each channel can have its own lam (at lam=1 on raw rewards the
+    result is the discounted reward-to-go).
     """
-    deltas = np.asarray(deltas, dtype=float)
+    out = np.array(deltas, dtype=float)
     dones = np.asarray(dones, dtype=bool)
-    if deltas.shape[0] < 1:
+    if out.shape[0] < 1:
         raise ValueError("deltas must be nonempty")
-    out = np.empty_like(deltas)
-    acc = 0.0
-    decay = gamma * lam
-    for t in range(deltas.shape[0] - 1, -1, -1):
-        acc = deltas[t] + decay * (0.0 if dones[t] else acc)
-        out[t] = acc
+    dones = dones.reshape(dones.shape + (1,) * (out.ndim - dones.ndim))
+    keep = np.where(dones, 0.0, gamma * np.asarray(lam, dtype=float))
+    for t in range(out.shape[0] - 2, -1, -1):
+        out[t] += keep[t] * out[t + 1]
     return out
 
 
@@ -367,10 +371,15 @@ def iorm_row_select(
 
 @dataclass
 class RolloutBatch:
-    """One synchronized collection phase across all environment copies."""
+    """One synchronized collection phase across all environment copies,
+    time-major: index [t, c] is copy c's step t. bootstrap_obs holds each
+    copy's observation after its last step."""
 
-    traj: TrajectoryBatch
-    stream_slices: list[slice]
+    obs: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    dones: np.ndarray
+    log_probs: np.ndarray
     bootstrap_obs: np.ndarray
     completed_returns: list[np.ndarray]
 
@@ -404,6 +413,7 @@ def collect_rollout(
 
     Episodes continue across collection phases; finished episodes reset
     immediately and their full discounted returns are reported in the batch.
+    A non-finite reward raises ValueError once the phase is collected.
     """
     copies = len(env_list)
     obs_dim = env_list[0].observation_dim
@@ -441,30 +451,20 @@ def collect_rollout(
                 obs[c] = env.reset(env_rngs[c])
             else:
                 obs[c] = nxt
-    def stitched(a: np.ndarray) -> np.ndarray:
-        return np.concatenate([a[:, c] for c in range(copies)], axis=0)
-
-    dones = stitched(done_buf[:, :, None])[:, 0].astype(bool)
-    starts: list[int] = []
-    for c in range(copies):
-        base = c * steps
-        starts.append(base)
-        starts.extend(base + t + 1 for t in range(steps - 1) if done_buf[t, c])
-    traj = TrajectoryBatch(
-        states=stitched(obs_buf),
-        actions=stitched(act_buf),
-        rewards=stitched(rew_buf),
-        dones=dones,
-        log_probs=stitched(logp_buf[:, :, None])[:, 0],
-        episode_starts=tuple(sorted(starts)),
-    )
+    bad = ~np.isfinite(rew_buf).all(axis=-1)
+    if bad.any():
+        t, c = np.argwhere(bad)[0]
+        raise ValueError(f"env copy {c} returned a non-finite reward at step {t} of the phase")
     batch = RolloutBatch(
-        traj=traj,
-        stream_slices=[slice(c * steps, (c + 1) * steps) for c in range(copies)],
-        bootstrap_obs=obs.copy(),
-        completed_returns=completed,
+        obs=obs_buf, actions=act_buf, rewards=rew_buf, dones=done_buf, log_probs=logp_buf,
+        bootstrap_obs=obs.copy(), completed_returns=completed,
     )
     return batch, _CollectorState(obs=obs, return_acc=acc, discount_pos=pos)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Copy-major rows of a time-major array: copy c's step t is row c*T + t."""
+    return a.swapaxes(0, 1).reshape(-1, *a.shape[2:])
 
 
 def _critic_values(bank: MlpParams, obs: np.ndarray) -> np.ndarray:
@@ -474,42 +474,40 @@ def _critic_values(bank: MlpParams, obs: np.ndarray) -> np.ndarray:
     return np.column_stack([mlp_forward(net, obs)[0][:, 0] for net in mlp_unstack(bank)])
 
 
-def _proxy_advantages(
+def _targets_and_advantages(
     batch: RolloutBatch,
     row: WeightVector,
     values: np.ndarray,
     bootstrap_values: np.ndarray,
     cfg: TrainerConfig,
-) -> np.ndarray:
-    """GAE on the row-mixed proxy reward and proxy value channel."""
-    proxy_rewards = batch.traj.rewards @ row.array
-    proxy_values = values @ row.array
-    proxy_boot = bootstrap_values @ row.array
-    dones = batch.traj.dones
-    pieces = []
-    for c, sl in enumerate(batch.stream_slices):
-        vals = np.append(proxy_values[sl], proxy_boot[c])
-        deltas = td_residuals(proxy_rewards[sl], vals, dones[sl], cfg.discount)
-        pieces.append(gae(deltas, dones[sl], cfg.discount, cfg.gae_lambda))
-    return np.concatenate(pieces)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Critic targets (I, n) and proxy advantages (n,), in copy-major rows.
 
-
-def _rtg_targets(batch: RolloutBatch, objective: int, cfg: TrainerConfig) -> np.ndarray:
-    # Discounted reward tails per episode: GAE at lambda=1 on the raw rewards.
-    rewards = batch.traj.rewards[:, objective]
-    dones = batch.traj.dones
-    return np.concatenate(
-        [gae(rewards[sl], dones[sl], cfg.discount, 1.0) for sl in batch.stream_slices]
-    )
+    values are the critics' copy-major rows. One GAE recursion runs over
+    every copy and channel: each reward channel at lambda=1 gives its
+    discounted reward-to-go, and the TD residuals of the row-mixed proxy
+    reward and value at gae_lambda give the advantages.
+    """
+    steps, copies, objectives = batch.rewards.shape
+    values = values.reshape(copies, steps, objectives).swapaxes(0, 1)
+    proxy_values = np.concatenate([values, bootstrap_values[None]]) @ row.array
+    proxy_td = td_residuals(batch.rewards @ row.array, proxy_values, batch.dones, cfg.discount)
+    lam = np.append(np.ones(objectives), cfg.gae_lambda)
+    streams = np.concatenate([batch.rewards, proxy_td[..., None]], axis=-1)
+    out = _rows(gae(streams, batch.dones, cfg.discount, lam))
+    return out[:, :-1].T, out[:, -1]
 
 
 def _mean_returns(batch: RolloutBatch, gamma: float) -> tuple[float, ...]:
     if batch.completed_returns:
         return tuple(float(x) for x in np.mean(batch.completed_returns, axis=0))
-    # Nothing terminated this phase: report partial segment sums.
+    # Nothing terminated this phase: report each copy's discounted reward
+    # sum. A contiguous copy of each copy's rewards: a strided dot product
+    # sums in another order.
+    discounts = gamma ** np.arange(batch.rewards.shape[0], dtype=float)
     partial = [
-        discounted_return(batch.traj, j, gamma).values
-        for j in range(batch.traj.num_episodes)
+        discounts @ np.ascontiguousarray(batch.rewards[:, c])
+        for c in range(batch.rewards.shape[1])
     ]
     return tuple(float(x) for x in np.mean(partial, axis=0))
 
@@ -601,23 +599,21 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
                 env_list, collector, actor, cfg.steps_per_update, cfg.discount,
                 rollout_rng, env_rngs,
             )
-            snapshot_values = _critic_values(bank, batch.traj.states)
-            snapshot_boot = _critic_values(bank, batch.bootstrap_obs)
-
-            targets = np.array([_rtg_targets(batch, j, cfg) for j in range(cfg.objective_count)])
-            bank, bank_opt = critic_update(
-                bank, bank_opt, batch.traj.states, targets, cfg, minibatch_rng
+            obs = _rows(batch.obs)
+            targets, advantages = _targets_and_advantages(
+                batch, row, _critic_values(bank, obs),
+                _critic_values(bank, batch.bootstrap_obs), cfg,
             )
+            bank, bank_opt = critic_update(bank, bank_opt, obs, targets, cfg, minibatch_rng)
 
-            updated_values = _critic_values(bank, batch.traj.states)
+            updated_values = _critic_values(bank, obs)
             vbar = ValueVector(tuple(updated_values.mean(axis=0)))
             delta_abs, delta_r = _delta_probe(vbar, running_vectors)
             _update_running_ccs(running_vectors, vbar)
 
-            advantages = _proxy_advantages(batch, row, snapshot_values, snapshot_boot, cfg)
             actor, actor_opt, diag = ppo_actor_update(
-                actor, actor_opt, batch.traj.states, batch.traj.actions,
-                batch.traj.log_probs, advantages, cfg, minibatch_rng,
+                actor, actor_opt, obs, _rows(batch.actions), _rows(batch.log_probs),
+                advantages, cfg, minibatch_rng,
             )
 
             metrics.append(

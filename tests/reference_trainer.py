@@ -4,7 +4,9 @@
 for bit (acceptance criterion 5). It is written out on its own, without the
 relationship-matrix rows or the shared coverage-set update of `train`, so
 that the comparison checks the engine's reduction rather than the engine
-against itself.
+against itself. It stitches each rollout into copy-major rows itself and
+runs one 1-D GAE recursion per env copy and quantity, where `train` runs
+one recursion over every copy and channel at once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,31 @@ from morlkit.training import (
     _init_networks,
     _make_rngs,
     _mean_returns,
-    _proxy_advantages,
-    _rtg_targets,
     collect_rollout,
     critic_update,
+    gae,
     ppo_actor_update,
+    td_residuals,
 )
+
+
+def copy_major(a: np.ndarray) -> np.ndarray:
+    """Stitch a time-major (steps, copies, ...) array into copy-major rows."""
+    return np.concatenate([a[:, c] for c in range(a.shape[1])], axis=0)
+
+
+def per_copy_returns(batch, values, boot, cfg):
+    """Reward-to-go targets and GAE advantages of the single channel, one
+    1-D recursion per env copy, in copy-major rows."""
+    steps = batch.rewards.shape[0]
+    targets, advantages = [], []
+    for c in range(batch.rewards.shape[1]):
+        rewards, dones = batch.rewards[:, c, 0], batch.dones[:, c]
+        targets.append(gae(rewards, dones, cfg.discount, 1.0))
+        vals = np.append(values[c * steps : (c + 1) * steps, 0], boot[c, 0])
+        deltas = td_residuals(rewards, vals, dones, cfg.discount)
+        advantages.append(gae(deltas, dones, cfg.discount, cfg.gae_lambda))
+    return np.concatenate(targets), np.concatenate(advantages)
 
 
 def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
@@ -61,16 +82,17 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
             env_list, collector, actor, cfg.steps_per_update, cfg.discount,
             rollout_rng, env_rngs,
         )
-        snapshot_values = _critic_values(critic, batch.traj.states)
+        states = copy_major(batch.obs)
+        snapshot_values = _critic_values(critic, states)
         snapshot_boot = _critic_values(critic, batch.bootstrap_obs)
+        targets, advantages = per_copy_returns(batch, snapshot_values, snapshot_boot, cfg)
 
         # The critic is a bank of one lane.
-        targets = _rtg_targets(batch, 0, cfg)[None, :]
         critic, critic_opt = critic_update(
-            critic, critic_opt, batch.traj.states, targets, cfg, minibatch_rng
+            critic, critic_opt, states, targets[None, :], cfg, minibatch_rng
         )
 
-        updated_values = _critic_values(critic, batch.traj.states)
+        updated_values = _critic_values(critic, states)
         vbar = ValueVector(tuple(updated_values.mean(axis=0)))
         delta_abs, delta_r = _delta_probe(vbar, running_vectors)
         if (
@@ -88,11 +110,9 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
         unit = simplex_extremum(1, 0)
         running_obs.append((unit, scalarize(unit, vbar)))
 
-        row = unit
-        advantages = _proxy_advantages(batch, row, snapshot_values, snapshot_boot, cfg)
         actor, actor_opt, diag = ppo_actor_update(
-            actor, actor_opt, batch.traj.states, batch.traj.actions,
-            batch.traj.log_probs, advantages, cfg, minibatch_rng,
+            actor, actor_opt, states, copy_major(batch.actions),
+            copy_major(batch.log_probs), advantages, cfg, minibatch_rng,
         )
         metrics.append(
             UpdateMetrics(

@@ -1,13 +1,20 @@
 """The benchmark binds morlkit names that no import of the package checks:
-the tracer (perfbench/tracing.py) wraps functions it looks up by name, and
-the workloads (perfbench/workload.py) import names inside functions.
-Renaming or deleting one of them would otherwise only show as an
-AttributeError or ImportError in the middle of a benchmark run."""
+the tracer (perfbench/tracing.py) wraps functions it looks up by name, the
+workloads (perfbench/workload.py) import names inside functions, and both
+read attributes of the results of train and aols. Renaming or deleting one
+of them would otherwise only show as an AttributeError or ImportError in
+the middle of a benchmark run."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from morlkit.ccs import aols
+from morlkit.envs import TreasureGrid, boxed_treasure, random_tabular_momdp, value_iteration
+from morlkit.training import TrainerConfig, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -56,3 +63,50 @@ def test_workload_imports_resolve():
             except ImportError:
                 missing.append(f"{module}.{name}")
     assert not missing, f"perfbench/workload.py imports not found: {missing}"
+
+
+# Attributes of results that perfbench/workload.py (train_unit, aols_unit)
+# and perfbench/tracing.py (Tracer._aols) read. "[*]" applies the rest of
+# the path to every element, which must not be empty.
+TRAIN_READS = (
+    "metrics[*].update_index",
+    "metrics[*].objective_index",
+    "metrics[*].mean_returns",
+    "metrics[*].delta_abs",
+    "metrics[*].delta_r",
+    "metrics[*].clip_fraction",
+    "metrics[*].approx_kl",
+    "actor",
+    "ccs.vectors[*].values",
+    "critics.nets",
+)
+AOLS_READS = (
+    "ccs.vectors[*].values",
+    "hit_iteration_cap",
+    "history[*].inserted",
+    "explored_weights[*].weights",
+)
+
+
+def resolves(obj, path: str) -> bool:
+    head, _, rest = path.partition(".")
+    name = head.removesuffix("[*]")
+    if not hasattr(obj, name):
+        return False
+    value = getattr(obj, name)
+    items = value if head.endswith("[*]") else [value]
+    return bool(items) and all(not rest or resolves(item, rest) for item in items)
+
+
+def test_result_attributes_resolve():
+    grid = TreasureGrid(3, 3, ((0, 2, 3.0), (2, 2, 12.0)), horizon=10)
+    cfg = TrainerConfig(
+        objective_count=2, updates_per_objective=1, steps_per_update=16,
+        env_copies=1, epochs_per_update=1, minibatch_size=16,
+    )
+    art = train(lambda: boxed_treasure(grid), cfg)
+    m = random_tabular_momdp(np.random.default_rng(0), 3, 2, 2, discount=0.8)
+    result = aols(lambda w: value_iteration(m, w)[1], m.objective_count, 1e-6)
+    missing = [f"train: {path}" for path in TRAIN_READS if not resolves(art, path)]
+    missing += [f"aols: {path}" for path in AOLS_READS if not resolves(result, path)]
+    assert not missing, f"result attributes the benchmark reads are gone: {missing}"

@@ -42,6 +42,7 @@ from morlkit.training import (
     td_residuals,
     train,
     _init_collector,
+    _rows,
 )
 from reference_critic import list_adam_init, reference_critic_update
 from reference_trainer import train_single_objective
@@ -77,6 +78,28 @@ def explicit_gae_double_sum(deltas, dones, gamma, lam):
     return out
 
 
+class CountingEnv:
+    """Never-ending one-dimensional env: step t pays (scale, t), ignoring
+    the action."""
+
+    observation_dim = 1
+    action_dim = 1
+    objective_count = 2
+
+    def __init__(self, scale=1.0):
+        self.scale = scale
+        self.t = 0
+
+    def reset(self, rng):
+        self.t = 0
+        return np.zeros(1)
+
+    def step(self, action, rng):
+        reward = np.array([self.scale, float(self.t)])
+        self.t += 1
+        return np.zeros(1), reward, False
+
+
 def fake_aols_result(weights):
     ws = tuple(weights)
     return AolsResult(
@@ -107,6 +130,17 @@ class TestTdResiduals:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             td_residuals([1.0, 2.0], [0.0, 0.0], [False, False], 0.9)
+
+    def test_time_major_columns_are_independent_streams(self):
+        rng = np.random.default_rng(6)
+        rewards = rng.standard_normal((12, 3))
+        values = rng.standard_normal((13, 3))
+        dones = rng.random((12, 3)) < 0.3
+        got = td_residuals(rewards, values, dones, 0.9)
+        assert got.shape == (12, 3)
+        for c in range(3):
+            want = td_residuals(rewards[:, c], values[:, c], dones[:, c], 0.9)
+            assert np.array_equal(got[:, c], want)
 
 
 class TestGae:
@@ -149,6 +183,22 @@ class TestGae:
         adv = gae(deltas, dones, 1.0, 1.0)
         tails = explicit_gae_double_sum(rewards, dones, 1.0, 1.0)
         assert np.max(np.abs(adv - tails)) < 1e-12
+
+    def test_trailing_axes_with_per_channel_lambda(self):
+        # (steps, copies, channels) with dones per (step, copy) and one lam
+        # per channel: bit-equal to one 1-D call per copy and channel.
+        rng = np.random.default_rng(7)
+        deltas = rng.standard_normal((30, 4, 3))
+        dones = rng.random((30, 4)) < 0.2
+        lam = np.array([1.0, 0.5, 0.95])
+        before = deltas.copy()
+        got = gae(deltas, dones, 0.97, lam)
+        assert np.array_equal(deltas, before)  # the input is left as it was
+        assert got.shape == deltas.shape
+        for c in range(4):
+            for k in range(3):
+                want = gae(deltas[:, c, k], dones[:, c], 0.97, float(lam[k]))
+                assert np.array_equal(got[:, c, k], want)
 
 
 class TestRewardsToGo:
@@ -582,13 +632,31 @@ class TestCollectRollout:
         )
         state = _init_collector(envs, rngs, 2)
         batch, state = collect_rollout(envs, state, actor, 16, 0.95, rng, rngs)
-        assert batch.traj.step_count == 32
-        assert batch.traj.rewards.shape == (32, 2)
-        assert batch.stream_slices == [slice(0, 16), slice(16, 32)]
-        assert batch.traj.episode_starts[0] == 0
-        assert 16 in batch.traj.episode_starts  # second stream boundary
+        # Time-major: index [t, c] is copy c's step t.
+        assert batch.obs.shape == (16, 2, 3)
+        assert batch.actions.shape == (16, 2, 4)
+        assert batch.rewards.shape == (16, 2, 2)
+        assert batch.dones.shape == batch.log_probs.shape == (16, 2)
+        assert batch.bootstrap_obs.shape == (2, 3)
         # horizon 4 means every episode terminates within the window
-        assert len(batch.completed_returns) >= 6
+        assert len(batch.completed_returns) == int(batch.dones.sum()) >= 6
+
+    def test_rows_are_copy_major(self):
+        grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)
+        envs = [boxed_treasure(grid) for _ in range(3)]
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        rng = np.random.default_rng(3)
+        actor = GaussianPolicyParams(
+            mean_net=mlp_init([3, 8, 4], rng, output_gain=0.01), log_std=np.zeros(4)
+        )
+        batch, _ = collect_rollout(envs, _init_collector(envs, rngs, 2), actor, 5, 0.9, rng, rngs)
+        for a in (batch.obs, batch.actions, batch.rewards, batch.dones, batch.log_probs):
+            rows = _rows(a)
+            assert rows.shape == (15, *a.shape[2:])
+            for c in range(3):
+                assert np.array_equal(rows[c * 5 : (c + 1) * 5], a[:, c])
+        labels = np.arange(6).reshape(3, 2)  # [t, c] -> 2 * t + c
+        assert _rows(labels).tolist() == [0, 2, 4, 1, 3, 5]
 
     def test_completed_returns_match_manual_replay(self):
         grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)
@@ -601,8 +669,8 @@ class TestCollectRollout:
         state = _init_collector(envs, rngs, 2)
         batch, _ = collect_rollout(envs, state, actor, 12, 0.5, rng, rngs)
         # Replay from the stored per-step rewards.
-        rewards = batch.traj.rewards
-        dones = batch.traj.dones
+        rewards = batch.rewards[:, 0]
+        dones = batch.dones[:, 0]
         expected = []
         acc = np.zeros(2)
         pos = 0
@@ -616,6 +684,22 @@ class TestCollectRollout:
         assert len(expected) == len(batch.completed_returns)
         for a, b in zip(expected, batch.completed_returns):
             assert np.allclose(a, b, atol=1e-12)
+
+    def test_mean_returns_without_completed_episode(self):
+        # No episode ends inside the phase, so the mean return falls back to
+        # each copy's discounted reward sum over the phase, averaged over copies.
+        envs = [CountingEnv(scale=c + 1.0) for c in range(3)]
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        rng = np.random.default_rng(2)
+        actor = GaussianPolicyParams(
+            mean_net=mlp_init([1, 4, 1], rng, output_gain=0.01), log_std=np.zeros(1)
+        )
+        state = _init_collector(envs, rngs, 2)
+        batch, _ = collect_rollout(envs, state, actor, 10, 0.9, rng, rngs)
+        assert not batch.completed_returns
+        discounts = 0.9 ** np.arange(10)
+        want = (2.0 * discounts.sum(), float(discounts @ np.arange(10.0)))
+        assert training._mean_returns(batch, 0.9) == pytest.approx(want, rel=1e-12)
 
 
 def tiny_cfg(**kwargs):
@@ -666,6 +750,26 @@ class TestTrain:
         for row in art.iorm.rows:
             assert abs(sum(row.weights) - 1.0) <= 1e-9
         assert all(len(m.mean_returns) == 4 for m in art.metrics)
+
+    def test_nan_reward_raises(self):
+        # The second env copy pays a NaN reward on its 71st step: step 6 of
+        # the second 64-step collection phase.
+        class NanAtStep(ToyLocomotion):
+            def __init__(self, nan_step):
+                super().__init__(horizon=40)
+                self.nan_step = nan_step
+                self.steps = 0
+
+            def step(self, action, rng):
+                obs, reward, done = super().step(action, rng)
+                self.steps += 1
+                if self.steps == self.nan_step:
+                    reward[1] = np.nan
+                return obs, reward, done
+
+        copies = iter([NanAtStep(0), NanAtStep(71)])
+        with pytest.raises(ValueError, match=r"copy 1 .*reward at step 6\b"):
+            train(lambda: next(copies), tiny_cfg(objective_count=4))
 
     def test_objective_count_checked(self):
         grid = TreasureGrid(width=2, height=2, treasures=((1, 1, 1.0),), horizon=4)
