@@ -7,11 +7,8 @@ baseline."""
 
 from .core import (
     Iorm,
-    TrajectoryBatch,
     ValueVector,
     WeightVector,
-    discounted_return,
-    empirical_value_estimate,
     scalarize,
 )
 from .ccs import (
@@ -37,13 +34,10 @@ __all__ = [
     "Iorm",
     "PartialCcs",
     "TrainerConfig",
-    "TrajectoryBatch",
     "ValueVector",
     "WeightVector",
     "aols",
     "corner_weights",
-    "discounted_return",
-    "empirical_value_estimate",
     "evaluate_policy",
     "is_convex_undominated",
     "optimistic_bound",

@@ -25,6 +25,7 @@ from .core import (
     simplex_extrema,
 )
 from .lp import LpUnbounded, solve_lp
+from .nets import write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +57,6 @@ class PartialCcs:
                     raise ValueError(f"vectors {a} and {b} coincide")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "observations", tuple(self.observations))
-
-    @classmethod
-    def empty(cls) -> "PartialCcs":
-        return cls((), ())
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,7 @@ def aols(
 
 
 def write_history_csv(result: AolsResult, path) -> None:
-    """Dump the per-iteration log as iteration, weight components, delta_r."""
+    """Atomically dump the per-iteration log as iteration, weight components, delta_r."""
     lines = []
     if result.history:
         dim = result.history[0].weight.dim
@@ -413,5 +410,4 @@ def write_history_csv(result: AolsResult, path) -> None:
             row += [repr(w) for w in item.weight.weights]
             row.append(repr(item.remaining_delta_r))
             lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")

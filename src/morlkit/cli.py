@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ccs import aols, is_convex_undominated, write_history_csv
-from .config import ConfigError, RunConfig, load_config, serialize_config
+from .config import ConfigError, RunConfig, build_bench_settings, load_config, serialize_config
 from .core import Iorm, ValueVector
 from .envs import (
     SIZE_GUARD_OBJECTIVES,
@@ -53,6 +53,13 @@ class VectorFileError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); usage errors are 1
         raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -229,7 +236,7 @@ def cmd_eval(args) -> int:
     table = _eval_table(run.qa, mean, std)
     print(table)
     if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
+        write_text_atomic(args.out, table + "\n")
     return 0
 
 
@@ -262,7 +269,7 @@ def cmd_explain(args) -> int:
         print("warning: no alternatives found in the value library", file=sys.stderr)
     text = "\n\n".join(blocks) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text_atomic(args.out, text)
         print(f"explanation written to {args.out}")
     else:
         print(text, end="")
@@ -280,8 +287,7 @@ def cmd_bench(args) -> int:
     raw = load_config(args.config)
     run = RunConfig.from_dict(raw, seed=args.seed)
     trainer = run.trainer
-    baseline_index = int(raw.get("bench.objective_index", trainer.objective_count - 1))
-    episodes = int(raw.get("bench.episodes", 20))
+    baseline_index, episodes = build_bench_settings(raw, trainer.objective_count)
 
     multi = train(run.env_factory, trainer)
 
@@ -328,8 +334,8 @@ def cmd_bench(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bench_table.txt").write_text(table + "\n", encoding="utf-8")
-        (out_dir / "bench_summary.txt").write_text(summary, encoding="utf-8")
+        write_text_atomic(out_dir / "bench_table.txt", table + "\n")
+        write_text_atomic(out_dir / "bench_summary.txt", summary)
         save_run(multi, out_dir / "multi", run.raw, 0.0)
         single_raw = dict(run.raw)
         single_raw["trainer.objective_count"] = "1"
@@ -359,7 +365,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate a trained run directory")
     p_eval.add_argument("run_dir")
-    p_eval.add_argument("--episodes", type=int, default=20)
+    p_eval.add_argument("--episodes", type=_positive_int, default=20)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
@@ -367,7 +373,7 @@ def build_parser() -> _Parser:
     p_explain = sub.add_parser("explain", help="emit trade-off explanations for a run")
     p_explain.add_argument("run_dir")
     p_explain.add_argument("--config", default=None)
-    p_explain.add_argument("--episodes", type=int, default=10)
+    p_explain.add_argument("--episodes", type=_positive_int, default=10)
     p_explain.add_argument("--seed", type=int, default=None)
     p_explain.add_argument("--out", default=None)
     p_explain.set_defaults(func=cmd_explain)

@@ -15,7 +15,7 @@ round-trips the parsed content losslessly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 from .envs import (
@@ -89,26 +89,31 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _get_positive_int(cfg, key, default=None) -> int:
+    value = _get_int(cfg, key, default)
+    if value < 1:
+        raise ConfigError(f"config key {key!r}: must be >= 1, got {value}")
+    return value
+
+
+_FIELD_CASTS = {"int": int, "float": float, "tuple[int, ...]": _parse_int_tuple}
+
+
 def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> TrainerConfig:
+    """TrainerConfig from the trainer.* keys present, parsed by field annotation;
+    the dataclass holds the other defaults. seed overrides the seed key."""
+    kwargs = {
+        f.name: _get(cfg, f"trainer.{f.name}", _FIELD_CASTS[f.type])
+        for f in fields(TrainerConfig)
+        if f.name != "seed" and (f"trainer.{f.name}" in cfg or f.default is MISSING)
+    }
+    if seed is None and "seed" in cfg:
+        seed = _get_int(cfg, "seed")
+    if seed is not None:
+        kwargs["seed"] = seed
     try:
-        return TrainerConfig(
-            objective_count=_get_int(cfg, "trainer.objective_count"),
-            updates_per_objective=_get_int(cfg, "trainer.updates_per_objective"),
-            clip_epsilon=_get_float(cfg, "trainer.clip_epsilon", 0.2),
-            discount=_get_float(cfg, "trainer.discount", 0.99),
-            gae_lambda=_get_float(cfg, "trainer.gae_lambda", 0.95),
-            steps_per_update=_get_int(cfg, "trainer.steps_per_update", 2048),
-            env_copies=_get_int(cfg, "trainer.env_copies", 8),
-            epochs_per_update=_get_int(cfg, "trainer.epochs_per_update", 10),
-            minibatch_size=_get_int(cfg, "trainer.minibatch_size", 64),
-            learning_rate=_get_float(cfg, "trainer.learning_rate", 3e-4),
-            termination_epsilon=_get_float(cfg, "trainer.termination_epsilon", 0.0),
-            hidden_sizes=_get(cfg, "trainer.hidden_sizes", _parse_int_tuple, (64, 64)),
-            seed=seed if seed is not None else _get_int(cfg, "seed", 0),
-        )
+        return TrainerConfig(**kwargs)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"trainer configuration: {exc}") from exc
 
 
@@ -139,14 +144,19 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
     optionally projects the reward vector onto one channel."""
     kind = _get(cfg, "env.kind", str)
     if kind == "treasure":
-        grid = TreasureGrid(
-            width=_get_int(cfg, "env.width", 3),
-            height=_get_int(cfg, "env.height", 3),
-            treasures=_get(cfg, "env.treasures", _parse_treasures, ((0, 2, 3.0), (2, 2, 12.0))),
-            step_penalty=_get_float(cfg, "env.step_penalty", -1.0),
-            horizon=_get_int(cfg, "env.horizon", 10),
-            start=_get(cfg, "env.start", _parse_cell, (0, 0)),
-        )
+        try:
+            grid = TreasureGrid(
+                width=_get_positive_int(cfg, "env.width", 3),
+                height=_get_positive_int(cfg, "env.height", 3),
+                treasures=_get(cfg, "env.treasures", _parse_treasures, ((0, 2, 3.0), (2, 2, 12.0))),
+                step_penalty=_get_float(cfg, "env.step_penalty", -1.0),
+                horizon=_get_positive_int(cfg, "env.horizon", 10),
+                start=_get(cfg, "env.start", _parse_cell, (0, 0)),
+            )
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a treasure off the grid, twice, or on the start cell
+            raise ConfigError(f"config key 'env.treasures': {exc}") from exc
         base_factory = lambda: boxed_treasure(grid)
     elif kind == "locomotion":
         horizon = _get_int(cfg, "env.horizon", 200)
@@ -172,6 +182,9 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
         raise ConfigError(f"config key 'env.kind': unknown environment {kind!r}")
     if "env.objective_index" in cfg:
         index = _get_int(cfg, "env.objective_index")
+        count = base_factory().objective_count
+        if not 0 <= index < count:
+            raise ConfigError(f"config key 'env.objective_index': {index} is not in 0..{count - 1}")
         return lambda: SingleObjectiveView(base_factory(), index)
     return base_factory
 
@@ -218,6 +231,14 @@ def build_qa_spec(cfg: dict[str, str], objective_count: int) -> QaSpec:
         raise ConfigError(f"qa configuration: {exc}") from exc
 
 
+def build_bench_settings(cfg: dict[str, str], objective_count: int) -> tuple[int, int]:
+    """(baseline objective index, evaluation episodes) for `morlkit bench`."""
+    index = _get_int(cfg, "bench.objective_index", objective_count - 1)
+    if not 0 <= index < objective_count:
+        raise ConfigError(f"config key 'bench.objective_index': {index} is not in 0..{objective_count - 1}")
+    return index, _get_positive_int(cfg, "bench.episodes", 20)
+
+
 def build_explain_config(cfg: dict[str, str], objective_count: int) -> ExplainConfig:
     try:
         return ExplainConfig(
@@ -253,12 +274,19 @@ class RunConfig:
     @classmethod
     def from_dict(cls, cfg: dict[str, str], seed: int | None = None) -> "RunConfig":
         trainer = build_trainer_config(cfg, seed)
+        env_factory = build_env_factory(cfg)
+        channels = env_factory().objective_count
+        if channels != trainer.objective_count:
+            raise ConfigError(
+                f"config key 'trainer.objective_count': {trainer.objective_count}, "
+                f"but the environment emits {channels} reward channels"
+            )
         effective = dict(cfg)
         effective["seed"] = str(trainer.seed)
         return cls(
             raw=effective,
             trainer=trainer,
-            env_factory=build_env_factory(cfg),
+            env_factory=env_factory,
             qa=build_qa_spec(cfg, trainer.objective_count),
             explain=build_explain_config(cfg, trainer.objective_count),
         )

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ccs import is_convex_undominated
 from .core import ValueVector, WeightVector
+from .nets import write_text_atomic
 
 SIZE_GUARD_STATE_ACTIONS = 10_000
 SIZE_GUARD_OBJECTIVES = 3
@@ -104,7 +105,7 @@ class TabularMomdp:
 def save_tabular(m: TabularMomdp, path) -> None:
     """Plain-text format: version, header "S A I gamma", initial
     distribution, terminal list, then for each state and action one
-    transition row and one reward row."""
+    transition row and one reward row; written atomically."""
     buf = io.StringIO()
     buf.write(TABULAR_FORMAT_VERSION + "\n")
     buf.write(f"{m.num_states} {m.num_actions} {m.objective_count} {m.discount!r}\n")
@@ -117,8 +118,7 @@ def save_tabular(m: TabularMomdp, path) -> None:
     for s in range(m.num_states):
         for a in range(m.num_actions):
             buf.write(" ".join(repr(float(x)) for x in m.rewards[s, a]) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 class TabularFormatError(ValueError):

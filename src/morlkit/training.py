@@ -33,10 +33,8 @@ from .ccs import (
 )
 from .core import (
     Iorm,
-    TrajectoryBatch,
     ValueVector,
     WeightVector,
-    empirical_value_estimate,
     scalarize,
     simplex_extremum,
     uniform_weight,
@@ -498,17 +496,17 @@ def _targets_and_advantages(
     return out[:, :-1].T, out[:, -1]
 
 
+def _discounted_sum(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-channel discounted sum of (steps, channels) rewards, taken over a
+    contiguous copy: a strided dot product sums in another order."""
+    return gamma ** np.arange(len(rewards), dtype=float) @ np.ascontiguousarray(rewards)
+
+
 def _mean_returns(batch: RolloutBatch, gamma: float) -> tuple[float, ...]:
     if batch.completed_returns:
         return tuple(float(x) for x in np.mean(batch.completed_returns, axis=0))
-    # Nothing terminated this phase: report each copy's discounted reward
-    # sum. A contiguous copy of each copy's rewards: a strided dot product
-    # sums in another order.
-    discounts = gamma ** np.arange(batch.rewards.shape[0], dtype=float)
-    partial = [
-        discounts @ np.ascontiguousarray(batch.rewards[:, c])
-        for c in range(batch.rewards.shape[1])
-    ]
+    # Nothing terminated this phase: report each copy's discounted reward sum.
+    partial = [_discounted_sum(batch.rewards[:, c], gamma) for c in range(batch.rewards.shape[1])]
     return tuple(float(x) for x in np.mean(partial, axis=0))
 
 
@@ -652,40 +650,30 @@ def evaluate_policy(
     gamma: float,
     rng: np.random.Generator,
     max_steps: int = 100_000,
-) -> tuple[ValueVector, ValueVector, TrajectoryBatch]:
-    """Roll out deterministic (mean) actions and report per-objective
-    discounted return mean and population standard deviation."""
+) -> tuple[ValueVector, ValueVector, np.ndarray]:
+    """Roll out mean actions for the given number of episodes. Returns the
+    per-objective mean and population standard deviation of the discounted
+    episode returns, and the returns: an (episodes, objectives) array whose
+    row k is episode k's discounted reward sum. An episode longer than
+    max_steps raises RuntimeError, a non-finite reward ValueError."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    states = []
-    actions = []
-    rewards = []
-    dones = []
-    starts = []
-    total = 0
-    for _ in range(episodes):
+    returns = []
+    for episode in range(episodes):
         obs = env.reset(rng)
-        starts.append(total)
+        rewards = []
         for _ in range(max_steps):
             action, _ = mlp_forward(actor.mean_net, obs)
-            nxt, reward, done = env.step(action, rng)
-            states.append(obs)
-            actions.append(action)
+            obs, reward, done = env.step(action, rng)
             rewards.append(reward)
-            dones.append(done)
-            total += 1
-            obs = nxt
             if done:
                 break
         else:
             raise RuntimeError("environment did not terminate within max_steps")
-    traj = TrajectoryBatch(
-        states=np.array(states),
-        actions=np.array(actions),
-        rewards=np.array(rewards),
-        dones=np.array(dones, dtype=bool),
-        log_probs=np.zeros(total),
-        episode_starts=tuple(starts),
-    )
-    mean, std = empirical_value_estimate(traj, gamma)
-    return mean, std, traj
+        rewards = np.array(rewards, dtype=float)
+        if not np.isfinite(rewards).all():
+            step = int(np.argwhere(~np.isfinite(rewards))[0, 0])
+            raise ValueError(f"episode {episode} returned a non-finite reward at step {step}")
+        returns.append(_discounted_sum(rewards, gamma))
+    returns = np.array(returns)
+    return ValueVector(tuple(returns.mean(axis=0))), ValueVector(tuple(returns.std(axis=0))), returns

@@ -1,7 +1,8 @@
 """The benchmark binds morlkit names that no import of the package checks:
 the tracer (perfbench/tracing.py) wraps functions it looks up by name, the
-workloads (perfbench/workload.py) import names inside functions, and both
-read attributes of the results of train and aols. Renaming or deleting one
+workloads (perfbench/workload.py) import names inside functions, both
+read attributes of the results of train and aols, and the explain unit
+unpacks evaluate_policy's result and calls the explain API. Changing one
 of them would otherwise only show as an AttributeError or ImportError in
 the middle of a benchmark run."""
 
@@ -11,21 +12,27 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from morlkit.ccs import aols
-from morlkit.envs import TreasureGrid, boxed_treasure, random_tabular_momdp, value_iteration
-from morlkit.training import TrainerConfig, train
+from morlkit.config import RunConfig
+from morlkit.envs import random_tabular_momdp, value_iteration
+from morlkit.training import train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOAD = PERFBENCH / "workload.py"
 
 
-def tracing_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_by_path(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def tracing_targets():
+    return load_by_path(TRACING, "perfbench_tracing").TARGETS
 
 
 def test_tracing_targets_resolve():
@@ -98,15 +105,35 @@ def resolves(obj, path: str) -> bool:
     return bool(items) and all(not rest or resolves(item, rest) for item in items)
 
 
-def test_result_attributes_resolve():
-    grid = TreasureGrid(3, 3, ((0, 2, 3.0), (2, 2, 12.0)), horizon=10)
-    cfg = TrainerConfig(
-        objective_count=2, updates_per_objective=1, steps_per_update=16,
-        env_copies=1, epochs_per_update=1, minibatch_size=16,
+@pytest.fixture(scope="module")
+def tiny_treasure_run():
+    """A 3x3 treasure grid trained for one short update per objective."""
+    run = RunConfig.from_dict(
+        {
+            "trainer.objective_count": "2", "trainer.updates_per_objective": "1",
+            "trainer.steps_per_update": "16", "trainer.env_copies": "1",
+            "trainer.epochs_per_update": "1", "trainer.minibatch_size": "16",
+            "env.kind": "treasure", "env.horizon": "10",
+        }
     )
-    art = train(lambda: boxed_treasure(grid), cfg)
+    return run, train(run.env_factory, run.trainer)
+
+
+def test_result_attributes_resolve(tiny_treasure_run):
+    _, art = tiny_treasure_run
     m = random_tabular_momdp(np.random.default_rng(0), 3, 2, 2, discount=0.8)
     result = aols(lambda w: value_iteration(m, w)[1], m.objective_count, 1e-6)
     missing = [f"train: {path}" for path in TRAIN_READS if not resolves(art, path)]
     missing += [f"aols: {path}" for path in AOLS_READS if not resolves(result, path)]
     assert not missing, f"result attributes the benchmark reads are gone: {missing}"
+
+
+def test_explain_once_runs(tiny_treasure_run):
+    # perfbench/workload.py's explain unit: evaluate_policy's return shape
+    # and the explain API as the benchmark calls them.
+    run, art = tiny_treasure_run
+    workload = load_by_path(WORKLOAD, "perfbench_workload")
+    rng = np.random.default_rng(0)
+    blocks, alternatives = workload.explain_once(run, art.actor, art.ccs.vectors, rng)
+    assert blocks[0].startswith("I aim to")
+    assert len(blocks) == 1 + alternatives

@@ -11,12 +11,14 @@ from morlkit.config import (
     RunConfig,
     build_env_factory,
     build_qa_spec,
+    build_trainer_config,
     load_config,
     parse_config_text,
     serialize_config,
 )
 from morlkit.core import Iorm, WeightVector
 from morlkit.envs import random_tabular_momdp, save_tabular
+from morlkit.training import TrainerConfig
 
 TREASURE_CFG = """\
 seed=3
@@ -76,6 +78,16 @@ class TestConfigParsing:
         cfg["trainer.discount"] = "fast"
         with pytest.raises(ConfigError, match="trainer.discount"):
             RunConfig.from_dict(cfg)
+
+    def test_trainer_defaults_come_from_trainer_config(self):
+        cfg = {"trainer.objective_count": "2", "trainer.updates_per_objective": "3"}
+        assert build_trainer_config(cfg) == TrainerConfig(objective_count=2, updates_per_objective=3)
+
+    def test_unknown_trainer_key_still_loads(self):
+        cfg = parse_config_text(TREASURE_CFG)
+        # trainer.aols_epsilon was a key of earlier versions.
+        with_dropped_key = RunConfig.from_dict(dict(cfg, **{"trainer.aols_epsilon": "0.1"}))
+        assert with_dropped_key.trainer == RunConfig.from_dict(cfg).trainer
 
     def test_unknown_env_kind(self):
         cfg = parse_config_text(TREASURE_CFG)
@@ -338,36 +350,43 @@ class TestCmdEvalExplain:
         assert main(["eval", str(empty)]) == 1
 
 
+class DiskFull:
+    """File handle that writes the first half of the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def disk_full_for(name):
+    """An open() whose writes to paths containing name fail halfway."""
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        writing = "w" in (args[0] if args else kwargs.get("mode", "r"))
+        return DiskFull(fh) if writing and name in str(path) else fh
+
+    return failing_open
+
+
 class TestAtomicWrites:
     def test_failed_write_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        real_open = open
-
-        class DiskFull:
-            # Writes the first half of the text, then fails.
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                self.fh.flush()
-                raise OSError("no space left on device")
-
-        def failing_open(path, *args, **kwargs):
-            fh = real_open(path, *args, **kwargs)
-            writing = "w" in (args[0] if args else kwargs.get("mode", "r"))
-            return DiskFull(fh) if writing and "actor.ckpt" in str(path) else fh
-
-        monkeypatch.setattr(nets, "open", failing_open, raising=False)
+        monkeypatch.setattr(nets, "open", disk_full_for("actor.ckpt"), raising=False)
         with pytest.raises(OSError, match="no space left"):
             nets.write_arrays(out / "actor.ckpt", {"x": np.arange(1000.0)})
         assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
@@ -380,6 +399,17 @@ class TestAtomicWrites:
         assert main(["train", "--config", str(cfg), "--out", str(fresh)]) == 2
         assert not (fresh / "actor.ckpt").exists()
         assert not [p for p in fresh.iterdir() if "actor" in p.name]
+
+    def test_failed_write_leaves_no_partial_ccs_history(self, tmp_path, monkeypatch):
+        m = random_tabular_momdp(np.random.default_rng(4), 6, 2, 2, discount=0.9)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        out = tmp_path / "ccs_out"
+        # Any writer of the history file fails halfway, whichever open it calls.
+        monkeypatch.setattr("builtins.open", disk_full_for("ccs_history.csv"))
+        assert main(["ccs", "--momdp", str(path), "--out", str(out)]) == 2
+        assert (out / "ccs_vectors.txt").exists()
+        assert not [p for p in out.iterdir() if "ccs_history" in p.name]
 
 
 class TestCmdBench:
@@ -396,6 +426,55 @@ class TestCmdBench:
         assert (out / "single" / "metrics.csv").exists()
         table = (out / "bench_table.txt").read_text()
         assert "Single-objective" in table and "Multi-objective" in table
+
+
+def with_keys(text, overrides):
+    """Config text with the given keys replaced or added."""
+    lines = [line for line in text.splitlines() if line.split("=", 1)[0] not in overrides]
+    return "\n".join(lines + [f"{k}={v}" for k, v in overrides.items()]) + "\n"
+
+
+class TestRejectedInputExits1:
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("train", {"env.treasures": "0,5,3.0;2,2,12.0"}, "env.treasures"),
+            ("train", {"env.horizon": "0"}, "env.horizon"),
+            (
+                "train",
+                {"env.kind": "locomotion", "env.objective_index": "7", "trainer.objective_count": "1"},
+                "env.objective_index",
+            ),
+            ("train", {"trainer.objective_count": "3"}, "trainer.objective_count"),
+            ("bench", {"trainer.objective_count": "3"}, "trainer.objective_count"),
+            ("bench", {"bench.episodes": "abc"}, "bench.episodes"),
+            ("bench", {"bench.episodes": "0"}, "bench.episodes"),
+            ("bench", {"bench.objective_index": "9"}, "bench.objective_index"),
+        ],
+        ids=[
+            "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
+            "objective-count-mismatch", "bench-objective-count-mismatch",
+            "bench-episodes-not-a-number", "bench-zero-episodes", "bench-objective-index-out-of-range",
+        ],
+    )
+    def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = write_cfg(tmp_path, with_keys(TREASURE_CFG, overrides))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_zero_episodes_is_usage_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main([command, str(run_dir), "--episodes", "0"]) == 1
+        assert "argument --episodes" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -100,6 +100,31 @@ class CountingEnv:
         return np.zeros(1), reward, False
 
 
+class ScriptedEnv:
+    """Replays fixed per-episode reward rows, ignoring the action: episode
+    k pays rows[k] in order and ends on its last row."""
+
+    observation_dim = 1
+    action_dim = 1
+
+    def __init__(self, *episodes):
+        self.episodes = [np.asarray(rows, dtype=float) for rows in episodes]
+        self.objective_count = self.episodes[0].shape[1]
+        self.episode = -1
+        self.t = 0
+
+    def reset(self, rng):
+        self.episode += 1
+        self.t = 0
+        return np.zeros(1)
+
+    def step(self, action, rng):
+        rows = self.episodes[self.episode % len(self.episodes)]
+        reward = rows[self.t].copy()
+        self.t += 1
+        return np.zeros(1), reward, self.t == len(rows)
+
+
 def fake_aols_result(weights):
     ws = tuple(weights)
     return AolsResult(
@@ -837,3 +862,65 @@ class TestTrain:
         # running set) triggers the stop.
         assert art.early_stopped
         assert len(art.metrics) == 2
+
+
+def scripted_actor():
+    rng = np.random.default_rng(0)
+    return GaussianPolicyParams(mean_net=mlp_init([1, 4, 1], rng), log_std=np.zeros(1))
+
+
+class TestEvaluatePolicy:
+    def evaluate(self, env, episodes, gamma, **kwargs):
+        return training.evaluate_policy(
+            env, scripted_actor(), episodes, gamma, np.random.default_rng(0), **kwargs
+        )
+
+    def test_single_step(self):
+        mean, _, _ = self.evaluate(ScriptedEnv([[1.0, -1.0]]), 1, 0.37)
+        assert mean.values == (1.0, -1.0)
+
+    def test_two_step_hand_sum(self):
+        # Oracle: 1 + 0.5 * 1 = 1.5 on channel 0, zero on channel 1.
+        mean, _, _ = self.evaluate(ScriptedEnv([[1.0, 0.0], [1.0, 0.0]]), 1, 0.5)
+        assert mean.values == (1.5, 0.0)
+
+    def test_zero_rewards(self):
+        mean, _, _ = self.evaluate(ScriptedEnv(np.zeros((4, 2))), 1, 0.9)
+        assert mean.values == (0.0, 0.0)
+
+    def test_gamma_zero_is_first_reward(self):
+        mean, _, _ = self.evaluate(ScriptedEnv([[2.0, 3.0], [5.0, 7.0]]), 1, 0.0)
+        assert mean.values == (2.0, 3.0)
+
+    def test_single_episode_zero_std(self):
+        mean, std, _ = self.evaluate(ScriptedEnv([[1.0, 2.0]]), 1, 0.9)
+        assert mean.values == (1.0, 2.0)
+        assert std.values == (0.0, 0.0)
+
+    def test_two_identical_episodes(self):
+        mean, std, _ = self.evaluate(ScriptedEnv([[1.0]], [[1.0]]), 2, 0.5)
+        assert mean.values == (1.0,)
+        assert std.values == (0.0,)
+
+    def test_population_std(self):
+        # Returns (1, 0) and (3, 0): mean (2, 0), population std (1, 0).
+        mean, std, _ = self.evaluate(ScriptedEnv([[1.0, 0.0]], [[3.0, 0.0]]), 2, 0.99)
+        assert mean.values == (2.0, 0.0)
+        assert std.values == (1.0, 0.0)
+
+    def test_episode_must_end_within_max_steps(self):
+        with pytest.raises(RuntimeError, match="max_steps"):
+            self.evaluate(ScriptedEnv(np.ones((5, 1))), 1, 0.9, max_steps=4)
+
+    def test_nan_reward_rejected(self):
+        with pytest.raises(ValueError, match="episode 1 .* at step 1"):
+            self.evaluate(ScriptedEnv([[1.0]], [[1.0], [np.nan]]), 2, 0.9)
+
+    def test_returns_rows_are_episode_sums(self):
+        episodes = ([[1.0, 2.0]], [[1.0, 0.0], [1.0, 4.0]], [[0.5, 1.0], [2.0, 0.0], [3.0, 1.0]])
+        mean, std, returns = self.evaluate(ScriptedEnv(*episodes), 4, 0.5)
+        want = [[1.0, 2.0], [1.5, 2.0], [0.5 + 1.0 + 0.75, 1.0 + 0.25], [1.0, 2.0]]
+        assert returns.shape == (4, 2)
+        assert returns.tolist() == want
+        assert mean.values == tuple(np.mean(want, axis=0))
+        assert std.values == tuple(np.std(want, axis=0))
