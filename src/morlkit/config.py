@@ -15,17 +15,19 @@ round-trips the parsed content losslessly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 from .envs import (
+    DiscreteToBox,
     SingleObjectiveView,
     TabularMomdp,
     ToyLocomotion,
     TreasureGrid,
     boxed_tabular,
-    boxed_treasure,
     load_tabular,
+    treasure_grid_to_tabular,
 )
 from .explain import MAXIMIZE, MINIMIZE, ExplainConfig, QaObjective, QaSpec
 from .training import TrainerConfig
@@ -85,6 +87,13 @@ def _get_float(cfg, key, default=None) -> float:
     return _get(cfg, key, float, default)
 
 
+def _get_finite_float(cfg, key, default=None) -> float:
+    value = _get_float(cfg, key, default)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: must be finite, got {value}")
+    return value
+
+
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -126,7 +135,10 @@ def _parse_treasures(text: str) -> tuple[tuple[int, int, float], ...]:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise ValueError(f"treasure spec {chunk!r} must be row,col,value")
-        out.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        value = float(parts[2])
+        if not math.isfinite(value):
+            raise ValueError(f"treasure value {value} is not finite")
+        out.append((int(parts[0]), int(parts[1]), value))
     if not out:
         raise ValueError("no treasures specified")
     return tuple(out)
@@ -144,26 +156,31 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
     optionally projects the reward vector onto one channel."""
     kind = _get(cfg, "env.kind", str)
     if kind == "treasure":
+        width = _get_positive_int(cfg, "env.width", 3)
+        height = _get_positive_int(cfg, "env.height", 3)
+        treasures = _get(cfg, "env.treasures", _parse_treasures, ((0, 2, 3.0), (2, 2, 12.0)))
+        step_penalty = _get_finite_float(cfg, "env.step_penalty", -1.0)
+        horizon = _get_positive_int(cfg, "env.horizon", 10)
+        start = _get(cfg, "env.start", _parse_cell, (0, 0))
+        if not (0 <= start[0] < height and 0 <= start[1] < width):
+            raise ConfigError(f"config key 'env.start': cell {start} outside the {height}x{width} grid")
         try:
             grid = TreasureGrid(
-                width=_get_positive_int(cfg, "env.width", 3),
-                height=_get_positive_int(cfg, "env.height", 3),
-                treasures=_get(cfg, "env.treasures", _parse_treasures, ((0, 2, 3.0), (2, 2, 12.0))),
-                step_penalty=_get_float(cfg, "env.step_penalty", -1.0),
-                horizon=_get_positive_int(cfg, "env.horizon", 10),
-                start=_get(cfg, "env.start", _parse_cell, (0, 0)),
+                width=width, height=height, treasures=treasures,
+                step_penalty=step_penalty, horizon=horizon, start=start,
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:  # a treasure off the grid, twice, or on the start cell
+        except ValueError as exc:  # a treasure off the grid, twice or on the start
             raise ConfigError(f"config key 'env.treasures': {exc}") from exc
-        base_factory = lambda: boxed_treasure(grid)
+        # The table is built once, not per env: eval and explain ask for a
+        # fresh env on every call, and the build costs about 0.1 ms.
+        momdp = treasure_grid_to_tabular(grid, discount=0.0)
+        base_factory = lambda: DiscreteToBox(momdp, horizon=grid.horizon)
     elif kind == "locomotion":
         horizon = _get_int(cfg, "env.horizon", 200)
-        bonus = _get_float(cfg, "env.survive_bonus", 1.0)
-        half_width = _get_float(cfg, "env.half_width", 5.0)
+        bonus = _get_finite_float(cfg, "env.survive_bonus", 1.0)
+        half_width = _get_finite_float(cfg, "env.half_width", 5.0)
         contact_limit = _get_int(cfg, "env.contact_limit", 10)
-        start_noise = _get_float(cfg, "env.start_noise", 0.1)
+        start_noise = _get_finite_float(cfg, "env.start_noise", 0.1)
         base_factory = lambda: ToyLocomotion(
             horizon=horizon,
             survive_bonus=bonus,

@@ -4,6 +4,13 @@ The tabular problems double as ground truth for the coverage-set solver:
 `value_iteration` solves a scalarized problem exactly and reports the
 per-objective value of its greedy policy, and `enumerate_ccs` sweeps a
 dense weight grid to build a brute-force reference coverage set.
+
+An environment object holds C copies that step together. reset(rngs)
+starts C = len(rngs) episodes, copy c drawing from rngs[c] in copy order;
+reset(rngs, copies) restarts only the listed copies and returns their
+observations. step(actions, rngs) takes (C, action_dim) actions and
+returns (C, observation_dim) observations, (C, objectives) rewards and
+(C,) done flags. A single episode is the C=1 case.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 import numpy as np
 
@@ -88,18 +96,6 @@ class TabularMomdp:
     @property
     def objective_count(self) -> int:
         return int(self.rewards.shape[2])
-
-    def reset(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.num_states, p=self.initial))
-
-    def step(
-        self, state: int, action: int, rng: np.random.Generator
-    ) -> tuple[int, np.ndarray, bool]:
-        if not 0 <= action < self.num_actions:
-            raise ValueError(f"action {action} outside 0..{self.num_actions - 1}")
-        nxt = int(rng.choice(self.num_states, p=self.transitions[state, action]))
-        reward = self.rewards[state, action].copy()
-        return nxt, reward, bool(self.terminal[nxt])
 
 
 def save_tabular(m: TabularMomdp, path) -> None:
@@ -221,9 +217,11 @@ class TreasureGrid:
             raise ValueError("grid must be at least 1x1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not self.contains(*self.start):
+            raise ValueError(f"start cell {tuple(self.start)} outside grid")
         cells = set()
         for row, col, value in self.treasures:
-            if not (0 <= row < self.height and 0 <= col < self.width):
+            if not self.contains(row, col):
                 raise ValueError(f"treasure at ({row}, {col}) outside grid")
             if (row, col) in cells:
                 raise ValueError(f"duplicate treasure cell ({row}, {col})")
@@ -244,6 +242,9 @@ class TreasureGrid:
     def num_cells(self) -> int:
         return self.width * self.height
 
+    def contains(self, row: int, col: int) -> bool:
+        return 0 <= row < self.height and 0 <= col < self.width
+
     def cell_index(self, row: int, col: int) -> int:
         return row * self.width + col
 
@@ -258,32 +259,9 @@ class TreasureGrid:
             raise ValueError(f"action {action} outside 0..{self.NUM_ACTIONS - 1}")
         drow, dcol = ((-1, 0), (0, 1), (1, 0), (0, -1))[action]
         nrow, ncol = row + drow, col + dcol
-        if not (0 <= nrow < self.height and 0 <= ncol < self.width):
+        if not self.contains(nrow, ncol):
             return row, col
         return nrow, ncol
-
-
-class TreasureGridSession:
-    """Stateful episode runner over a TreasureGrid."""
-
-    def __init__(self, grid: TreasureGrid):
-        self.grid = grid
-        self._pos = grid.start
-        self._steps = 0
-
-    def reset(self, rng: np.random.Generator) -> tuple[int, int]:
-        self._pos = self.grid.start
-        self._steps = 0
-        return self._pos
-
-    def step(self, action: int, rng: np.random.Generator) -> tuple[tuple[int, int], np.ndarray, bool]:
-        row, col = self.grid.move(*self._pos, int(action))
-        self._pos = (row, col)
-        self._steps += 1
-        value = self.grid.treasure_value(row, col)
-        reward = np.array([value if value is not None else 0.0, self.grid.step_penalty])
-        done = value is not None or self._steps >= self.grid.horizon
-        return self._pos, reward, done
 
 
 def treasure_grid_to_tabular(grid: TreasureGrid, discount: float) -> TabularMomdp:
@@ -312,7 +290,7 @@ def treasure_grid_to_tabular(grid: TreasureGrid, discount: float) -> TabularMomd
 
 @dataclass
 class ToyLocomotion:
-    """Planar point mass with four reward channels ordered
+    """Planar point masses, one per copy, with four reward channels ordered
     (Rctrl, Rcont, Rsurv, Rfor).
 
     Dynamics: velocity <- 0.9 v + 0.1 a, position <- position + 0.1 v,
@@ -329,96 +307,138 @@ class ToyLocomotion:
     contact_limit: int = 10
     start_noise: float = 0.1
 
-    _pos: np.ndarray = field(default_factory=lambda: np.zeros(2), repr=False)
-    _vel: np.ndarray = field(default_factory=lambda: np.zeros(2), repr=False)
-    _steps: int = field(default=0, repr=False)
-    _contact_streak: int = field(default=0, repr=False)
+    _pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), repr=False)
+    _vel: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), repr=False)
+    _steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
+    _contact_streak: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
 
     observation_dim = 4
     action_dim = 2
     objective_count = 4
 
     def observation(self) -> np.ndarray:
-        return np.concatenate([self._pos, self._vel])
+        return np.concatenate([self._pos, self._vel], axis=1)
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._pos = self.start_noise * rng.standard_normal(2)
-        self._vel = np.zeros(2)
-        self._steps = 0
-        self._contact_streak = 0
-        return self.observation()
+    def reset(self, rngs: Sequence[np.random.Generator], copies=None) -> np.ndarray:
+        if copies is None:
+            copies = np.arange(len(rngs))
+            self._pos = np.zeros((len(rngs), 2))
+            self._vel = np.zeros((len(rngs), 2))
+            self._steps = np.zeros(len(rngs), dtype=int)
+            self._contact_streak = np.zeros(len(rngs), dtype=int)
+        for c in copies:
+            self._pos[c] = self.start_noise * rngs[c].standard_normal(2)
+        self._vel[copies] = 0.0
+        self._steps[copies] = 0
+        self._contact_streak[copies] = 0
+        return self.observation()[copies]
 
     def step(
-        self, action: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        a = np.clip(np.asarray(action, dtype=float).reshape(2), -1.0, 1.0)
+        self, actions: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Clamps as minimum(maximum(...)): np.clip's Python wrapper costs
+        # more than the arithmetic on a few copies.
+        a = np.asarray(actions, dtype=float).reshape(self._pos.shape)
+        a = np.minimum(np.maximum(a, -1.0), 1.0)
         self._vel = 0.9 * self._vel + 0.1 * a
-        self._pos = self._pos + 0.1 * self._vel
-        contacts = int(np.sum(np.abs(self._pos) > self.half_width))
-        self._pos = np.clip(self._pos, -self.half_width, self.half_width)
-        self._contact_streak = self._contact_streak + 1 if contacts > 0 else 0
+        pos = self._pos + 0.1 * self._vel
+        contacts = (np.abs(pos) > self.half_width).sum(axis=1)
+        self._pos = np.minimum(np.maximum(pos, -self.half_width), self.half_width)
+        self._contact_streak = np.where(contacts > 0, self._contact_streak + 1, 0)
         self._steps += 1
         died = self._contact_streak >= self.contact_limit
-        done = died or self._steps >= self.horizon
-        reward = np.array(
-            [
-                -float(np.dot(a, a)),
-                -float(contacts),
-                0.0 if died else self.survive_bonus,
-                float(self._vel[0]),
-            ]
-        )
-        return self.observation(), reward, done
+        dones = died | (self._steps >= self.horizon)
+        rewards = np.empty((len(a), 4))
+        # (1, 2) @ (2, 1) per row: matmul's vector-vector case is the same
+        # BLAS dot as np.dot(a[c], a[c]); a plain sum of squares rounds
+        # differently where the dot fuses multiply and add.
+        rewards[:, 0] = -(a[:, None, :] @ a[:, :, None])[:, 0, 0]
+        rewards[:, 1] = -contacts
+        rewards[:, 2] = np.where(died, 0.0, self.survive_bonus)
+        rewards[:, 3] = self._vel[:, 0]
+        return self.observation(), rewards, dones
 
 
-class TabularSession:
-    """Stateful episode runner over a TabularMomdp."""
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative distributions along the last axis, scaled so that each
+    ends at exactly 1, as rng.choice(p=...) builds them."""
+    cdf = p.cumsum(axis=-1)
+    return cdf / cdf[..., -1:]
 
-    def __init__(self, m: TabularMomdp):
-        self.m = m
-        self._state = 0
 
-    def reset(self, rng: np.random.Generator) -> int:
-        self._state = self.m.reset(rng)
-        return self._state
-
-    def step(self, action: int, rng: np.random.Generator) -> tuple[int, np.ndarray, bool]:
-        nxt, reward, done = self.m.step(self._state, int(action), rng)
-        self._state = nxt
-        return nxt, reward, done
+def _draw(cdf: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One index per generator: rngs[k] draws one uniform u and row k of
+    cdf (or its only row) gives the count of entries at or below u. That is
+    searchsorted(side="right"), the mapping rng.choice(p=...) applies to
+    its one uniform, so each stream is consumed exactly as rng.choice would."""
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 class DiscreteToBox:
-    """Continuous-action view of a discrete environment.
+    """Continuous-action view of a tabular problem, stepped by table lookup.
 
-    Observations become one-hot vectors; the executed discrete action is the
-    argmax component of the continuous action vector, so a Gaussian policy
-    can drive it directly.
+    Observations are one-hot state vectors; the executed discrete action is
+    the argmax component of the continuous action vector, so a Gaussian
+    policy can drive it directly. An episode ends on entering a terminal
+    state or, given a horizon, after that many steps. Copy c draws its
+    start state and every transition from rngs[c] (see _draw), unless every
+    distribution of the problem is one-hot: then the outcomes are fixed
+    and nothing is drawn.
     """
 
-    def __init__(self, session, num_states: int, num_actions: int, objective_count: int, to_index=None):
-        self._session = session
-        self._to_index = to_index if to_index is not None else int
-        self.observation_dim = int(num_states)
-        self.action_dim = int(num_actions)
-        self.objective_count = int(objective_count)
+    def __init__(self, m: TabularMomdp, horizon: int | None = None):
+        # Tables indexed by state * num_actions + action.
+        cells = m.num_states * m.num_actions
+        self._rewards = m.rewards.reshape(cells, -1)
+        self._terminal = m.terminal
+        self._horizon = horizon
+        self._onehot = np.eye(m.num_states)
+        if all(np.all((p == 0.0) | (p == 1.0)) for p in (m.initial, m.transitions)):
+            self._start = int(m.initial.argmax())
+            self._successor = m.transitions.argmax(axis=-1).reshape(cells)
+        else:
+            self._start, self._successor = None, None
+            self._initial_cdf = _cdf(m.initial)[None]
+            self._cdf = _cdf(m.transitions).reshape(cells, -1)
+        self._states = np.zeros(0, dtype=int)
+        self._steps = np.zeros(0, dtype=int)
+        self.observation_dim = m.num_states
+        self.action_dim = m.num_actions
+        self.objective_count = m.objective_count
 
-    def _encode(self, state) -> np.ndarray:
-        onehot = np.zeros(self.observation_dim)
-        onehot[self._to_index(state)] = 1.0
-        return onehot
+    def reset(self, rngs: Sequence[np.random.Generator], copies=None) -> np.ndarray:
+        if copies is None:
+            copies = np.arange(len(rngs))
+            self._states = np.zeros(len(rngs), dtype=int)
+            self._steps = np.zeros(len(rngs), dtype=int)
+        if self._successor is None:
+            self._states[copies] = _draw(self._initial_cdf, [rngs[c] for c in copies])
+        else:
+            self._states[copies] = self._start
+        self._steps[copies] = 0
+        return self._onehot[self._states[copies]]
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self._encode(self._session.reset(rng))
-
-    def step(self, action, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
-        a = int(np.argmax(np.asarray(action, dtype=float).reshape(self.action_dim)))
-        state, reward, done = self._session.step(a, rng)
-        return self._encode(state), reward, done
+    def step(
+        self, actions: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shape = (len(self._states), self.action_dim)
+        a = np.asarray(actions, dtype=float).reshape(shape).argmax(axis=1)
+        cell = self._states * self.action_dim + a
+        rewards = self._rewards.take(cell, axis=0)  # take: less overhead than [cell]
+        if self._successor is None:
+            self._states = _draw(self._cdf[cell], rngs)
+        else:
+            self._states = self._successor[cell]
+        self._steps += 1
+        dones = self._terminal[self._states]
+        if self._horizon is not None:
+            dones |= self._steps >= self._horizon
+        return self._onehot.take(self._states, axis=0), rewards, dones
 
 
 class SingleObjectiveView:
-    """Project an environment's reward vector onto one channel."""
+    """Project an environment's reward vectors onto one channel."""
 
     def __init__(self, base, objective_index: int):
         if not 0 <= objective_index < base.objective_count:
@@ -429,26 +449,21 @@ class SingleObjectiveView:
         self.action_dim = base.action_dim
         self.objective_count = 1
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self._base.reset(rng)
+    def reset(self, rngs: Sequence[np.random.Generator], copies=None) -> np.ndarray:
+        return self._base.reset(rngs, copies)
 
-    def step(self, action, rng: np.random.Generator):
-        obs, reward, done = self._base.step(action, rng)
-        return obs, np.asarray(reward, dtype=float)[self._index : self._index + 1], done
+    def step(self, actions, rngs: Sequence[np.random.Generator]):
+        obs, rewards, dones = self._base.step(actions, rngs)
+        return obs, rewards[:, self._index : self._index + 1], dones
 
 
 def boxed_tabular(m: TabularMomdp) -> DiscreteToBox:
-    return DiscreteToBox(TabularSession(m), m.num_states, m.num_actions, m.objective_count)
+    return DiscreteToBox(m)
 
 
 def boxed_treasure(grid: TreasureGrid) -> DiscreteToBox:
-    return DiscreteToBox(
-        TreasureGridSession(grid),
-        grid.num_cells,
-        TreasureGrid.NUM_ACTIONS,
-        grid.objective_count,
-        to_index=lambda pos: grid.cell_index(*pos),
-    )
+    # Stepping reads the transition and reward tables only, not the discount.
+    return DiscreteToBox(treasure_grid_to_tabular(grid, discount=0.0), horizon=grid.horizon)
 
 
 def _greedy_improve(q: np.ndarray, policy: np.ndarray) -> np.ndarray:

@@ -389,17 +389,16 @@ class _CollectorState:
     discount_pos: np.ndarray
 
 
-def _init_collector(env_list, env_rngs, objective_count: int) -> _CollectorState:
-    obs = np.array([env.reset(rng) for env, rng in zip(env_list, env_rngs)])
+def _init_collector(env, env_rngs, objective_count: int) -> _CollectorState:
     return _CollectorState(
-        obs=obs,
-        return_acc=np.zeros((len(env_list), objective_count)),
-        discount_pos=np.zeros(len(env_list)),
+        obs=env.reset(env_rngs),
+        return_acc=np.zeros((len(env_rngs), objective_count)),
+        discount_pos=np.zeros(len(env_rngs)),
     )
 
 
 def collect_rollout(
-    env_list: Sequence,
+    env,
     state: _CollectorState,
     actor: GaussianPolicyParams,
     steps: int,
@@ -407,25 +406,26 @@ def collect_rollout(
     rollout_rng: np.random.Generator,
     env_rngs: Sequence[np.random.Generator],
 ) -> tuple[RolloutBatch, _CollectorState]:
-    """Run every env copy for the same number of steps under the actor.
+    """Step every env copy together for the same number of steps under the
+    actor, one env call per step; copy c draws from env_rngs[c].
 
     Episodes continue across collection phases; finished episodes reset
-    immediately and their full discounted returns are reported in the batch.
-    A non-finite reward raises ValueError once the phase is collected.
+    immediately and their full discounted returns are reported in the batch,
+    in step order and, within a step, in copy order. A non-finite reward
+    raises ValueError once the phase is collected.
     """
-    copies = len(env_list)
-    obs_dim = env_list[0].observation_dim
-    act_dim = env_list[0].action_dim
-    objectives = env_list[0].objective_count
-    obs_buf = np.empty((steps, copies, obs_dim))
+    copies = len(env_rngs)
+    act_dim = env.action_dim
+    obs_buf = np.empty((steps, copies, env.observation_dim))
     act_buf = np.empty((steps, copies, act_dim))
-    rew_buf = np.empty((steps, copies, objectives))
+    rew_buf = np.empty((steps, copies, env.objective_count))
     done_buf = np.zeros((steps, copies), dtype=bool)
     logp_buf = np.empty((steps, copies))
     completed: list[np.ndarray] = []
+    disc = np.empty((copies, 1))
     obs = state.obs.copy()
     acc = state.return_acc.copy()
-    pos = state.discount_pos.copy()
+    pos = state.discount_pos.tolist()
     std = np.exp(actor.log_std)
     log_std_sum = float(actor.log_std.sum())
     for t in range(steps):
@@ -436,19 +436,21 @@ def collect_rollout(
         obs_buf[t] = obs
         act_buf[t] = actions
         logp_buf[t] = logp
-        for c, env in enumerate(env_list):
-            nxt, reward, done = env.step(actions[c], env_rngs[c])
-            rew_buf[t, c] = reward
-            done_buf[t, c] = done
-            acc[c] += gamma ** pos[c] * reward
-            pos[c] += 1.0
-            if done:
-                completed.append(acc[c].copy())
-                acc[c] = 0.0
+        obs, rewards, dones = env.step(actions, env_rngs)
+        rew_buf[t] = rewards
+        done_buf[t] = dones
+        # Scalar powers, as libm's pow gives them: numpy's vectorized power
+        # can differ in the last bit.
+        disc[:, 0] = [gamma**p for p in pos]
+        acc += disc * rewards
+        pos = [p + 1.0 for p in pos]
+        if dones.any():
+            ended = np.flatnonzero(dones)
+            completed.extend(acc[ended])
+            acc[ended] = 0.0
+            for c in ended:
                 pos[c] = 0.0
-                obs[c] = env.reset(env_rngs[c])
-            else:
-                obs[c] = nxt
+            obs[ended] = env.reset(env_rngs, ended)
     bad = ~np.isfinite(rew_buf).all(axis=-1)
     if bad.any():
         t, c = np.argwhere(bad)[0]
@@ -457,7 +459,7 @@ def collect_rollout(
         obs=obs_buf, actions=act_buf, rewards=rew_buf, dones=done_buf, log_probs=logp_buf,
         bootstrap_obs=obs.copy(), completed_returns=completed,
     )
-    return batch, _CollectorState(obs=obs, return_acc=acc, discount_pos=pos)
+    return batch, _CollectorState(obs=obs, return_acc=acc, discount_pos=np.array(pos))
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -497,9 +499,10 @@ def _targets_and_advantages(
 
 
 def _discounted_sum(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-channel discounted sum of (steps, channels) rewards, taken over a
-    contiguous copy: a strided dot product sums in another order."""
-    return gamma ** np.arange(len(rewards), dtype=float) @ np.ascontiguousarray(rewards)
+    """Discounted sum along axis 0 of time-major rewards (steps, ...), taken
+    over a contiguous copy: a strided dot product sums in another order."""
+    flat = np.ascontiguousarray(rewards).reshape(len(rewards), -1)
+    return (gamma ** np.arange(len(rewards), dtype=float) @ flat).reshape(rewards.shape[1:])
 
 
 def _mean_returns(batch: RolloutBatch, gamma: float) -> tuple[float, ...]:
@@ -573,18 +576,18 @@ def _init_networks(cfg: TrainerConfig, obs_dim: int, act_dim: int, init_rng):
 def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
     """Full multi-objective run: objective sequences outer, collection /
     critic regression / coverage-set update / proxy policy ascent inner."""
-    env_list = [env_factory() for _ in range(cfg.env_copies)]
-    if env_list[0].objective_count != cfg.objective_count:
+    env = env_factory()
+    if env.objective_count != cfg.objective_count:
         raise ValueError(
-            f"environment emits {env_list[0].objective_count} reward channels, "
+            f"environment emits {env.objective_count} reward channels, "
             f"config expects {cfg.objective_count}"
         )
-    obs_dim = env_list[0].observation_dim
-    act_dim = env_list[0].action_dim
     init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, bank, actor_opt, bank_opt = _init_networks(cfg, obs_dim, act_dim, init_rng)
+    actor, bank, actor_opt, bank_opt = _init_networks(
+        cfg, env.observation_dim, env.action_dim, init_rng
+    )
     iorm = Iorm.identity(cfg.objective_count)
-    collector = _init_collector(env_list, env_rngs, cfg.objective_count)
+    collector = _init_collector(env, env_rngs, cfg.objective_count)
     running_vectors: list[ValueVector] = []
     metrics: list[UpdateMetrics] = []
     update_index = 0
@@ -594,7 +597,7 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
         row = iorm.rows[objective]
         for _ in range(cfg.updates_per_objective):
             batch, collector = collect_rollout(
-                env_list, collector, actor, cfg.steps_per_update, cfg.discount,
+                env, collector, actor, cfg.steps_per_update, cfg.discount,
                 rollout_rng, env_rngs,
             )
             obs = _rows(batch.obs)
@@ -651,29 +654,36 @@ def evaluate_policy(
     rng: np.random.Generator,
     max_steps: int = 100_000,
 ) -> tuple[ValueVector, ValueVector, np.ndarray]:
-    """Roll out mean actions for the given number of episodes. Returns the
-    per-objective mean and population standard deviation of the discounted
-    episode returns, and the returns: an (episodes, objectives) array whose
-    row k is episode k's discounted reward sum. An episode longer than
-    max_steps raises RuntimeError, a non-finite reward ValueError."""
+    """Roll out mean actions for the given number of episodes, run as env
+    copies in lockstep: every copy draws from rng, in episode order, and one
+    actor pass per step serves them all until every episode has ended
+    (copies whose episode has ended keep stepping; their rewards are
+    dropped). Returns the per-objective mean and population standard
+    deviation of the discounted episode returns, and the returns: an
+    (episodes, objectives) array whose row k is episode k's discounted
+    reward sum. An episode longer than max_steps raises RuntimeError, a
+    non-finite reward ValueError."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = []
-    for episode in range(episodes):
-        obs = env.reset(rng)
-        rewards = []
-        for _ in range(max_steps):
-            action, _ = mlp_forward(actor.mean_net, obs)
-            obs, reward, done = env.step(action, rng)
-            rewards.append(reward)
-            if done:
-                break
-        else:
-            raise RuntimeError("environment did not terminate within max_steps")
-        rewards = np.array(rewards, dtype=float)
-        if not np.isfinite(rewards).all():
-            step = int(np.argwhere(~np.isfinite(rewards))[0, 0])
-            raise ValueError(f"episode {episode} returned a non-finite reward at step {step}")
-        returns.append(_discounted_sum(rewards, gamma))
-    returns = np.array(returns)
+    rngs = [rng] * episodes
+    obs = env.reset(rngs)
+    live = np.ones(episodes, dtype=bool)
+    rewards, running = [], []
+    for _ in range(max_steps):
+        actions, _ = mlp_forward(actor.mean_net, obs)
+        obs, reward, done = env.step(actions, rngs)
+        rewards.append(reward)
+        running.append(live.copy())
+        live &= ~done
+        if not live.any():
+            break
+    else:
+        raise RuntimeError("environment did not terminate within max_steps")
+    rewards = np.array(rewards, dtype=float)
+    running = np.array(running)[..., None]
+    bad = running & ~np.isfinite(rewards)
+    if bad.any():
+        episode, step = np.argwhere(bad.any(axis=-1).T)[0]
+        raise ValueError(f"episode {episode} returned a non-finite reward at step {step}")
+    returns = _discounted_sum(np.where(running, rewards, 0.0), gamma)
     return ValueVector(tuple(returns.mean(axis=0))), ValueVector(tuple(returns.std(axis=0))), returns

@@ -65,21 +65,21 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
     """
     if cfg.objective_count != 1:
         raise ValueError("reference trainer expects objective_count == 1")
-    env_list = [env_factory() for _ in range(cfg.env_copies)]
-    if env_list[0].objective_count != 1:
+    env = env_factory()
+    if env.objective_count != 1:
         raise ValueError("reference trainer expects a one-channel environment")
-    obs_dim = env_list[0].observation_dim
-    act_dim = env_list[0].action_dim
     init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, critic, actor_opt, critic_opt = _init_networks(cfg, obs_dim, act_dim, init_rng)
-    collector = _init_collector(env_list, env_rngs, 1)
+    actor, critic, actor_opt, critic_opt = _init_networks(
+        cfg, env.observation_dim, env.action_dim, init_rng
+    )
+    collector = _init_collector(env, env_rngs, 1)
     running_vectors: list[ValueVector] = []
     running_obs: list[tuple[WeightVector, float]] = []
     metrics: list[UpdateMetrics] = []
 
     for update_index in range(cfg.updates_per_objective):
         batch, collector = collect_rollout(
-            env_list, collector, actor, cfg.steps_per_update, cfg.discount,
+            env, collector, actor, cfg.steps_per_update, cfg.discount,
             rollout_rng, env_rngs,
         )
         states = copy_major(batch.obs)

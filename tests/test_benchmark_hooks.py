@@ -105,22 +105,29 @@ def resolves(obj, path: str) -> bool:
     return bool(items) and all(not rest or resolves(item, rest) for item in items)
 
 
-@pytest.fixture(scope="module")
-def tiny_treasure_run():
-    """A 3x3 treasure grid trained for one short update per objective."""
+# The two env kinds the benchmark's train workloads use.
+TINY_RUNS = {
+    "treasure": {"trainer.objective_count": "2", "env.kind": "treasure", "env.horizon": "10"},
+    "locomotion": {"trainer.objective_count": "4", "env.kind": "locomotion", "env.horizon": "20"},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TINY_RUNS, reverse=True))
+def tiny_run(request):
+    """A run trained for one short update per objective."""
     run = RunConfig.from_dict(
         {
-            "trainer.objective_count": "2", "trainer.updates_per_objective": "1",
+            "trainer.updates_per_objective": "1",
             "trainer.steps_per_update": "16", "trainer.env_copies": "1",
             "trainer.epochs_per_update": "1", "trainer.minibatch_size": "16",
-            "env.kind": "treasure", "env.horizon": "10",
+            **TINY_RUNS[request.param],
         }
     )
     return run, train(run.env_factory, run.trainer)
 
 
-def test_result_attributes_resolve(tiny_treasure_run):
-    _, art = tiny_treasure_run
+def test_result_attributes_resolve(tiny_run):
+    _, art = tiny_run
     m = random_tabular_momdp(np.random.default_rng(0), 3, 2, 2, discount=0.8)
     result = aols(lambda w: value_iteration(m, w)[1], m.objective_count, 1e-6)
     missing = [f"train: {path}" for path in TRAIN_READS if not resolves(art, path)]
@@ -128,10 +135,11 @@ def test_result_attributes_resolve(tiny_treasure_run):
     assert not missing, f"result attributes the benchmark reads are gone: {missing}"
 
 
-def test_explain_once_runs(tiny_treasure_run):
-    # perfbench/workload.py's explain unit: evaluate_policy's return shape
-    # and the explain API as the benchmark calls them.
-    run, art = tiny_treasure_run
+def test_explain_once_runs(tiny_run):
+    # perfbench/workload.py's explain unit: a fresh env from run.env_factory(),
+    # evaluate_policy's return shape and the explain API as the benchmark
+    # calls them.
+    run, art = tiny_run
     workload = load_by_path(WORKLOAD, "perfbench_workload")
     rng = np.random.default_rng(0)
     blocks, alternatives = workload.explain_once(run, art.actor, art.ccs.vectors, rng)

@@ -435,7 +435,7 @@ class TestAols:
         # deterministic policies), filtered for convex dominance.
         from itertools import product
 
-        from morlkit.envs import TreasureGrid, TreasureGridSession, finite_horizon_values, treasure_grid_to_tabular
+        from morlkit.envs import TreasureGrid, boxed_treasure, finite_horizon_values, treasure_grid_to_tabular
 
         grid = TreasureGrid(
             width=3, height=3, treasures=((0, 2, 1.0), (2, 2, 10.0)), horizon=5
@@ -445,17 +445,20 @@ class TestAols:
         result = aols(
             lambda w: finite_horizon_values(tabular, w, grid.horizon), 2, 1e-6
         )
-        rng = np.random.default_rng(0)
+        # Every plan is one copy of the boxed grid; all run in lockstep.
+        plans = np.array(list(product(range(4), repeat=grid.horizon)))
+        env = boxed_treasure(grid)
+        rngs = [np.random.default_rng(0)] * len(plans)
+        env.reset(rngs)
+        totals = np.zeros((len(plans), 2))
+        live = np.ones(len(plans), dtype=bool)
+        for t in range(grid.horizon):
+            _, rewards, dones = env.step(np.eye(4)[plans[:, t]], rngs)
+            totals[live] += gamma**t * rewards[live]
+            live &= ~dones
+        assert not live.any()
         returns: list[np.ndarray] = []
-        for plan in product(range(4), repeat=grid.horizon):
-            session = TreasureGridSession(grid)
-            session.reset(rng)
-            total = np.zeros(2)
-            for t, action in enumerate(plan):
-                _, reward, done = session.step(action, rng)
-                total += gamma**t * reward
-                if done:
-                    break
+        for total in totals:
             if all(np.max(np.abs(total - seen)) > 1e-9 for seen in returns):
                 returns.append(total)
         vectors = [vv(*r) for r in returns]

@@ -450,11 +450,22 @@ class TestRejectedInputExits1:
             ("bench", {"bench.episodes": "abc"}, "bench.episodes"),
             ("bench", {"bench.episodes": "0"}, "bench.episodes"),
             ("bench", {"bench.objective_index": "9"}, "bench.objective_index"),
+            ("train", {"env.start": "5,5"}, "env.start"),
+            ("train", {"env.start": "0,5"}, "env.start"),
+            ("train", {"env.step_penalty": "nan"}, "env.step_penalty"),
+            ("train", {"env.treasures": "0,2,nan;2,2,12.0"}, "env.treasures"),
+            (
+                "train",
+                {"env.kind": "locomotion", "env.survive_bonus": "inf", "trainer.objective_count": "4"},
+                "env.survive_bonus",
+            ),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
             "objective-count-mismatch", "bench-objective-count-mismatch",
             "bench-episodes-not-a-number", "bench-zero-episodes", "bench-objective-index-out-of-range",
+            "start-outside-grid", "start-past-row-end", "nan-step-penalty", "nan-treasure-value",
+            "infinite-survive-bonus",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):

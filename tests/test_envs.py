@@ -12,7 +12,6 @@ from morlkit.envs import (
     TabularMomdp,
     ToyLocomotion,
     TreasureGrid,
-    TreasureGridSession,
     boxed_tabular,
     boxed_treasure,
     enumerate_ccs,
@@ -27,6 +26,33 @@ from morlkit.envs import (
 
 def wv(*xs):
     return WeightVector(tuple(float(x) for x in xs))
+
+
+def step1(env, action, rng):
+    """Step a one-copy environment: one action in, that copy's results out."""
+    obs, rewards, dones = env.step(np.asarray(action, dtype=float)[None], [rng])
+    return obs[0], rewards[0], bool(dones[0])
+
+
+def onehot(index, size=4):
+    action = np.zeros(size)
+    action[index] = 1.0
+    return action
+
+
+def play_plan(grid, plan, gamma):
+    """Discounted return of an open-loop plan under the grid's rules: a move
+    pays the treasure of the cell it enters and the step penalty; entering
+    a treasure cell or reaching the horizon ends the episode."""
+    row, col = grid.start
+    total = np.zeros(2)
+    for t, action in enumerate(plan[: grid.horizon]):
+        row, col = grid.move(row, col, action)
+        value = grid.treasure_value(row, col)
+        total += gamma**t * np.array([0.0 if value is None else value, grid.step_penalty])
+        if value is not None:
+            break
+    return total
 
 
 def single_state_momdp(rewards, gamma):
@@ -94,14 +120,19 @@ class TestTabularMomdp:
             discount=0.9,
             terminal=np.array([False, True]),
         )
+        env = boxed_tabular(m)
         rng = np.random.default_rng(0)
-        nxt, reward, done = m.step(0, 0, rng)
-        assert nxt == 1 and done
+        assert env.reset([rng]).tolist() == [[1.0, 0.0]]
+        nxt, reward, done = step1(env, [1.0], rng)
+        assert nxt.tolist() == [0.0, 1.0] and done
 
     def test_invalid_action_errors(self):
-        m = two_arm_bandit()
+        # A continuous action must have one component per discrete action.
+        env = boxed_tabular(two_arm_bandit())
+        rng = np.random.default_rng(0)
+        env.reset([rng])
         with pytest.raises(ValueError):
-            m.step(0, 5, np.random.default_rng(0))
+            step1(env, np.ones(5), rng)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -238,14 +269,7 @@ class TestEnumerateCcs:
         gamma = 0.95
         returns = []
         for plan in product(range(4), repeat=grid.horizon):
-            session = TreasureGridSession(grid)
-            session.reset(np.random.default_rng(0))
-            total = np.zeros(2)
-            for t, action in enumerate(plan):
-                _, reward, done = session.step(action, np.random.default_rng(0))
-                total += gamma**t * reward
-                if done:
-                    break
+            total = play_plan(grid, plan, gamma)
             if all(np.max(np.abs(total - r)) > 1e-9 for r in returns):
                 returns.append(total)
         vectors = [ValueVector(tuple(r)) for r in returns]
@@ -269,20 +293,22 @@ class TestEnumerateCcs:
 class TestTreasureGrid:
     def test_step_onto_treasure(self):
         grid = TreasureGrid(width=3, height=1, treasures=((0, 1, 5.0),), horizon=10)
-        session = TreasureGridSession(grid)
-        session.reset(np.random.default_rng(0))
-        pos, reward, done = session.step(1, np.random.default_rng(0))
-        assert pos == (0, 1)
+        env = boxed_treasure(grid)
+        rng = np.random.default_rng(0)
+        env.reset([rng])
+        obs, reward, done = step1(env, onehot(1), rng)
+        assert obs.tolist() == [0.0, 1.0, 0.0]  # cell (0, 1)
         assert tuple(reward) == (5.0, -1.0)
         assert done
 
     def test_horizon_termination(self):
         grid = TreasureGrid(width=2, height=1, treasures=((0, 1, 5.0),), horizon=2)
-        session = TreasureGridSession(grid)
-        session.reset(np.random.default_rng(0))
-        _, _, done = session.step(0, np.random.default_rng(0))  # bump into wall
+        env = boxed_treasure(grid)
+        rng = np.random.default_rng(0)
+        env.reset([rng])
+        _, _, done = step1(env, onehot(0), rng)  # bump into wall
         assert not done
-        _, _, done = session.step(0, np.random.default_rng(0))
+        _, _, done = step1(env, onehot(0), rng)
         assert done
 
     def test_off_grid_moves_stay(self):
@@ -293,41 +319,61 @@ class TestTreasureGrid:
 
     def test_invalid_action_errors(self):
         grid = TreasureGrid(width=2, height=2, treasures=((1, 1, 1.0),), horizon=5)
-        session = TreasureGridSession(grid)
-        session.reset(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            session.step(7, np.random.default_rng(0))
+            grid.move(0, 0, 7)
+        env = boxed_treasure(grid)
+        rng = np.random.default_rng(0)
+        env.reset([rng])
+        with pytest.raises(ValueError):
+            step1(env, np.ones(7), rng)
+
+    @pytest.mark.parametrize("start", [(0, 5), (5, 5), (-1, 0), (2, 0)])
+    def test_start_must_lie_on_grid(self, start):
+        # Row-major cell indexing would map (0, 5) on a 3-wide grid to cell (1, 2).
+        with pytest.raises(ValueError, match="start cell"):
+            TreasureGrid(width=3, height=2, treasures=((1, 1, 1.0),), start=start)
 
     def test_tabular_conversion_consistent_with_session(self):
+        # The table follows the grid's rules, and the boxed grid steps by it.
         grid = TreasureGrid(width=3, height=2, treasures=((1, 2, 4.0),), horizon=8)
         m = treasure_grid_to_tabular(grid, discount=0.9)
-        session = TreasureGridSession(grid)
-        state = session.reset(np.random.default_rng(0))
-        s = grid.cell_index(*state)
+        for row, col, action in product(range(grid.height), range(grid.width), range(4)):
+            s = grid.cell_index(row, col)
+            assert m.terminal[s] == (grid.treasure_value(row, col) is not None)
+            if m.terminal[s]:
+                continue  # absorbing, and never stepped within an episode
+            nxt = grid.move(row, col, action)
+            assert m.transitions[s, action].tolist() == onehot(grid.cell_index(*nxt), grid.num_cells).tolist()
+            value = grid.treasure_value(*nxt)
+            assert tuple(m.rewards[s, action]) == (value or 0.0, grid.step_penalty)
+        env = boxed_treasure(grid)
         rng = np.random.default_rng(1)
-        for action in (1, 1, 2):
-            (row, col), reward, done = session.step(action, rng)
-            nxt, t_reward, t_done = m.step(s, action, rng)
-            assert nxt == grid.cell_index(row, col)
-            assert tuple(t_reward) == tuple(reward)
-            assert t_done == done
-            s = nxt
+        env.reset([rng])
+        cell = grid.start
+        for t, action in enumerate((1, 1, 2)):
+            obs, reward, done = step1(env, onehot(action), rng)
+            cell = grid.move(*cell, action)
+            value = grid.treasure_value(*cell)
+            assert int(np.argmax(obs)) == grid.cell_index(*cell)
+            assert tuple(reward) == (value or 0.0, grid.step_penalty)
+            assert done == (value is not None)
+        assert cell == (1, 2) and done
 
 
 class TestToyLocomotion:
     def test_null_action_from_rest(self):
         env = ToyLocomotion(start_noise=0.0, survive_bonus=1.5)
-        env.reset(np.random.default_rng(0))
-        _, reward, done = env.step(np.zeros(2), np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
+        _, reward, done = step1(env, np.zeros(2), np.random.default_rng(0))
         assert tuple(reward) == (0.0, 0.0, 1.5, 0.0)
         assert not done
 
     def test_reward_signs(self):
         env = ToyLocomotion(start_noise=0.0)
         rng = np.random.default_rng(1)
-        env.reset(rng)
+        env.reset([rng])
         for _ in range(50):
-            _, reward, done = env.step(rng.uniform(-2, 2, 2), rng)
+            _, reward, done = step1(env, rng.uniform(-2, 2, 2), rng)
             assert reward[0] <= 0.0  # control cost
             assert reward[1] <= 0.0  # contact cost
             assert reward[2] in (0.0, env.survive_bonus)
@@ -336,27 +382,27 @@ class TestToyLocomotion:
 
     def test_action_clamped(self):
         env = ToyLocomotion(start_noise=0.0)
-        env.reset(np.random.default_rng(0))
-        _, reward, _ = env.step(np.array([10.0, 0.0]), np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
+        _, reward, _ = step1(env, np.array([10.0, 0.0]), np.random.default_rng(0))
         assert reward[0] == pytest.approx(-1.0)  # |clip(10)|^2 = 1
 
     def test_sustained_contact_terminates(self):
         env = ToyLocomotion(start_noise=0.0, half_width=0.05, contact_limit=3, horizon=500)
-        env.reset(np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
         done = False
         steps = 0
         while not done and steps < 500:
-            _, reward, done = env.step(np.array([1.0, 0.0]), np.random.default_rng(0))
+            _, reward, done = step1(env, np.array([1.0, 0.0]), np.random.default_rng(0))
             steps += 1
         assert done and steps < 500
         assert reward[2] == 0.0  # no survive bonus on the dying step
 
     def test_horizon_targets_full_bonus(self):
         env = ToyLocomotion(start_noise=0.0, horizon=4)
-        env.reset(np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
         bonuses = []
         for _ in range(4):
-            _, reward, done = env.step(np.zeros(2), np.random.default_rng(0))
+            _, reward, done = step1(env, np.zeros(2), np.random.default_rng(0))
             bonuses.append(reward[2])
         assert done
         assert bonuses == [1.0, 1.0, 1.0, 1.0]
@@ -364,9 +410,9 @@ class TestToyLocomotion:
     def test_episode_within_horizon(self):
         env = ToyLocomotion(horizon=30)
         rng = np.random.default_rng(2)
-        env.reset(rng)
+        env.reset([rng])
         for step in range(30):
-            _, reward, done = env.step(rng.uniform(-1, 1, 2), rng)
+            _, reward, done = step1(env, rng.uniform(-1, 1, 2), rng)
             assert len(reward) == 4
             if done:
                 break
@@ -378,24 +424,24 @@ class TestAdapters:
         m = two_arm_bandit(gamma=0.0)
         env = boxed_tabular(m)
         rng = np.random.default_rng(0)
-        obs = env.reset(rng)
-        assert obs.shape == (1,)
-        nxt, reward, _ = env.step(np.array([0.2, 0.9]), rng)  # argmax -> action 1
+        obs = env.reset([rng])
+        assert obs.shape == (1, 1)
+        nxt, reward, _ = step1(env, np.array([0.2, 0.9]), rng)  # argmax -> action 1
         assert tuple(reward) == (0.0, 1.0)
 
     def test_boxed_treasure_observation(self):
         grid = TreasureGrid(width=2, height=2, treasures=((1, 1, 1.0),), horizon=5)
         env = boxed_treasure(grid)
-        obs = env.reset(np.random.default_rng(0))
-        assert obs.shape == (4,)
-        assert obs[0] == 1.0 and obs.sum() == 1.0
+        obs = env.reset([np.random.default_rng(0)] * 3)
+        assert obs.shape == (3, 4)
+        assert np.all(obs[:, 0] == 1.0) and np.all(obs.sum(axis=1) == 1.0)
 
     def test_single_objective_view(self):
         grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=9)
         env = SingleObjectiveView(boxed_treasure(grid), 1)
         rng = np.random.default_rng(0)
-        env.reset(rng)
-        _, reward, _ = env.step(np.array([0.0, 1.0, 0.0, 0.0]), rng)
+        env.reset([rng])
+        _, reward, _ = step1(env, np.array([0.0, 1.0, 0.0, 0.0]), rng)
         assert reward.shape == (1,)
         assert reward[0] == -1.0
         with pytest.raises(ValueError):
@@ -405,7 +451,77 @@ class TestAdapters:
         rng = np.random.default_rng(1)
         m = random_tabular_momdp(rng, 4, 2, 3, discount=0.9)
         env = boxed_tabular(m)
-        env.reset(rng)
+        env.reset([rng] * 2)
         for _ in range(10):
-            _, reward, _ = env.step(rng.standard_normal(2), rng)
-            assert reward.shape == (env.objective_count,)
+            _, reward, _ = env.step(rng.standard_normal((2, 2)), [rng] * 2)
+            assert reward.shape == (2, env.objective_count)
+
+
+def stochastic_tabular(seed=4):
+    """Random 6-state problem with two terminal states and a spread-out start."""
+    base = random_tabular_momdp(np.random.default_rng(seed), 6, 3, 2, discount=0.9)
+    terminal = np.zeros(6, dtype=bool)
+    terminal[[2, 5]] = True
+    initial = np.array([0.4, 0.3, 0.0, 0.2, 0.1, 0.0])
+    return TabularMomdp(base.transitions, base.rewards, initial, 0.9, terminal)
+
+
+BATCHED_ENVS = {
+    "locomotion": lambda: ToyLocomotion(horizon=25, half_width=0.3, contact_limit=3),
+    "treasure": lambda: boxed_treasure(
+        TreasureGrid(width=3, height=3, treasures=((0, 2, 3.0), (2, 2, 12.0)), horizon=6)
+    ),
+    "tabular": lambda: boxed_tabular(stochastic_tabular()),
+    "single-objective-view": lambda: SingleObjectiveView(ToyLocomotion(horizon=25, half_width=0.3), 3),
+}
+
+
+class TestBatchedStepping:
+    @pytest.mark.parametrize("kind", sorted(BATCHED_ENVS))
+    def test_copies_match_one_copy_envs(self, kind):
+        # C copies stepped together against C one-copy environments on the
+        # same per-copy generators, finished copies restarting in both.
+        copies, steps = 5, 60
+        batched = BATCHED_ENVS[kind]()
+        singles = [BATCHED_ENVS[kind]() for _ in range(copies)]
+        rngs = [np.random.default_rng(k) for k in range(copies)]
+        single_rngs = [np.random.default_rng(k) for k in range(copies)]
+        action_rng = np.random.default_rng(99)
+        obs = batched.reset(rngs)
+        single_obs = np.concatenate([env.reset([r]) for env, r in zip(singles, single_rngs)])
+        assert np.array_equal(obs, single_obs)
+        episodes = 0
+        for _ in range(steps):
+            actions = 2.0 * action_rng.standard_normal((copies, batched.action_dim))
+            obs, rewards, dones = batched.step(actions, rngs)
+            for c, (env, r) in enumerate(zip(singles, single_rngs)):
+                one_obs, one_reward, one_done = env.step(actions[c : c + 1], [r])
+                assert np.array_equal(obs[c], one_obs[0])
+                assert np.array_equal(rewards[c], one_reward[0])
+                assert dones[c] == one_done[0]
+                if one_done[0]:
+                    assert np.array_equal(batched.reset(rngs, [c])[0], env.reset([r])[0])
+            episodes += int(dones.sum())
+        assert episodes >= copies  # the restart path ran
+        assert [r.random() for r in rngs] == [r.random() for r in single_rngs]
+
+    def test_tabular_draws_as_rng_choice(self):
+        # The reference walks the problem with rng.choice; the boxed problem
+        # must visit the same states and leave the generator in the same place.
+        m = stochastic_tabular()
+        env = boxed_tabular(m)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        action_rng = np.random.default_rng(8)
+        obs = env.reset([rng])[0]
+        state = ref_rng.choice(m.num_states, p=m.initial)
+        for _ in range(200):
+            assert int(np.argmax(obs)) == state
+            action = int(action_rng.integers(m.num_actions))
+            obs, reward, done = step1(env, onehot(action, m.num_actions), rng)
+            assert np.array_equal(reward, m.rewards[state, action])
+            state = ref_rng.choice(m.num_states, p=m.transitions[state, action])
+            assert done == m.terminal[state]
+            if done:
+                obs = env.reset([rng])[0]
+                state = ref_rng.choice(m.num_states, p=m.initial)
+        assert rng.random() == ref_rng.random()

@@ -79,30 +79,31 @@ def explicit_gae_double_sum(deltas, dones, gamma, lam):
 
 
 class CountingEnv:
-    """Never-ending one-dimensional env: step t pays (scale, t), ignoring
-    the action."""
+    """Never-ending one-dimensional env, one copy per scale: step t of copy
+    c pays (scales[c], t), ignoring the action."""
 
     observation_dim = 1
     action_dim = 1
     objective_count = 2
 
-    def __init__(self, scale=1.0):
-        self.scale = scale
-        self.t = 0
+    def __init__(self, scales):
+        self.scales = np.asarray(scales, dtype=float)
 
-    def reset(self, rng):
+    def reset(self, rngs, copies=None):
         self.t = 0
-        return np.zeros(1)
+        return np.zeros((len(rngs), 1))
 
-    def step(self, action, rng):
-        reward = np.array([self.scale, float(self.t)])
+    def step(self, actions, rngs):
+        rewards = np.column_stack([self.scales, np.full(len(self.scales), float(self.t))])
         self.t += 1
-        return np.zeros(1), reward, False
+        return np.zeros((len(rngs), 1)), rewards, np.zeros(len(rngs), dtype=bool)
 
 
 class ScriptedEnv:
-    """Replays fixed per-episode reward rows, ignoring the action: episode
-    k pays rows[k] in order and ends on its last row."""
+    """Replays fixed per-episode reward rows, ignoring the actions: the k-th
+    episode started pays episodes[k % len(episodes)] in order and ends on
+    its last row. A copy whose episode has ended pays NaN, which a caller
+    must drop."""
 
     observation_dim = 1
     action_dim = 1
@@ -110,19 +111,27 @@ class ScriptedEnv:
     def __init__(self, *episodes):
         self.episodes = [np.asarray(rows, dtype=float) for rows in episodes]
         self.objective_count = self.episodes[0].shape[1]
-        self.episode = -1
-        self.t = 0
+        self.started = 0
 
-    def reset(self, rng):
-        self.episode += 1
-        self.t = 0
-        return np.zeros(1)
+    def reset(self, rngs, copies=None):
+        if copies is None:
+            copies = range(len(rngs))
+            self.rows = [None] * len(rngs)
+            self.t = np.zeros(len(rngs), dtype=int)
+        for c in copies:
+            self.rows[c] = self.episodes[self.started % len(self.episodes)]
+            self.started += 1
+            self.t[c] = 0
+        return np.zeros((len(copies), 1))
 
-    def step(self, action, rng):
-        rows = self.episodes[self.episode % len(self.episodes)]
-        reward = rows[self.t].copy()
+    def step(self, actions, rngs):
+        rewards = np.full((len(self.rows), self.objective_count), np.nan)
+        for c, rows in enumerate(self.rows):
+            if self.t[c] < len(rows):
+                rewards[c] = rows[self.t[c]]
         self.t += 1
-        return np.zeros(1), reward, self.t == len(rows)
+        dones = np.array([t == len(rows) for t, rows in zip(self.t, self.rows)])
+        return np.zeros((len(self.rows), 1)), rewards, dones
 
 
 def fake_aols_result(weights):
@@ -645,18 +654,36 @@ class TestIormRowSelect:
             iorm_row_select(fake_aols_result([]), 0, vv(1.0))
 
 
+def replay_completed_returns(batches, gamma):
+    """Completed returns replayed from stored per-step rewards, phase by
+    phase, with per-copy scalar discount powers."""
+    copies, objectives = batches[0].rewards.shape[1:]
+    acc = np.zeros((copies, objectives))
+    pos = np.zeros(copies)
+    expected = []
+    for batch in batches:
+        for t in range(batch.rewards.shape[0]):
+            for c in range(copies):
+                acc[c] += gamma ** pos[c] * batch.rewards[t, c]
+                pos[c] += 1.0
+                if batch.dones[t, c]:
+                    expected.append(acc[c].copy())
+                    acc[c] = 0.0
+                    pos[c] = 0.0
+    return expected
+
+
 class TestCollectRollout:
     def test_episode_bookkeeping(self):
         grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)
-        factory = lambda: boxed_treasure(grid)
-        envs = [factory(), factory()]
+        env = boxed_treasure(grid)
         rngs = [np.random.default_rng(k) for k in range(2)]
         rng = np.random.default_rng(0)
         actor = GaussianPolicyParams(
             mean_net=mlp_init([3, 8, 4], rng, output_gain=0.01), log_std=np.zeros(4)
         )
-        state = _init_collector(envs, rngs, 2)
-        batch, state = collect_rollout(envs, state, actor, 16, 0.95, rng, rngs)
+        state = _init_collector(env, rngs, 2)
+        batch, state = collect_rollout(env, state, actor, 16, 0.95, rng, rngs)
         # Time-major: index [t, c] is copy c's step t.
         assert batch.obs.shape == (16, 2, 3)
         assert batch.actions.shape == (16, 2, 4)
@@ -668,13 +695,13 @@ class TestCollectRollout:
 
     def test_rows_are_copy_major(self):
         grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)
-        envs = [boxed_treasure(grid) for _ in range(3)]
+        env = boxed_treasure(grid)
         rngs = [np.random.default_rng(k) for k in range(3)]
         rng = np.random.default_rng(3)
         actor = GaussianPolicyParams(
             mean_net=mlp_init([3, 8, 4], rng, output_gain=0.01), log_std=np.zeros(4)
         )
-        batch, _ = collect_rollout(envs, _init_collector(envs, rngs, 2), actor, 5, 0.9, rng, rngs)
+        batch, _ = collect_rollout(env, _init_collector(env, rngs, 2), actor, 5, 0.9, rng, rngs)
         for a in (batch.obs, batch.actions, batch.rewards, batch.dones, batch.log_probs):
             rows = _rows(a)
             assert rows.shape == (15, *a.shape[2:])
@@ -684,43 +711,41 @@ class TestCollectRollout:
         assert _rows(labels).tolist() == [0, 2, 4, 1, 3, 5]
 
     def test_completed_returns_match_manual_replay(self):
-        grid = TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)
-        envs = [boxed_treasure(grid)]
-        rngs = [np.random.default_rng(5)]
-        rng = np.random.default_rng(1)
-        actor = GaussianPolicyParams(
-            mean_net=mlp_init([3, 8, 4], rng, output_gain=0.01), log_std=np.zeros(4)
-        )
-        state = _init_collector(envs, rngs, 2)
-        batch, _ = collect_rollout(envs, state, actor, 12, 0.5, rng, rngs)
-        # Replay from the stored per-step rewards.
-        rewards = batch.rewards[:, 0]
-        dones = batch.dones[:, 0]
-        expected = []
-        acc = np.zeros(2)
-        pos = 0
-        for t in range(12):
-            acc += 0.5**pos * rewards[t]
-            pos += 1
-            if dones[t]:
-                expected.append(acc.copy())
-                acc = np.zeros(2)
-                pos = 0
-        assert len(expected) == len(batch.completed_returns)
-        for a, b in zip(expected, batch.completed_returns):
-            assert np.allclose(a, b, atol=1e-12)
+        # (env, copies, phases, steps per phase, discount); the locomotion
+        # case carries episodes across phases.
+        cases = [
+            (boxed_treasure(TreasureGrid(width=3, height=1, treasures=((0, 2, 5.0),), horizon=4)), 1, 1, 12, 0.5),
+            (ToyLocomotion(horizon=60), 8, 3, 256, 0.99),
+        ]
+        for env, copies, phases, steps, gamma in cases:
+            rngs = [np.random.default_rng(5 + c) for c in range(copies)]
+            rng = np.random.default_rng(1)
+            actor = GaussianPolicyParams(
+                mean_net=mlp_init([env.observation_dim, 8, env.action_dim], rng, output_gain=0.01),
+                log_std=np.zeros(env.action_dim),
+            )
+            state = _init_collector(env, rngs, env.objective_count)
+            batches = []
+            for _ in range(phases):
+                batch, state = collect_rollout(env, state, actor, steps, gamma, rng, rngs)
+                batches.append(batch)
+            expected = replay_completed_returns(batches, gamma)
+            completed = [r for batch in batches for r in batch.completed_returns]
+            assert len(expected) == len(completed) >= copies
+            for a, b in zip(expected, completed):
+                assert np.array_equal(a, b)
 
     def test_mean_returns_without_completed_episode(self):
         # No episode ends inside the phase, so the mean return falls back to
         # each copy's discounted reward sum over the phase, averaged over copies.
-        envs = [CountingEnv(scale=c + 1.0) for c in range(3)]
+        env = CountingEnv(scales=[1.0, 2.0, 3.0])
         rngs = [np.random.default_rng(k) for k in range(3)]
         rng = np.random.default_rng(2)
         actor = GaussianPolicyParams(
             mean_net=mlp_init([1, 4, 1], rng, output_gain=0.01), log_std=np.zeros(1)
         )
-        state = _init_collector(envs, rngs, 2)
-        batch, _ = collect_rollout(envs, state, actor, 10, 0.9, rng, rngs)
+        state = _init_collector(env, rngs, 2)
+        batch, _ = collect_rollout(env, state, actor, 10, 0.9, rng, rngs)
         assert not batch.completed_returns
         discounts = 0.9 ** np.arange(10)
         want = (2.0 * discounts.sum(), float(discounts @ np.arange(10.0)))
@@ -780,21 +805,21 @@ class TestTrain:
         # The second env copy pays a NaN reward on its 71st step: step 6 of
         # the second 64-step collection phase.
         class NanAtStep(ToyLocomotion):
-            def __init__(self, nan_step):
+            def __init__(self, nan_copy, nan_step):
                 super().__init__(horizon=40)
+                self.nan_copy = nan_copy
                 self.nan_step = nan_step
                 self.steps = 0
 
-            def step(self, action, rng):
-                obs, reward, done = super().step(action, rng)
+            def step(self, actions, rngs):
+                obs, rewards, dones = super().step(actions, rngs)
                 self.steps += 1
                 if self.steps == self.nan_step:
-                    reward[1] = np.nan
-                return obs, reward, done
+                    rewards[self.nan_copy, 1] = np.nan
+                return obs, rewards, dones
 
-        copies = iter([NanAtStep(0), NanAtStep(71)])
         with pytest.raises(ValueError, match=r"copy 1 .*reward at step 6\b"):
-            train(lambda: next(copies), tiny_cfg(objective_count=4))
+            train(lambda: NanAtStep(1, 71), tiny_cfg(objective_count=4))
 
     def test_objective_count_checked(self):
         grid = TreasureGrid(width=2, height=2, treasures=((1, 1, 1.0),), horizon=4)
@@ -915,6 +940,48 @@ class TestEvaluatePolicy:
     def test_nan_reward_rejected(self):
         with pytest.raises(ValueError, match="episode 1 .* at step 1"):
             self.evaluate(ScriptedEnv([[1.0]], [[1.0], [np.nan]]), 2, 0.9)
+
+    def test_finished_episodes_rewards_dropped(self):
+        # Episode 0 ends after one step while episode 1 runs on; the NaN
+        # that copy 0 pays after its end must not reach the result.
+        mean, _, returns = self.evaluate(ScriptedEnv([[2.0]], [[1.0], [1.0], [1.0]]), 2, 1.0)
+        assert returns.tolist() == [[2.0], [3.0]]
+        assert mean.values == (2.5,)
+
+    @pytest.mark.parametrize("kind", ["locomotion", "treasure"])
+    def test_lockstep_matches_sequential(self, kind):
+        # Reference: one episode at a time on a one-copy env, one actor pass
+        # per observation, every draw from the same generator.
+        if kind == "locomotion":
+            factory = lambda: ToyLocomotion(horizon=80, half_width=1.0, contact_limit=4, start_noise=0.8)
+        else:
+            grid = TreasureGrid(width=3, height=3, treasures=((0, 2, 3.0), (2, 2, 12.0)), horizon=10)
+            factory = lambda: boxed_treasure(grid)
+        env = factory()
+        actor = GaussianPolicyParams(
+            mean_net=mlp_init([env.observation_dim, 16, env.action_dim], np.random.default_rng(3), output_gain=10.0),
+            log_std=np.zeros(env.action_dim),
+        )
+        episodes, gamma = 7, 0.97
+        _, _, returns = training.evaluate_policy(env, actor, episodes, gamma, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        want, lengths = [], set()
+        for _ in range(episodes):
+            one = factory()
+            obs = one.reset([rng])
+            rewards = []
+            done = False
+            while not done:
+                action, _ = mlp_forward(actor.mean_net, obs)
+                obs, reward, dones = one.step(action, [rng])
+                rewards.append(reward[0])
+                done = bool(dones[0])
+            lengths.add(len(rewards))
+            want.append(gamma ** np.arange(len(rewards)) @ np.array(rewards))
+        if kind == "locomotion":
+            assert len(lengths) > 1  # episodes end at different steps
+        assert returns.shape == (episodes, env.objective_count)
+        assert np.max(np.abs(returns - np.array(want))) <= 1e-12
 
     def test_returns_rows_are_episode_sums(self):
         episodes = ([[1.0, 2.0]], [[1.0, 0.0], [1.0, 4.0]], [[0.5, 1.0], [2.0, 0.0], [3.0, 1.0]])
