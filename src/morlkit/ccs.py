@@ -4,6 +4,12 @@ Dominance tests, corner weights of the piecewise-linear upper surface,
 optimistic value bounds, and the approximate optimistic linear support
 loop (`aols`) that grows an epsilon-complete coverage set by querying a
 value oracle at the most promising simplex weights.
+
+Corner weights grow one vector at a time, as in the incremental
+corner-weight update of optimistic linear support (Roijers, Whiteson &
+Oliehoek, JAIR 2015): a new vector removes the corners where it lies
+above the surface, and the new corners all lie on its facet. `aols` keeps
+its corner set between insertions and folds in each new vector.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ log = logging.getLogger(__name__)
 
 DUPLICATE_VALUE_ATOL = 1e-6
 WEIGHT_MATCH_ATOL = 1e-9
-# corner_weights solves this many facet subsets per batch, so its memory
+# Corner updates solve this many facet subsets per batch, so their memory
 # does not grow with the number of subsets.
 CORNER_BLOCK = 4096
 # A system counts as rank-deficient when |det| is below this fraction of
@@ -51,10 +57,13 @@ class PartialCcs:
 
     def __post_init__(self) -> None:
         vecs = tuple(self.vectors)
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                if _max_norm(vecs[a], vecs[b]) <= WEIGHT_MATCH_ATOL:
-                    raise ValueError(f"vectors {a} and {b} coincide")
+        if len(vecs) > 1:
+            vals = np.array([v.values for v in vecs])
+            gaps = np.max(np.abs(vals[:, None] - vals[None]), axis=2)
+            close = np.argwhere(np.triu(gaps <= WEIGHT_MATCH_ATOL, 1))
+            if len(close):
+                a, b = close[0]
+                raise ValueError(f"vectors {a} and {b} coincide")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "observations", tuple(self.observations))
 
@@ -107,18 +116,6 @@ class MarginalWeightQueue:
         """(priority, bound) for every queued weight, unordered."""
         return [(-neg, bound) for neg, _, _, bound in self._heap]
 
-    def weights(self) -> list[WeightVector]:
-        return [entry[2] for entry in self._heap]
-
-
-def _max_norm(a: ValueVector, b: ValueVector) -> float:
-    return float(np.max(np.abs(a.array - b.array)))
-
-
-def _max_dist(points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Max-norm distance from each row of points to point."""
-    return np.max(np.abs(points - point), axis=1)
-
 
 def scalarized_max(
     s: Sequence[ValueVector], w: WeightVector
@@ -152,15 +149,11 @@ def is_convex_undominated(
     c = np.zeros(n)
     c[dim] = 1.0
     c[dim + 1] = -1.0
-    a_ub = []
-    b_ub = []
-    for other in s:
-        row = np.zeros(n)
-        row[:dim] = other.array - v.array
-        row[dim] = 1.0
-        row[dim + 1] = -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
+    a_ub = np.zeros((len(s), n))
+    a_ub[:, :dim] = np.array([other.values for other in s]) - v.array
+    a_ub[:, dim] = 1.0
+    a_ub[:, dim + 1] = -1.0
+    b_ub = np.zeros(len(s))
     a_eq = np.zeros((1, n))
     a_eq[0, :dim] = 1.0
     _, best_slack = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
@@ -170,73 +163,118 @@ def is_convex_undominated(
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
     """Vertices of the upper surface max_V w.V over the simplex, sorted.
 
-    The surface is the lower boundary of the polytope
-    {(w, u) : w in simplex, u >= w.V for every V in s}, whose facet rows
-    over (w, u) are [V, -1] (u = w.V) for each vector and [e_k, 0]
-    (w_k = 0) for each bound. Every vertex solves the simplex row
-    [1..1, 0] = 1 together with some dim of these n + dim rows, so all
-    C(n + dim, dim) such systems are solved in batches. Rank-deficient
-    systems are dropped before the solve; a solution is kept when it solves
-    its system, lies on the simplex and its u reaches the envelope there.
-    Simplex extrema are always included; points within WEIGHT_MATCH_ATOL
-    of an earlier one are dropped.
+    Built one vector at a time by `_add_facets`; simplex extrema are always
+    included, and no two corners are within WEIGHT_MATCH_ATOL of each
+    other.
     """
     if not s:
         raise ValueError("corner_weights needs a nonempty set")
-    dim = s[0].dim
-    # A common shift of every vector leaves the corners unchanged; removing
-    # it keeps the rank test below about the gaps between vectors, not
-    # their magnitude.
     vals = np.array([v.values for v in s])
-    vals -= vals.max(axis=0)
-    facets = np.vstack(
-        [
-            np.hstack([vals, -np.ones((len(s), 1))]),
-            np.hstack([np.eye(dim), np.zeros((dim, 1))]),
-        ]
-    )
+    points = _add_facets(np.eye(s[0].dim), _shifted(vals), 0)
+    return [WeightVector(tuple(p)) for p in _sorted_rows(points)]
+
+
+def _shifted(vals: np.ndarray) -> np.ndarray:
+    """The vectors less their componentwise maximum. A common shift leaves
+    the corners unchanged; removing it keeps the rank test in
+    `_add_facets` about the gaps between vectors, not their magnitude."""
+    return vals - vals.max(axis=0)
+
+
+def _sorted_rows(points: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order, as tuples of floats sort."""
+    return points[np.lexsort(points.T[::-1])]
+
+
+def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
+    """Fold vectors vals[start:] into the corner set of vals[:start].
+
+    points holds the corners of the upper surface of vals[:start] (for
+    start = 0, only the simplex extrema), extrema first. The surface is the
+    lower boundary of the polytope {(w, u) : w in simplex, u >= w.V for
+    every V}, whose facet rows over (w, u) are [V, -1] (u = w.V) for each
+    vector and [e_k, 0] (w_k = 0) for each bound. Adding vector j drops the
+    corners it lifts the surface above by more than WEIGHT_MATCH_ATOL; every
+    new vertex lies on its facet, so it solves the simplex row [1..1, 0] = 1
+    together with row j and dim - 1 of the other j + dim rows, rows in
+    index order (vectors, then bounds). These C(j + dim, dim - 1) systems
+    are solved in batches of CORNER_BLOCK. Rank-deficient systems are
+    dropped before the solve; a solution is kept when it solves its system,
+    lies on the simplex and its u reaches the envelope there, and when it is
+    farther than WEIGHT_MATCH_ATOL from every corner kept before it.
+    """
+    dim = points.shape[1]
     simplex_row = np.append(np.ones(dim), 0.0)
     rhs = np.zeros(dim + 1)
     rhs[0] = 1.0
-
-    found = [np.eye(dim)]
-    subsets = combinations(range(len(facets)), dim)
-    for _ in range(0, math.comb(len(facets), dim), CORNER_BLOCK):
-        block = np.fromiter(
-            chain.from_iterable(islice(subsets, CORNER_BLOCK)), dtype=np.intp
-        ).reshape(-1, dim)
-        systems = np.empty((len(block), dim + 1, dim + 1))
-        systems[:, 0] = simplex_row
-        systems[:, 1:] = facets[block]
-        scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
-        full_rank = np.abs(np.linalg.det(systems)) > RANK_RTOL * scale
-        block, systems = block[full_rank], systems[full_rank]
-        # A stack of column vectors as b, which numpy 1.x and 2.x read alike.
-        columns = np.broadcast_to(rhs[:, None], (len(systems), dim + 1, 1))
-        raw = np.linalg.solve(systems, columns)[..., 0]
-        residual = np.max(np.abs(np.einsum("bij,bj->bi", systems, raw) - rhs), axis=1)
-        w, u = raw[:, :dim].copy(), raw[:, dim]
-        # A bound row pins its weight to exactly zero, which the solve can
-        # miss by round-off.
-        picked, slot = np.nonzero(block >= len(s))
-        w[picked, block[picked, slot] - len(s)] = 0.0
-        # Comparisons with NaN are false, so a non-finite solution fails here.
-        ok = (
-            (residual <= 1e-7)
-            & (np.min(w, axis=1) >= -WEIGHT_MATCH_ATOL)
-            & (np.abs(w.sum(axis=1) - 1.0) <= 1e-7)
+    for j in range(start, len(vals)):
+        current = vals[: j + 1]
+        if j > 0:
+            # The simplex extrema are corners of every set.
+            dots = points[dim:] @ current.T
+            lifted = dots[:, j] > dots[:, :j].max(axis=1) + WEIGHT_MATCH_ATOL
+            points = np.vstack([points[:dim], points[dim:][~lifted]])
+        bounds = j + 1  # index of the first bound row
+        facets = np.vstack(
+            [
+                np.hstack([current, -np.ones((bounds, 1))]),
+                np.hstack([np.eye(dim), np.zeros((dim, 1))]),
+            ]
         )
-        w = np.clip(w[ok], 0.0, None)
-        w /= w.sum(axis=1, keepdims=True)
-        envelope = np.max(w @ vals.T, axis=1)
-        found.append(w[u[ok] >= envelope - WEIGHT_MATCH_ATOL])
+        # Row j joins dim - 1 of the other rows, listed here in index order.
+        others = np.delete(np.arange(bounds + dim), j)
+        subsets = combinations(range(len(others)), dim - 1)
+        total = math.comb(len(others), dim - 1)
+        found = []
+        for first in range(0, total, CORNER_BLOCK):
+            size = min(CORNER_BLOCK, total - first)
+            picks = np.fromiter(
+                chain.from_iterable(islice(subsets, size)), dtype=np.intp, count=size * (dim - 1)
+            ).reshape(size, dim - 1)
+            block = np.sort(np.column_stack([others[picks], np.full(size, j)]), axis=1)
+            systems = np.empty((size, dim + 1, dim + 1))
+            systems[:, 0] = simplex_row
+            systems[:, 1:] = facets[block]
+            scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+            full_rank = np.abs(np.linalg.det(systems)) > RANK_RTOL * scale
+            block, systems = block[full_rank], systems[full_rank]
+            # A stack of column vectors as b, which numpy 1.x and 2.x read alike.
+            columns = np.broadcast_to(rhs[:, None], (len(systems), dim + 1, 1))
+            raw = np.linalg.solve(systems, columns)[..., 0]
+            residual = np.max(np.abs(np.einsum("bij,bj->bi", systems, raw) - rhs), axis=1)
+            w, u = raw[:, :dim].copy(), raw[:, dim]
+            # A bound row pins its weight to exactly zero, which the solve can
+            # miss by round-off.
+            picked, slot = np.nonzero(block >= bounds)
+            w[picked, block[picked, slot] - bounds] = 0.0
+            # Comparisons with NaN are false, so a non-finite solution fails here.
+            ok = (
+                (residual <= 1e-7)
+                & (np.min(w, axis=1) >= -WEIGHT_MATCH_ATOL)
+                & (np.abs(w.sum(axis=1) - 1.0) <= 1e-7)
+            )
+            w = np.clip(w[ok], 0.0, None)
+            w /= w.sum(axis=1, keepdims=True)
+            envelope = np.max(w @ current.T, axis=1)
+            found.append(w[u[ok] >= envelope - WEIGHT_MATCH_ATOL])
+        points = _append_distinct(points, np.vstack(found))
+    return points
 
-    points = np.vstack(found)
-    keep: list[int] = []
-    for k, point in enumerate(points):
-        if not keep or _max_dist(points[keep], point).min() > WEIGHT_MATCH_ATOL:
-            keep.append(k)
-    return sorted((WeightVector(tuple(points[k])) for k in keep), key=lambda wv: wv.weights)
+
+def _append_distinct(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """points plus, in order, each candidate farther than WEIGHT_MATCH_ATOL
+    from every row kept before it."""
+    if len(candidates) == 0:
+        return points
+    gaps = np.max(np.abs(candidates[:, None] - points[None]), axis=2)
+    candidates = candidates[gaps.min(axis=1) > WEIGHT_MATCH_ATOL]
+    close = np.max(np.abs(candidates[:, None] - candidates[None]), axis=2) <= WEIGHT_MATCH_ATOL
+    close = np.triu(close, 1)
+    keep = np.ones(len(candidates), dtype=bool)
+    for k in np.flatnonzero(close.any(axis=1)):
+        if keep[k]:
+            keep &= ~close[k]
+    return np.vstack([points, candidates[keep]])
 
 
 def optimistic_bound(
@@ -253,14 +291,12 @@ def optimistic_bound(
         raise ValueError("optimistic_bound needs at least one observation")
     dim = w.dim
     # u is free: u = p - q with p, q >= 0.
+    if any(w_obs.dim != dim for w_obs, _ in wv):
+        raise ValueError("observation dimension mismatch")
     c = np.concatenate([w.array, -w.array])
-    a_ub = []
-    b_ub = []
-    for w_obs, v_obs in wv:
-        if w_obs.dim != dim:
-            raise ValueError("observation dimension mismatch")
-        a_ub.append(np.concatenate([w_obs.array, -w_obs.array]))
-        b_ub.append(float(v_obs) + epsilon)
+    weights = np.array([w_obs.weights for w_obs, _ in wv])
+    a_ub = np.hstack([weights, -weights])
+    b_ub = np.array([v_obs for _, v_obs in wv], dtype=float) + epsilon
     try:
         _, value = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
     except LpUnbounded as exc:
@@ -309,9 +345,9 @@ def aols(
     Seeds a priority queue with all simplex extrema at infinite priority,
     then repeatedly pops the weight with the largest optimistic improvement
     bound, queries the oracle there, and, whenever a new value vector is
-    found, recomputes corner weights and pushes the unexplored ones whose
-    optimistic gap exceeds epsilon. Stops when the queue empties or the
-    iteration cap is hit.
+    found, folds it into the kept corner weights and pushes the unexplored
+    corners whose optimistic gap exceeds epsilon. Stops when the queue
+    empties or the iteration cap is hit.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -325,6 +361,11 @@ def aols(
         queue.push(e, math.inf, math.inf)
 
     s: list[ValueVector] = []
+    vals = np.zeros((0, objective_count))  # s as rows
+    corners = np.eye(objective_count)  # corner set of vals[:folded]
+    folded = 0
+    # Every weight ever queued: those explored and those still waiting.
+    pushed = [e.weights for e in simplex_extrema(objective_count)]
     wv: list[tuple[WeightVector, float]] = []
     explored: list[WeightVector] = []
     history: list[AolsIteration] = []
@@ -359,22 +400,27 @@ def aols(
         seeded_now = seeding and pending_extrema == 0
 
         inserted = False
-        if all(_max_norm(value, member) > DUPLICATE_VALUE_ATOL for member in s):
+        if not s or np.max(np.abs(vals - value.array), axis=1).min() > DUPLICATE_VALUE_ATOL:
             s.append(value)
+            vals = np.vstack([vals, value.array])
             inserted = True
 
         if s and pending_extrema == 0 and (inserted or seeded_now):
+            corners = _add_facets(corners, _shifted(vals), folded)
+            folded = len(s)
+            candidates = _sorted_rows(corners)
             # Corners are pairwise farther apart than WEIGHT_MATCH_ATOL, so a
             # corner pushed here never makes a later one count as seen.
-            seen = np.array([w.weights for w in explored + queue.weights()])
-            for corner in corner_weights(s):
-                if _max_dist(seen, corner.array).min() <= WEIGHT_MATCH_ATOL:
-                    continue
+            seen = np.array(pushed)
+            gaps = np.max(np.abs(candidates[:, None] - seen[None]), axis=2).min(axis=1)
+            for row in candidates[gaps > WEIGHT_MATCH_ATOL]:
+                corner = WeightVector(tuple(row))
                 surface, _ = scalarized_max(s, corner)
                 bound = optimistic_bound(wv, corner, epsilon)
                 gap = bound - surface
                 if gap > epsilon:
                     queue.push(corner, gap, bound)
+                    pushed.append(corner.weights)
 
         history.append(
             AolsIteration(

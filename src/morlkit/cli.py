@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .ccs import aols, is_convex_undominated, write_history_csv
-from .config import ConfigError, RunConfig, build_bench_settings, load_config, serialize_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_bench_settings,
+    load_config,
+    require_episode_end,
+    serialize_config,
+)
 from .core import Iorm, ValueVector
 from .envs import (
     SIZE_GUARD_OBJECTIVES,
@@ -228,6 +235,7 @@ def _verify_against_grid(found, grid, tol: float) -> None:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     raw, run = load_run(run_dir)
+    require_episode_end(run.raw)
     actor = load_actor(run_dir)
     seed = args.seed if args.seed is not None else run.trainer.seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -248,6 +256,7 @@ def cmd_explain(args) -> int:
         overlay.update(load_config(args.config))
         raw = overlay
         run = RunConfig.from_dict(raw)
+    require_episode_end(run.raw)
     actor = load_actor(run_dir)
     seed = args.seed if args.seed is not None else run.trainer.seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -288,6 +297,7 @@ def cmd_bench(args) -> int:
     run = RunConfig.from_dict(raw, seed=args.seed)
     trainer = run.trainer
     baseline_index, episodes = build_bench_settings(raw, trainer.objective_count)
+    require_episode_end(run.raw)
 
     multi = train(run.env_factory, trainer)
 

@@ -27,6 +27,7 @@ from .envs import (
     TreasureGrid,
     boxed_tabular,
     load_tabular,
+    reaches_terminal,
     treasure_grid_to_tabular,
 )
 from .explain import MAXIMIZE, MINIMIZE, ExplainConfig, QaObjective, QaSpec
@@ -189,12 +190,9 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
             start_noise=start_noise,
         )
     elif kind == "tabular":
-        path = _get(cfg, "env.path", str)
-        try:
-            momdp = load_tabular(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"config key 'env.path': {exc}") from exc
-        base_factory = lambda: boxed_tabular(momdp)
+        momdp = _load_momdp(cfg)
+        horizon = _get_positive_int(cfg, "env.horizon") if "env.horizon" in cfg else None
+        base_factory = lambda: boxed_tabular(momdp, horizon)
     else:
         raise ConfigError(f"config key 'env.kind': unknown environment {kind!r}")
     if "env.objective_index" in cfg:
@@ -204,6 +202,28 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
             raise ConfigError(f"config key 'env.objective_index': {index} is not in 0..{count - 1}")
         return lambda: SingleObjectiveView(base_factory(), index)
     return base_factory
+
+
+def _load_momdp(cfg: dict[str, str]) -> TabularMomdp:
+    path = _get(cfg, "env.path", str)
+    try:
+        return load_tabular(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config key 'env.path': {exc}") from exc
+
+
+def require_episode_end(cfg: dict[str, str]) -> None:
+    """Reject a config whose evaluation episodes could never end: a tabular
+    problem whose start states reach no terminal state, with no env.horizon.
+    Evaluation runs each episode to its end; training runs a fixed number
+    of steps and needs neither."""
+    if cfg.get("env.kind") != "tabular" or "env.horizon" in cfg:
+        return
+    if not reaches_terminal(_load_momdp(cfg)):
+        raise ConfigError(
+            "config key 'env.horizon': the tabular problem reaches no terminal state "
+            "from its start states, so its episodes end only at a horizon; set env.horizon"
+        )
 
 
 _LOCOMOTION_QA = QaSpec(

@@ -457,8 +457,22 @@ class SingleObjectiveView:
         return obs, rewards[:, self._index : self._index + 1], dones
 
 
-def boxed_tabular(m: TabularMomdp) -> DiscreteToBox:
-    return DiscreteToBox(m)
+def boxed_tabular(m: TabularMomdp, horizon: int | None = None) -> DiscreteToBox:
+    return DiscreteToBox(m, horizon=horizon)
+
+
+def reaches_terminal(m: TabularMomdp) -> bool:
+    """True when some action sequence leads from a start state to a
+    terminal state; without one, an episode can only end at a horizon."""
+    edges = m.transitions.max(axis=1) > 0.0  # (S, S): some action moves s to s'
+    reached = m.initial > 0.0
+    while True:
+        if np.any(reached & m.terminal):
+            return True
+        grown = reached | edges[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return False
+        reached = grown
 
 
 def boxed_treasure(grid: TreasureGrid) -> DiscreteToBox:

@@ -158,10 +158,11 @@ def generate_alternatives(
     """Sweep improvement targets attribute by attribute over the library.
 
     For each still-open attribute, raise the target by its increment while
-    it stays under the cap and the per-attribute alternative budget holds;
-    each constrained selection that succeeds is recorded, and any other
-    attribute the selection already improves by a full increment is dropped
-    from further exploration. Alternatives are deduplicated by achieved
+    it stays under the cap and the per-attribute alternative budget holds,
+    and stop at the first target no library member meets; each constrained
+    selection that succeeds is recorded, and any other attribute the
+    selection already improves by a full increment is dropped from further
+    exploration. Alternatives are deduplicated by achieved
     vector and never include the current vector itself.
     """
     if qa.dim != current.dim or len(cfg.increments) != qa.dim:
@@ -178,7 +179,8 @@ def generate_alternatives(
             target += cfg.increments[i]
             choice = constrained_best(pool, i, target, qa)
             if choice is None:
-                continue
+                # The feasible set only shrinks as the target rises.
+                break
             count += 1
             choice_u = _oriented(qa, choice)
             deltas = choice_u - current_u

@@ -4,7 +4,10 @@ Solves  maximize c.x  subject to  A_ub.x <= b_ub,  A_eq.x == b_eq,  x >= 0.
 
 Meant for the tiny instances produced by the coverage-set machinery
 (a few dozen constraints, under ~20 variables). Bland's rule keeps the
-pivoting cycle-free; all comparisons use an absolute tolerance.
+pivoting cycle-free; all comparisons use an absolute tolerance. A pivot is
+one rank-1 update of the rows whose pivot-column entry is nonzero; the
+leaving-row ratio test runs over Python floats, one row at a time, so that
+its ties break exactly as the rule states.
 """
 
 from __future__ import annotations
@@ -28,25 +31,26 @@ class LpInfeasible(LpError):
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    # Rows with a zero entry are left alone, so their signed zeros stay.
+    rows = np.flatnonzero(np.abs(factors) > 0.0)
+    tableau[rows] -= factors[rows, None] * tableau[row]
 
 
 def _bland_entering(obj: np.ndarray, ncols: int) -> int | None:
-    for j in range(ncols):
-        if obj[j] > TOL:
-            return j
-    return None
+    candidates = np.flatnonzero(obj[:ncols] > TOL)
+    return int(candidates[0]) if len(candidates) else None
 
 
 def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int, nrows: int) -> int | None:
     best_ratio = None
     best_row = None
-    for r in range(nrows):
-        coef = tableau[r, col]
+    coefs = tableau[:nrows, col].tolist()
+    rhs = tableau[:nrows, -1].tolist()
+    for r, coef in enumerate(coefs):
         if coef > TOL:
-            ratio = tableau[r, -1] / coef
+            ratio = rhs[r] / coef
             if (
                 best_ratio is None
                 or ratio < best_ratio - TOL

@@ -1,11 +1,16 @@
-"""Pairwise corner-weight enumeration, kept as a test reference.
+"""Two earlier corner-weight enumerations, kept as test references.
 
-`morlkit.ccs.corner_weights` enumerates vertices of the upper-surface
-polytope over its facet rows. This module keeps the earlier construction,
-which solves every square system built from dim-1 rows chosen among the
-pairwise-equality hyperplanes {w.(V_a - V_b) = 0} and the boundary planes
-{w_k = 0}, one system at a time. The two are written independently so that
-the equivalence tests compare two algorithms, not one algorithm with itself.
+`morlkit.ccs.corner_weights` adds the vectors one at a time and solves only
+the facet systems that contain the newest vector's row.
+
+`rebuilt_corner_weights` is the from-scratch form it replaced: it solves
+all C(n + dim, dim) facet systems of the whole set in one pass.
+
+`pairwise_corner_weights` is older still: it solves every square system
+built from dim-1 rows chosen among the pairwise-equality hyperplanes
+{w.(V_a - V_b) = 0} and the boundary planes {w_k = 0}, one system at a
+time. It is written independently of the facet form, so that the
+equivalence tests compare two algorithms, not one algorithm with itself.
 
 At dim >= 4 this construction can pick linearly dependent pair rows, such
 as (a, b), (a, c) and (b, c); the system is then consistent but
@@ -15,12 +20,13 @@ rather than at a vertex.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
 
-from morlkit.ccs import WEIGHT_MATCH_ATOL
+from morlkit.ccs import CORNER_BLOCK, RANK_RTOL, WEIGHT_MATCH_ATOL
 from morlkit.core import ValueVector, WeightVector, simplex_extrema
 
 
@@ -79,3 +85,66 @@ def pairwise_corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
 
     corners.sort(key=lambda wv: wv.weights)
     return corners
+
+
+def rebuilt_corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
+    """Vertices of the upper surface from all C(n + dim, dim) facet
+    systems of the whole set, solved in batches; sorted.
+
+    Every vertex of the polytope {(w, u) : w in simplex, u >= w.V} solves
+    the simplex row [1..1, 0] = 1 together with dim of its n + dim facet
+    rows ([V, -1] per vector, [e_k, 0] per bound). Rank-deficient systems
+    are dropped before the solve; a solution is kept when it solves its
+    system, lies on the simplex and its u reaches the envelope there.
+    Simplex extrema come first; points within WEIGHT_MATCH_ATOL of an
+    earlier one are dropped.
+    """
+    if not s:
+        raise ValueError("corner_weights needs a nonempty set")
+    dim = s[0].dim
+    vals = np.array([v.values for v in s])
+    vals -= vals.max(axis=0)
+    facets = np.vstack(
+        [
+            np.hstack([vals, -np.ones((len(s), 1))]),
+            np.hstack([np.eye(dim), np.zeros((dim, 1))]),
+        ]
+    )
+    simplex_row = np.append(np.ones(dim), 0.0)
+    rhs = np.zeros(dim + 1)
+    rhs[0] = 1.0
+
+    found = [np.eye(dim)]
+    subsets = combinations(range(len(facets)), dim)
+    for _ in range(0, math.comb(len(facets), dim), CORNER_BLOCK):
+        block = np.fromiter(
+            chain.from_iterable(islice(subsets, CORNER_BLOCK)), dtype=np.intp
+        ).reshape(-1, dim)
+        systems = np.empty((len(block), dim + 1, dim + 1))
+        systems[:, 0] = simplex_row
+        systems[:, 1:] = facets[block]
+        scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+        full_rank = np.abs(np.linalg.det(systems)) > RANK_RTOL * scale
+        block, systems = block[full_rank], systems[full_rank]
+        columns = np.broadcast_to(rhs[:, None], (len(systems), dim + 1, 1))
+        raw = np.linalg.solve(systems, columns)[..., 0]
+        residual = np.max(np.abs(np.einsum("bij,bj->bi", systems, raw) - rhs), axis=1)
+        w, u = raw[:, :dim].copy(), raw[:, dim]
+        picked, slot = np.nonzero(block >= len(s))
+        w[picked, block[picked, slot] - len(s)] = 0.0
+        ok = (
+            (residual <= 1e-7)
+            & (np.min(w, axis=1) >= -WEIGHT_MATCH_ATOL)
+            & (np.abs(w.sum(axis=1) - 1.0) <= 1e-7)
+        )
+        w = np.clip(w[ok], 0.0, None)
+        w /= w.sum(axis=1, keepdims=True)
+        envelope = np.max(w @ vals.T, axis=1)
+        found.append(w[u[ok] >= envelope - WEIGHT_MATCH_ATOL])
+
+    points = np.vstack(found)
+    keep: list[int] = []
+    for k, point in enumerate(points):
+        if not keep or np.max(np.abs(points[keep] - point), axis=1).min() > WEIGHT_MATCH_ATOL:
+            keep.append(k)
+    return sorted((WeightVector(tuple(points[k])) for k in keep), key=lambda wv: wv.weights)

@@ -5,7 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from morlkit import ccs
 from morlkit.ccs import (
+    WEIGHT_MATCH_ATOL,
     MarginalWeightQueue,
     PartialCcs,
     aols,
@@ -18,7 +20,7 @@ from morlkit.ccs import (
 )
 from morlkit.core import ValueVector, WeightVector, scalarize, simplex_extrema
 from morlkit.envs import random_tabular_momdp, value_iteration
-from reference_corners import pairwise_corner_weights
+from reference_corners import pairwise_corner_weights, rebuilt_corner_weights
 
 # Time bound for AOLS on the 20 three-objective exactness instances. They
 # take 0.8 s together on a 2-CPU host (2 s under pytest with other load);
@@ -51,6 +53,34 @@ def corner_test_set(kind, seed, dim):
     else:
         vals = rng.integers(0, 4, (n, dim)).astype(float)
     return [vv(*row) for row in np.unique(vals, axis=0)]
+
+
+def fold_test_set(rng, dim):
+    """Seeded vector set for the incremental-versus-rebuilt corner tests:
+    uniform, concave or small-integer rows, sometimes with repeated rows,
+    rows dominated by another row, and a common offset of up to 1e6."""
+    n = int(rng.integers(1, 8 if dim < 5 else 6))
+    kind = rng.integers(3)
+    if kind == 0:
+        vals = rng.uniform(0, 3, (n, dim))
+    elif kind == 1:
+        raw = np.abs(rng.normal(size=(n, dim)))
+        vals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    else:
+        vals = rng.integers(0, 4, (n, dim)).astype(float)
+    if rng.random() < 0.3:
+        vals = np.vstack([vals, vals[rng.integers(n, size=int(rng.integers(1, 3)))]])
+    if rng.random() < 0.3:
+        below = vals[rng.integers(n)] - rng.uniform(0.0, 0.5, dim)
+        vals = np.insert(vals, int(rng.integers(len(vals) + 1)), below, axis=0)
+    offset = rng.choice([0.0, 1000.0, 1e6])
+    return [vv(*(row + offset)) for row in vals]
+
+
+def assert_same_corners(got, want, label):
+    assert len(got) == len(want), label
+    assert np.max(max_norm_gaps(got, want)) <= WEIGHT_MATCH_ATOL, label
+    assert np.max(max_norm_gaps(want, got)) <= WEIGHT_MATCH_ATOL, label
 
 
 def max_norm_gaps(points, pool):
@@ -258,6 +288,20 @@ class TestCornerWeights:
                     assert active_rank(corner.array, vals) < 5, f"seed {seed}"
         assert spurious > 0
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_incremental_matches_rebuild(self, dim):
+        # corner_weights adds one vector at a time; rebuilding from all
+        # C(n + dim, dim) facet systems must give the same corners.
+        for seed in range(110):
+            s = fold_test_set(np.random.default_rng([dim, seed]), dim)
+            assert_same_corners(corner_weights(s), rebuilt_corner_weights(s), f"seed {seed}")
+
+    def test_does_not_depend_on_block_size(self, monkeypatch):
+        sets = [fold_test_set(np.random.default_rng([9, seed]), 2 + seed % 4) for seed in range(60)]
+        want = [corner_weights(s) for s in sets]
+        monkeypatch.setattr(ccs, "CORNER_BLOCK", 7)
+        assert [corner_weights(s) for s in sets] == want
+
 
 class TestOptimisticBound:
     def test_single_observation_at_same_weight(self):
@@ -391,6 +435,30 @@ class TestAols:
             assert np.max(max_norm_gaps(want, got)) <= 1e-6, f"instance {i}"
             assert result.delta_max <= 1e-6, f"instance {i}"
         assert elapsed < RUNTIME_BOUND_S, f"AOLS took {elapsed:.1f} s"
+
+    def test_kept_corners_match_corner_weights_after_every_insertion(self, monkeypatch):
+        # aols folds each new vector into the corner set it keeps; after
+        # every fold that set must be the corner set of the vectors so far.
+        fold = ccs._add_facets
+        folds = []
+        monkeypatch.setattr(
+            ccs, "_add_facets", lambda *args: folds.append(fold(*args)) or folds[-1]
+        )
+        runs = []
+        for i, shape in enumerate([(6, 3, 2), (5, 3, 3), (5, 3, 3), (4, 2, 4)]):
+            m = random_tabular_momdp(np.random.default_rng(40 + i), *shape, discount=0.85)
+            result = aols(lambda w: value_iteration(m, w)[1], shape[2], 1e-6)
+            runs.append((shape[2], result.ccs.vectors, folds[:]))
+            folds.clear()
+        monkeypatch.undo()
+        for i, (dim, vectors, kept_sets) in enumerate(runs):
+            # One fold once the extrema are explored, then one per insertion.
+            first = len(vectors) - len(kept_sets) + 1
+            assert 1 <= first <= dim and len(kept_sets) > 1
+            for n, points in enumerate(kept_sets, start=first):
+                kept = [wv(*p) for p in points]
+                assert_same_corners(kept, corner_weights(vectors[:n]), f"{i}: {n}")
+                assert_same_corners(kept, rebuilt_corner_weights(vectors[:n]), f"{i}: {n}")
 
     def test_monotone_surface_growth(self):
         # V_S*(w) never decreases as the set grows, for 100 random weights.

@@ -478,6 +478,55 @@ class TestRejectedInputExits1:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    def tabular_run(self, tmp_path, extra=""):
+        """A run trained on a 4-state random problem, which has no terminal state."""
+        m = random_tabular_momdp(np.random.default_rng(5), 4, 2, 2, discount=0.9)
+        save_tabular(m, tmp_path / "m.momdp")
+        text = with_keys(
+            TREASURE_CFG,
+            {"env.kind": "tabular", "env.path": str(tmp_path / "m.momdp"), "trainer.steps_per_update": "32"},
+        )
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("env.horizon"))
+        cfg = write_cfg(tmp_path, text + "\n" + extra)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        return cfg, run_dir
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_endless_tabular_episodes_need_a_horizon(self, tmp_path, capsys, command):
+        _, run_dir = self.tabular_run(tmp_path)
+        capsys.readouterr()
+        assert main([command, str(run_dir), "--episodes", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'env.horizon'" in err
+
+    def test_bench_on_endless_tabular_episodes_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg, _ = self.tabular_run(tmp_path)
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert "'env.horizon'" in capsys.readouterr().err
+
+    def test_tabular_horizon_ends_evaluation_episodes(self, tmp_path, capsys):
+        _, run_dir = self.tabular_run(tmp_path, "env.horizon=5\n")
+        capsys.readouterr()
+        out = tmp_path / "eval.txt"
+        assert main(["eval", str(run_dir), "--episodes", "3", "--out", str(out)]) == 0
+        for line in out.read_text().splitlines():
+            mean, _, std = line.split()[1:]
+            assert np.isfinite(float(mean)) and np.isfinite(float(std))
+        assert main(["explain", str(run_dir), "--episodes", "3"]) == 0
+
+    def test_tabular_horizon_below_one_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="env.horizon"):
+            m = random_tabular_momdp(np.random.default_rng(5), 4, 2, 2, discount=0.9)
+            save_tabular(m, tmp_path / "m.momdp")
+            build_env_factory(
+                {"env.kind": "tabular", "env.path": str(tmp_path / "m.momdp"), "env.horizon": "0"}
+            )
+
     @pytest.mark.parametrize("command", ["eval", "explain"])
     def test_zero_episodes_is_usage_error(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path)

@@ -18,6 +18,7 @@ from morlkit.envs import (
     finite_horizon_values,
     load_tabular,
     random_tabular_momdp,
+    reaches_terminal,
     save_tabular,
     treasure_grid_to_tabular,
     value_iteration,
@@ -446,6 +447,31 @@ class TestAdapters:
         assert reward[0] == -1.0
         with pytest.raises(ValueError):
             SingleObjectiveView(boxed_treasure(grid), 5)
+
+    def test_reaches_terminal(self):
+        assert not reaches_terminal(random_tabular_momdp(np.random.default_rng(0), 4, 2, 2))
+        grid = TreasureGrid(width=3, height=3, treasures=((2, 2, 1.0),), horizon=5)
+        assert reaches_terminal(treasure_grid_to_tabular(grid, discount=0.9))
+        # A chain 0 -> 1 -> 2 (terminal) that only action 1 moves along; a
+        # start in state 3, which loops on itself, reaches nothing.
+        transitions = np.zeros((4, 2, 4))
+        transitions[:, 0] = np.eye(4)
+        transitions[[0, 1, 2, 3], 1, [1, 2, 2, 3]] = 1.0
+        chain = dict(
+            transitions=transitions,
+            rewards=np.zeros((4, 2, 1)),
+            discount=0.9,
+            terminal=np.array([False, False, True, False]),
+        )
+        assert reaches_terminal(TabularMomdp(initial=np.array([1.0, 0, 0, 0]), **chain))
+        assert not reaches_terminal(TabularMomdp(initial=np.array([0, 0, 0, 1.0]), **chain))
+
+    def test_boxed_tabular_horizon_ends_episodes(self):
+        rng = np.random.default_rng(2)
+        env = boxed_tabular(random_tabular_momdp(rng, 4, 2, 2), horizon=3)
+        env.reset([rng] * 2)
+        dones = [env.step(np.eye(2), [rng] * 2)[2] for _ in range(3)]
+        assert not dones[0].any() and not dones[1].any() and dones[2].all()
 
     def test_reward_length_matches_declared(self):
         rng = np.random.default_rng(1)

@@ -19,6 +19,7 @@ from morlkit.explain import (
     render_contrastive,
     render_policy_statement,
 )
+from reference_explain import full_sweep_alternatives
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -194,6 +195,36 @@ class TestGenerateAlternatives:
             for j, delta in alt.losses.items():
                 assert achieved_u[j] - current_u[j] == pytest.approx(delta)
                 assert delta < 0
+
+    def test_matches_full_target_sweep(self):
+        # Stopping an attribute's sweep at its first infeasible target must
+        # give what the sweep to the cap gives: random vocabularies, configs
+        # and pools, half of them on a coarse grid with ties and repeats.
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(1, 5))
+            qa = QaSpec(
+                tuple(
+                    QaObjective(
+                        f"q{k}", "t", MAXIMIZE if rng.random() < 0.5 else MINIMIZE, f"o{k}"
+                    )
+                    for k in range(dim)
+                )
+            )
+            cfg = ExplainConfig(
+                tuple(float(x) for x in rng.uniform(0.1, 2.0, dim)),
+                tuple(float(x) for x in rng.uniform(-1.0, 8.0, dim)),
+                tuple(int(b) for b in rng.integers(1, 5, dim)),
+            )
+            rows = rng.uniform(-4, 4, (int(rng.integers(1, 12)), dim))
+            if seed % 2:
+                rows = np.round(rows)
+            pool = [vv(*row) for row in rows]
+            current = pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else vv(
+                *rng.uniform(-3, 3, dim)
+            )
+            got = generate_alternatives(pool, current, qa, cfg)
+            assert got == full_sweep_alternatives(pool, current, qa, cfg), f"seed {seed}"
 
 
 class TestFormatValue:
