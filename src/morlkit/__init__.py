@@ -16,6 +16,7 @@ from .ccs import (
     PartialCcs,
     aols,
     corner_weights,
+    coverage_gap,
     is_convex_undominated,
     optimistic_bound,
     relative_improvement,
@@ -38,6 +39,7 @@ __all__ = [
     "WeightVector",
     "aols",
     "corner_weights",
+    "coverage_gap",
     "evaluate_policy",
     "is_convex_undominated",
     "optimistic_bound",

@@ -1,9 +1,11 @@
 """Convex coverage set machinery.
 
 Dominance tests, corner weights of the piecewise-linear upper surface,
-optimistic value bounds, and the approximate optimistic linear support
-loop (`aols`) that grows an epsilon-complete coverage set by querying a
-value oracle at the most promising simplex weights.
+optimistic value bounds, the approximate optimistic linear support loop
+(`aols`) that grows an epsilon-complete coverage set by querying a value
+oracle at the most promising simplex weights, and the certificate
+(`coverage_gap`) that checks a finished set against an oracle at its
+corner weights.
 
 Corner weights grow one vector at a time, as in the incremental
 corner-weight update of optimistic linear support (Roijers, Whiteson &
@@ -49,11 +51,10 @@ Oracle = Callable[[WeightVector], ValueVector]
 
 @dataclass(frozen=True)
 class PartialCcs:
-    """Working set of candidate-undominated value vectors plus the
-    (weight, scalar value) observations recorded when they were found."""
+    """Working set of candidate-undominated value vectors, no two within
+    WEIGHT_MATCH_ATOL of each other."""
 
     vectors: tuple[ValueVector, ...]
-    observations: tuple[tuple[WeightVector, float], ...]
 
     def __post_init__(self) -> None:
         vecs = tuple(self.vectors)
@@ -65,7 +66,6 @@ class PartialCcs:
                 a, b = close[0]
                 raise ValueError(f"vectors {a} and {b} coincide")
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "observations", tuple(self.observations))
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,25 @@ def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
     vals = np.array([v.values for v in s])
     points = _add_facets(np.eye(s[0].dim), _shifted(vals), 0)
     return [WeightVector(tuple(p)) for p in _sorted_rows(points)]
+
+
+def coverage_gap(s: Sequence[ValueVector], oracle: Oracle) -> tuple[float, WeightVector]:
+    """Largest amount by which the oracle's value beats the surface of s,
+    max_w [w.oracle(w) - max_V w.V], and a weight where it does.
+
+    Only the corner weights of s need be queried. With an exact oracle,
+    w -> w.oracle(w) is the optimal scalarized value, a maximum of linear
+    functions of w and so convex. The surface of s is linear on each cell
+    of the simplex that one vector of s wins, so the gap is convex on each
+    cell and peaks at a vertex of one, that is, at a corner weight
+    (Roijers, Whiteson & Oliehoek, JAIR 2015). A gap of at most epsilon
+    makes s an epsilon-coverage set; ties go to the first corner in
+    `corner_weights` order.
+    """
+    gaps = [
+        (scalarize(w, oracle(w)) - scalarized_max(s, w)[0], w) for w in corner_weights(s)
+    ]
+    return max(gaps, key=lambda item: item[0])
 
 
 def _shifted(vals: np.ndarray) -> np.ndarray:
@@ -436,7 +455,7 @@ def aols(
         delta_max, _ = queue.peek_priority()
 
     return AolsResult(
-        ccs=PartialCcs(tuple(s), tuple(wv)),
+        ccs=PartialCcs(tuple(s)),
         explored_weights=tuple(explored),
         delta_max=delta_max,
         history=tuple(history),

@@ -2,9 +2,11 @@
 
 Commands: train, ccs, eval, explain, bench. Exit codes: 0 success,
 1 usage, configuration, problem-file, checkpoint-file or vector-file
-error, 2 runtime failure. All commands honor --seed; output files are
-byte-deterministic for a fixed seed, with wall clock timing kept in a
-separate log file. Run-directory files are written atomically.
+error, 2 runtime failure. Every command but ccs, which draws no random
+numbers, takes --seed; output files are byte-deterministic for a fixed
+seed, with wall clock timing kept in a separate log file. Run-directory
+files are written atomically. `ccs --verify` checks the coverage set
+against the exact planner at the set's corner weights.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccs import aols, is_convex_undominated, write_history_csv
+from .ccs import aols, coverage_gap, is_convex_undominated, write_history_csv
 from .config import (
     ConfigError,
     RunConfig,
@@ -27,14 +29,7 @@ from .config import (
     serialize_config,
 )
 from .core import Iorm, ValueVector
-from .envs import (
-    SIZE_GUARD_OBJECTIVES,
-    SingleObjectiveView,
-    TabularFormatError,
-    enumerate_ccs,
-    load_tabular,
-    value_iteration,
-)
+from .envs import SingleObjectiveView, TabularFormatError, load_tabular, value_iteration
 from .explain import generate_alternatives, render_contrastive, render_policy_statement
 from .nets import (
     CheckpointFormatError,
@@ -186,11 +181,6 @@ def cmd_train(args) -> int:
 
 def cmd_ccs(args) -> int:
     momdp = load_tabular(args.momdp)
-    if args.verify and momdp.objective_count > SIZE_GUARD_OBJECTIVES:
-        raise UsageError(
-            f"--verify enumerates a weight grid, which supports at most "
-            f"{SIZE_GUARD_OBJECTIVES} objectives; this problem has {momdp.objective_count}"
-        )
     epsilon = args.epsilon
     oracle = lambda w: value_iteration(momdp, w)[1]
     result = aols(oracle, momdp.objective_count, epsilon)
@@ -204,31 +194,26 @@ def cmd_ccs(args) -> int:
         write_history_csv(result, out_dir / "ccs_history.csv")
         print(f"artifacts written to {out_dir}")
     if args.verify:
-        _verify_against_grid(result.ccs.vectors, enumerate_ccs(momdp), max(epsilon, 1e-6))
+        _verify(result.ccs.vectors, oracle, max(epsilon, 1e-6))
     return 0
 
 
-def _verify_against_grid(found, grid, tol: float) -> None:
-    """Check a coverage set against the weight-grid enumeration.
-
-    The grid can miss vectors that are optimal only between its points, so
-    it proves two things, not equality: every grid vector is in the set, and
-    every set vector the grid did not find strictly beats all grid vectors
-    at some weight.
-    """
-    def near(v, pool) -> bool:
-        return any(float(np.max(np.abs(v.array - u.array))) <= tol for u in pool)
-
-    missing = [v for v in grid if not near(v, found)]
-    unconfirmed = [v for v in found if not near(v, grid)]
-    dominated = [v for v in unconfirmed if not is_convex_undominated(v, grid)]
-    print(f"grid confirmed {len(found) - len(unconfirmed)} of {len(found)} vectors")
-    ok = not missing and not dominated
+def _verify(vectors, oracle, tol: float) -> None:
+    """Check a coverage set against the exact planner: the planner beats
+    the set's surface by at most tol at every corner weight, hence at every
+    weight (see `coverage_gap`), and every vector beats all the others at
+    some weight."""
+    gap, weight = coverage_gap(vectors, oracle)
+    print(f"coverage gap {gap!r} at weight {' '.join(_fmt(w) for w in weight.weights)}")
+    redundant = [
+        k for k, v in enumerate(vectors) if not is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
+    ]
+    ok = gap <= tol and not redundant
     print("VERIFIED" if ok else "MISMATCH")
     if not ok:
         raise RuntimeError(
-            f"verification failed: {len(missing)} grid vectors missing from the set, "
-            f"{len(dominated)} set vectors dominated by the grid vectors"
+            f"verification failed: coverage gap {gap!r} (tolerance {tol!r}), "
+            f"{len(redundant)} vectors dominated by the others"
         )
 
 
@@ -370,7 +355,6 @@ def build_parser() -> _Parser:
     p_ccs.add_argument("--epsilon", type=float, default=1e-6)
     p_ccs.add_argument("--verify", action="store_true")
     p_ccs.add_argument("--out", default=None)
-    p_ccs.add_argument("--seed", type=int, default=None)
     p_ccs.set_defaults(func=cmd_ccs)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained run directory")

@@ -25,9 +25,7 @@ from .envs import (
     TabularMomdp,
     ToyLocomotion,
     TreasureGrid,
-    boxed_tabular,
     load_tabular,
-    reaches_terminal,
     treasure_grid_to_tabular,
 )
 from .explain import MAXIMIZE, MINIMIZE, ExplainConfig, QaObjective, QaSpec
@@ -192,7 +190,7 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
     elif kind == "tabular":
         momdp = _load_momdp(cfg)
         horizon = _get_positive_int(cfg, "env.horizon") if "env.horizon" in cfg else None
-        base_factory = lambda: boxed_tabular(momdp, horizon)
+        base_factory = lambda: DiscreteToBox(momdp, horizon=horizon)
     else:
         raise ConfigError(f"config key 'env.kind': unknown environment {kind!r}")
     if "env.objective_index" in cfg:
@@ -213,16 +211,16 @@ def _load_momdp(cfg: dict[str, str]) -> TabularMomdp:
 
 
 def require_episode_end(cfg: dict[str, str]) -> None:
-    """Reject a config whose evaluation episodes could never end: a tabular
-    problem whose start states reach no terminal state, with no env.horizon.
-    Evaluation runs each episode to its end; training runs a fixed number
-    of steps and needs neither."""
-    if cfg.get("env.kind") != "tabular" or "env.horizon" in cfg:
-        return
-    if not reaches_terminal(_load_momdp(cfg)):
+    """Reject a tabular config with no env.horizon before evaluating it.
+
+    Evaluation runs each episode to its end, and a tabular episode need not
+    end: its start states may reach no terminal state, or the policy's mean
+    actions may avoid one that some action sequence reaches. Training runs
+    a fixed number of steps and needs no horizon."""
+    if cfg.get("env.kind") == "tabular" and "env.horizon" not in cfg:
         raise ConfigError(
-            "config key 'env.horizon': the tabular problem reaches no terminal state "
-            "from its start states, so its episodes end only at a horizon; set env.horizon"
+            "config key 'env.horizon': evaluation runs each episode to its end, and a "
+            "tabular problem's episodes need not end; set env.horizon"
         )
 
 

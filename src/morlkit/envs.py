@@ -2,8 +2,7 @@
 
 The tabular problems double as ground truth for the coverage-set solver:
 `value_iteration` solves a scalarized problem exactly and reports the
-per-objective value of its greedy policy, and `enumerate_ccs` sweeps a
-dense weight grid to build a brute-force reference coverage set.
+per-objective value of its greedy policy.
 
 An environment object holds C copies that step together. reset(rngs)
 starts C = len(rngs) episodes, copy c drawing from rngs[c] in copy order;
@@ -17,17 +16,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
-from .ccs import is_convex_undominated
 from .core import ValueVector, WeightVector
 from .nets import write_text_atomic
-
-SIZE_GUARD_STATE_ACTIONS = 10_000
-SIZE_GUARD_OBJECTIVES = 3
 
 TABULAR_FORMAT_VERSION = "morlkit-momdp v1"
 
@@ -457,24 +451,6 @@ class SingleObjectiveView:
         return obs, rewards[:, self._index : self._index + 1], dones
 
 
-def boxed_tabular(m: TabularMomdp, horizon: int | None = None) -> DiscreteToBox:
-    return DiscreteToBox(m, horizon=horizon)
-
-
-def reaches_terminal(m: TabularMomdp) -> bool:
-    """True when some action sequence leads from a start state to a
-    terminal state; without one, an episode can only end at a horizon."""
-    edges = m.transitions.max(axis=1) > 0.0  # (S, S): some action moves s to s'
-    reached = m.initial > 0.0
-    while True:
-        if np.any(reached & m.terminal):
-            return True
-        grown = reached | edges[reached].any(axis=0)
-        if np.array_equal(grown, reached):
-            return False
-        reached = grown
-
-
 def boxed_treasure(grid: TreasureGrid) -> DiscreteToBox:
     # Stepping reads the transition and reward tables only, not the discount.
     return DiscreteToBox(treasure_grid_to_tabular(grid, discount=0.0), horizon=grid.horizon)
@@ -529,76 +505,3 @@ def value_iteration(
         raise RuntimeError(f"Bellman residual {residual:.3e} exceeds tol {tol:.3e}")
     start_value = m.initial @ channel_values
     return policy, ValueVector(tuple(start_value))
-
-
-def finite_horizon_values(
-    m: TabularMomdp, w: WeightVector, horizon: int
-) -> ValueVector:
-    """Per-objective value of the w-optimal nonstationary policy over a
-    fixed number of steps (exact backward induction)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if w.dim != m.objective_count:
-        raise ValueError("weight dimension does not match objective count")
-    r_w = m.rewards @ w.array
-    v_scalar = np.zeros(m.num_states)
-    v_channels = np.zeros((m.num_states, m.objective_count))
-    for _ in range(horizon):
-        q = r_w + m.discount * (m.transitions @ v_scalar)
-        greedy = np.argmax(q, axis=1)
-        idx = np.arange(m.num_states)
-        v_scalar = q[idx, greedy]
-        v_channels = m.rewards[idx, greedy] + m.discount * np.einsum(
-            "sn,ni->si", m.transitions[idx, greedy], v_channels
-        )
-    return ValueVector(tuple(m.initial @ v_channels))
-
-
-def _simplex_grid(dim: int, resolution: int) -> list[WeightVector]:
-    points = []
-    for combo in combinations_with_replacement(range(dim), resolution):
-        counts = np.zeros(dim)
-        for k in combo:
-            counts[k] += 1
-        points.append(WeightVector(tuple(counts / resolution)))
-    return points
-
-
-def enumerate_ccs(
-    problem: TabularMomdp | TreasureGrid,
-    resolution: int | None = None,
-    discount: float = 0.95,
-) -> list[ValueVector]:
-    """Brute-force coverage set: sweep a dense simplex grid of weights,
-    solve each scalarization exactly, keep the unique undominated vectors.
-
-    TreasureGrid inputs are converted to tabular form and solved at the
-    grid's horizon.
-    """
-    if isinstance(problem, TreasureGrid):
-        m = treasure_grid_to_tabular(problem, discount)
-        horizon = problem.horizon
-    else:
-        m = problem
-        horizon = None
-    if m.num_states * m.num_actions > SIZE_GUARD_STATE_ACTIONS:
-        raise ValueError("problem too large for brute-force enumeration")
-    if m.objective_count > SIZE_GUARD_OBJECTIVES:
-        raise ValueError("too many objectives for brute-force enumeration")
-    if resolution is None:
-        resolution = 1000 if m.objective_count == 2 else 50
-    vectors: list[ValueVector] = []
-    for w in _simplex_grid(m.objective_count, resolution):
-        if horizon is None:
-            _, value = value_iteration(m, w)
-        else:
-            value = finite_horizon_values(m, w, horizon)
-        if all(
-            float(np.max(np.abs(value.array - v.array))) > 1e-6 for v in vectors
-        ):
-            vectors.append(value)
-    return [
-        v
-        for k, v in enumerate(vectors)
-        if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
-    ]

@@ -640,7 +640,7 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
         critics=CriticBank(nets=mlp_unstack(bank)),
         iorm=iorm,
         metrics=metrics,
-        ccs=PartialCcs(tuple(running_vectors), ()),
+        ccs=PartialCcs(tuple(running_vectors)),
         early_stopped=early,
         config=cfg,
     )

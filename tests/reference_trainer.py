@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from morlkit.ccs import PartialCcs, is_convex_undominated
-from morlkit.core import Iorm, ValueVector, WeightVector, scalarize, simplex_extremum
+from morlkit.core import Iorm, ValueVector
 from morlkit.nets import mlp_unstack
 from morlkit.training import (
     CriticBank,
@@ -74,7 +74,6 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
     )
     collector = _init_collector(env, env_rngs, 1)
     running_vectors: list[ValueVector] = []
-    running_obs: list[tuple[WeightVector, float]] = []
     metrics: list[UpdateMetrics] = []
 
     for update_index in range(cfg.updates_per_objective):
@@ -107,8 +106,6 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
                     v, running_vectors[:k] + running_vectors[k + 1 :]
                 )
             ]
-        unit = simplex_extremum(1, 0)
-        running_obs.append((unit, scalarize(unit, vbar)))
 
         actor, actor_opt, diag = ppo_actor_update(
             actor, actor_opt, states, copy_major(batch.actions),
@@ -131,7 +128,7 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
         critics=CriticBank(nets=mlp_unstack(critic)),
         iorm=Iorm.identity(1),
         metrics=metrics,
-        ccs=PartialCcs(tuple(running_vectors), tuple(running_obs)),
+        ccs=PartialCcs(tuple(running_vectors)),
         early_stopped=False,
         config=cfg,
     )

@@ -12,6 +12,7 @@ from morlkit.ccs import (
     PartialCcs,
     aols,
     corner_weights,
+    coverage_gap,
     is_convex_undominated,
     optimistic_bound,
     relative_improvement,
@@ -19,7 +20,8 @@ from morlkit.ccs import (
     write_history_csv,
 )
 from morlkit.core import ValueVector, WeightVector, scalarize, simplex_extrema
-from morlkit.envs import random_tabular_momdp, value_iteration
+from morlkit.envs import TabularMomdp, random_tabular_momdp, value_iteration
+from reference_ccs import exact_ccs, finite_horizon_values, pareto_front
 from reference_corners import pairwise_corner_weights, rebuilt_corner_weights
 
 # Time bound for AOLS on the 20 three-objective exactness instances. They
@@ -101,29 +103,16 @@ def active_rank(w, vals):
     return np.linalg.matrix_rank(np.array(rows), tol=1e-8)
 
 
-def exact_ccs(m):
-    """Coverage set of a tabular problem from all A^S deterministic
-    stationary policies, each evaluated exactly by a linear solve."""
-    states = np.arange(m.num_states)
-    eye = np.eye(m.num_states)
-    vectors = []
-    for policy in product(range(m.num_actions), repeat=m.num_states):
-        pol = np.array(policy)
-        values = np.linalg.solve(
-            eye - m.discount * m.transitions[states, pol], m.rewards[states, pol]
-        )
-        vectors.append(m.initial @ values)
-    vectors = np.unique(np.array(vectors), axis=0)
-    # Only Pareto-optimal vectors can be strictly best at a simplex weight,
-    # and the best of the Pareto set is the best of the whole set.
-    front = [
-        vv(*v)
-        for v in vectors
-        if not np.any(np.all(vectors >= v, axis=1) & np.any(vectors > v, axis=1))
-    ]
-    return [
-        v for k, v in enumerate(front) if is_convex_undominated(v, front[:k] + front[k + 1 :])
-    ]
+def one_state_momdp(rewards, gamma):
+    """One state that loops to itself; rewards[a] is action a's reward."""
+    rewards = np.array([rewards], dtype=float)
+    return TabularMomdp(
+        transitions=np.ones((1, rewards.shape[1], 1)),
+        rewards=rewards,
+        initial=np.array([1.0]),
+        discount=gamma,
+        terminal=np.zeros(1, dtype=bool),
+    )
 
 
 def grid_undominated_oracle(v, s, points=10_001):
@@ -374,7 +363,7 @@ class TestMarginalWeightQueue:
 class TestPartialCcs:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            PartialCcs((vv(1, 2), vv(1, 2)), ())
+            PartialCcs((vv(1, 2), vv(1, 2)))
 
 
 class TestAols:
@@ -421,7 +410,6 @@ class TestAols:
         ids=["three-objectives", "four-objectives"],
     )
     def test_matches_exact_policy_enumeration(self, instances, shape):
-        # Not enumerate_ccs: its 3-objective weight grid misses vectors.
         elapsed = 0.0
         for i in instances:
             m = random_tabular_momdp(np.random.default_rng(i), *shape, discount=0.85)
@@ -501,9 +489,7 @@ class TestAols:
         # Oracle: exhaustive open-loop plan enumeration at the grid's horizon
         # (deterministic dynamics and a fixed start make plans equivalent to
         # deterministic policies), filtered for convex dominance.
-        from itertools import product
-
-        from morlkit.envs import TreasureGrid, boxed_treasure, finite_horizon_values, treasure_grid_to_tabular
+        from morlkit.envs import TreasureGrid, boxed_treasure, treasure_grid_to_tabular
 
         grid = TreasureGrid(
             width=3, height=3, treasures=((0, 2, 1.0), (2, 2, 10.0)), horizon=5
@@ -572,3 +558,84 @@ class TestAols:
         assert len(lines) == len(result.history) + 1
         last = lines[-1].split(",")
         assert float(last[-1]) == result.history[-1].remaining_delta_r
+
+
+# Seeds and (states, actions, objectives) of the problems the certificate
+# is checked on; (0, (5, 3, 3)) and (13, (5, 3, 3)) are instances where a
+# 51-point-per-side weight grid misses coverage-set vectors.
+GAP_PROBLEMS = [(3, (6, 3, 2)), (11, (8, 2, 2)), (0, (5, 3, 3)), (13, (5, 3, 3)), (0, (5, 2, 4))]
+
+
+def solved_problem(seed, shape):
+    """A random problem, its exact planner as an oracle, and AOLS's set."""
+    m = random_tabular_momdp(np.random.default_rng(seed), *shape, discount=0.85)
+    oracle = lambda w: value_iteration(m, w)[1]
+    return m, oracle, list(aols(oracle, shape[2], 1e-6).ccs.vectors)
+
+
+class TestCoverageGap:
+    @pytest.mark.parametrize("seed, shape", GAP_PROBLEMS)
+    def test_aols_set_has_no_gap(self, seed, shape):
+        _, oracle, vectors = solved_problem(seed, shape)
+        gap, weight = coverage_gap(vectors, oracle)
+        assert gap <= 1e-6 and weight.dim == shape[2]
+
+    @pytest.mark.parametrize("seed, shape", GAP_PROBLEMS)
+    def test_dropping_any_vector_opens_a_gap(self, seed, shape):
+        _, oracle, vectors = solved_problem(seed, shape)
+        assert len(vectors) > 1
+        for k in range(len(vectors)):
+            gap, weight = coverage_gap(vectors[:k] + vectors[k + 1 :], oracle)
+            assert gap > 1e-6, f"dropping vector {k}"
+            surface, _ = scalarized_max(vectors[:k] + vectors[k + 1 :], weight)
+            assert gap == scalarize(weight, oracle(weight)) - surface
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_grid_weight_beats_the_corner_gap(self, seed):
+        # The exact optimal value at w is the best of the exact coverage set.
+        m = random_tabular_momdp(np.random.default_rng(seed), 6, 3, 2, discount=0.85)
+        reference = exact_ccs(m)
+        oracle = lambda w: scalarized_max(reference, w)[1]
+        t = np.linspace(0.0, 1.0, 10_001)
+        grid = np.column_stack([t, 1.0 - t])
+        optimal = np.max(grid @ np.array([v.values for v in reference]).T, axis=1)
+        subsets = [reference[:1]] + [reference[:k] + reference[k + 1 :] for k in range(len(reference))]
+        for subset in subsets:
+            gap, _ = coverage_gap(subset, oracle)
+            grid_gap = np.max(optimal - np.max(grid @ np.array([v.values for v in subset]).T, axis=1))
+            # The grid passes within 5e-5 of every corner, and the gap's
+            # slope along the simplex is below 2 * 1 / (1 - 0.85).
+            assert grid_gap <= gap + 1e-12 and gap - grid_gap <= 1e-3
+
+    def test_constant_reward_singleton(self):
+        m = one_state_momdp([[1.0, 2.0]], gamma=0.5)
+        oracle = lambda w: value_iteration(m, w)[1]
+        vectors = aols(oracle, 2, 1e-6).ccs.vectors
+        assert len(vectors) == 1
+        assert vectors[0].values == pytest.approx((2.0, 4.0), abs=1e-10)
+        assert coverage_gap(vectors, oracle)[0] == 0.0
+
+    def test_bandit_both_extremes(self):
+        m = one_state_momdp([[1.0, 0.0], [0.0, 1.0]], gamma=0.0)
+        oracle = lambda w: value_iteration(m, w)[1]
+        vectors = aols(oracle, 2, 1e-6).ccs.vectors
+        assert sorted(v.values for v in vectors) == [(0.0, 1.0), (1.0, 0.0)]
+        assert coverage_gap(vectors, oracle)[0] == 0.0
+        gap, weight = coverage_gap([vv(1, 0)], oracle)
+        assert gap == 1.0 and weight.weights == (0.0, 1.0)
+
+
+class TestExactReference:
+    def test_pareto_front_matches_pairwise_filter(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            shape = (int(rng.integers(1, 30)), int(rng.integers(1, 4)))
+            vals = np.unique(rng.integers(0, 4, shape).astype(float), axis=0)
+            dominated = [np.any(np.all(vals >= v, axis=1) & np.any(vals > v, axis=1)) for v in vals]
+            assert np.array_equal(pareto_front(vals), vals[~np.array(dominated)])
+
+    def test_finite_horizon_matches_unrolled_bandit(self):
+        m = one_state_momdp([[1.0, 0.0], [0.0, 1.0]], gamma=0.5)
+        value = finite_horizon_values(m, wv(1.0, 0.0), horizon=3)
+        # Always pull arm 0: 1 + 0.5 + 0.25 on channel 0.
+        assert value.values == pytest.approx((1.75, 0.0), abs=1e-12)

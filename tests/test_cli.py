@@ -16,8 +16,8 @@ from morlkit.config import (
     parse_config_text,
     serialize_config,
 )
-from morlkit.core import Iorm, WeightVector
-from morlkit.envs import random_tabular_momdp, save_tabular
+from morlkit.core import Iorm, ValueVector, WeightVector
+from morlkit.envs import TabularMomdp, random_tabular_momdp, save_tabular
 from morlkit.training import TrainerConfig
 
 TREASURE_CFG = """\
@@ -171,14 +171,14 @@ class TestCmdCcs:
 
     @pytest.mark.parametrize("instance", [0, 1, 2, 13, 17, 18, 19])
     def test_verified_where_grid_misses_vectors(self, tmp_path, capsys, instance):
-        # The weight grid misses 1-2 coverage-set vectors on these instances;
-        # each lies between grid weights and beats every grid vector there.
+        # A 51-point-per-side weight grid misses 1-2 coverage-set vectors on
+        # these instances; each is optimal only between grid weights.
         m = random_tabular_momdp(np.random.default_rng(instance), 5, 3, 3, discount=0.85)
         path = tmp_path / "m.momdp"
         save_tabular(m, path)
         assert main(["ccs", "--momdp", str(path), "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "VERIFIED" in out and "grid confirmed" in out
+        assert "VERIFIED" in out and "coverage gap " in out
 
     def test_verify_fails_when_a_vector_is_missing(self, tmp_path, capsys, monkeypatch):
         m = random_tabular_momdp(np.random.default_rng(17), 10, 3, 2, discount=0.9)
@@ -189,11 +189,28 @@ class TestCmdCcs:
         def drop_best_first_objective(*args, **kwargs):
             result = solve(*args, **kwargs)
             kept = sorted(result.ccs.vectors, key=lambda v: v[0])[:-1]
-            return replace(result, ccs=PartialCcs(tuple(kept), result.ccs.observations))
+            return replace(result, ccs=PartialCcs(tuple(kept)))
 
         monkeypatch.setattr(cli, "aols", drop_best_first_objective)
         assert main(["ccs", "--momdp", str(path), "--verify"]) == 2
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_verify_fails_when_a_vector_is_dominated(self, tmp_path, capsys, monkeypatch):
+        # The set still covers every weight, so only the dominance test fails.
+        m = random_tabular_momdp(np.random.default_rng(17), 10, 3, 2, discount=0.9)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        solve = cli.aols
+
+        def add_dominated(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            below = ValueVector(tuple(result.ccs.vectors[0].array - 0.5))
+            return replace(result, ccs=PartialCcs(result.ccs.vectors + (below,)))
+
+        monkeypatch.setattr(cli, "aols", add_dominated)
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "MISMATCH" in captured.out and "1 vectors dominated" in captured.err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -212,14 +229,20 @@ class TestCmdCcs:
         assert main(["ccs", "--momdp", str(path)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_verify_beyond_grid_objective_limit_is_usage_error(self, tmp_path, capsys, monkeypatch):
+    def test_verify_four_objectives(self, tmp_path, capsys):
         m = random_tabular_momdp(np.random.default_rng(0), 5, 2, 4, discount=0.85)
         path = tmp_path / "m.momdp"
         save_tabular(m, path)
-        monkeypatch.setattr(cli, "aols", lambda *a, **k: pytest.fail("solved before rejecting"))
-        assert main(["ccs", "--momdp", str(path), "--verify"]) == 1
-        captured = capsys.readouterr()
-        assert "at most 3 objectives" in captured.err and captured.out == ""
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+    def test_seed_is_usage_error(self, tmp_path, capsys):
+        # AOLS draws no random numbers, so ccs takes no --seed.
+        m = random_tabular_momdp(np.random.default_rng(4), 6, 2, 2, discount=0.9)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        assert main(["ccs", "--momdp", str(path), "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_constant_reward_single_vector(self, tmp_path, capsys):
         m_path = tmp_path / "const.momdp"
@@ -238,7 +261,7 @@ class TestCmdCcs:
         code = main(["ccs", "--momdp", str(m_path), "--verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "1 vectors" in out and "delta_max=0.0" in out
+        assert "1 vectors" in out and "delta_max=0.0" in out and "VERIFIED" in out
 
     def test_history_dump(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -478,9 +501,11 @@ class TestRejectedInputExits1:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
-    def tabular_run(self, tmp_path, extra=""):
-        """A run trained on a 4-state random problem, which has no terminal state."""
-        m = random_tabular_momdp(np.random.default_rng(5), 4, 2, 2, discount=0.9)
+    def tabular_run(self, tmp_path, extra="", m=None):
+        """A run trained on m, by default a 4-state random problem, which has
+        no terminal state."""
+        if m is None:
+            m = random_tabular_momdp(np.random.default_rng(5), 4, 2, 2, discount=0.9)
         save_tabular(m, tmp_path / "m.momdp")
         text = with_keys(
             TREASURE_CFG,
@@ -497,6 +522,25 @@ class TestRejectedInputExits1:
         _, run_dir = self.tabular_run(tmp_path)
         capsys.readouterr()
         assert main([command, str(run_dir), "--episodes", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'env.horizon'" in err
+
+    def test_reachable_terminal_still_needs_a_horizon(self, tmp_path, capsys, monkeypatch):
+        # A chain whose terminal state 2 only action 1 moves towards: a
+        # policy whose mean action is 0 loops forever, so eval must refuse
+        # to start without a horizon.
+        transitions = np.zeros((3, 2, 3))
+        transitions[:, 0] = np.eye(3)
+        transitions[[0, 1, 2], 1, [1, 2, 2]] = 1.0
+        rewards = np.zeros((3, 2, 2))
+        rewards[:, 0] = (1.0, 0.0)
+        rewards[:, 1] = (0.0, 0.1)
+        terminal = np.array([False, False, True])
+        chain = TabularMomdp(transitions, rewards, np.array([1.0, 0.0, 0.0]), 0.9, terminal)
+        _, run_dir = self.tabular_run(tmp_path, m=chain)
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: pytest.fail("evaluation started"))
+        capsys.readouterr()
+        assert main(["eval", str(run_dir), "--episodes", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'env.horizon'" in err
 

@@ -3,8 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from morlkit.ccs import is_convex_undominated
-from morlkit.core import ValueVector, WeightVector
+from morlkit.core import WeightVector
 from morlkit.envs import (
     DiscreteToBox,
     SingleObjectiveView,
@@ -12,13 +11,9 @@ from morlkit.envs import (
     TabularMomdp,
     ToyLocomotion,
     TreasureGrid,
-    boxed_tabular,
     boxed_treasure,
-    enumerate_ccs,
-    finite_horizon_values,
     load_tabular,
     random_tabular_momdp,
-    reaches_terminal,
     save_tabular,
     treasure_grid_to_tabular,
     value_iteration,
@@ -39,21 +34,6 @@ def onehot(index, size=4):
     action = np.zeros(size)
     action[index] = 1.0
     return action
-
-
-def play_plan(grid, plan, gamma):
-    """Discounted return of an open-loop plan under the grid's rules: a move
-    pays the treasure of the cell it enters and the step penalty; entering
-    a treasure cell or reaching the horizon ends the episode."""
-    row, col = grid.start
-    total = np.zeros(2)
-    for t, action in enumerate(plan[: grid.horizon]):
-        row, col = grid.move(row, col, action)
-        value = grid.treasure_value(row, col)
-        total += gamma**t * np.array([0.0 if value is None else value, grid.step_penalty])
-        if value is not None:
-            break
-    return total
 
 
 def single_state_momdp(rewards, gamma):
@@ -121,7 +101,7 @@ class TestTabularMomdp:
             discount=0.9,
             terminal=np.array([False, True]),
         )
-        env = boxed_tabular(m)
+        env = DiscreteToBox(m)
         rng = np.random.default_rng(0)
         assert env.reset([rng]).tolist() == [[1.0, 0.0]]
         nxt, reward, done = step1(env, [1.0], rng)
@@ -129,7 +109,7 @@ class TestTabularMomdp:
 
     def test_invalid_action_errors(self):
         # A continuous action must have one component per discrete action.
-        env = boxed_tabular(two_arm_bandit())
+        env = DiscreteToBox(two_arm_bandit())
         rng = np.random.default_rng(0)
         env.reset([rng])
         with pytest.raises(ValueError):
@@ -238,57 +218,6 @@ class TestValueIteration:
         m = two_arm_bandit()
         with pytest.raises(ValueError):
             value_iteration(m, wv(1.0))
-
-
-class TestEnumerateCcs:
-    def test_constant_reward_singleton(self):
-        m = single_state_momdp([1.0, 2.0], gamma=0.5)
-        ccs = enumerate_ccs(m, resolution=100)
-        assert len(ccs) == 1
-        assert ccs[0].values == pytest.approx((2.0, 4.0), abs=1e-10)
-
-    def test_bandit_both_extremes(self):
-        ccs = enumerate_ccs(two_arm_bandit(gamma=0.0), resolution=100)
-        values = sorted(v.values for v in ccs)
-        assert len(values) == 2
-        assert values[0] == pytest.approx((0.0, 1.0), abs=1e-12)
-        assert values[1] == pytest.approx((1.0, 0.0), abs=1e-12)
-
-    def test_size_guard(self):
-        rng = np.random.default_rng(0)
-        m = random_tabular_momdp(rng, 101, 100, 2)
-        with pytest.raises(ValueError):
-            enumerate_ccs(m)
-
-    def test_treasure_grid_vs_policy_enumeration(self):
-        # Oracle: enumerate all open-loop action sequences of length H on the
-        # deterministic grid, collect their discounted value vectors, filter
-        # for convex dominance.
-        grid = TreasureGrid(
-            width=3, height=3, treasures=((0, 2, 1.0), (2, 2, 10.0)), horizon=5
-        )
-        gamma = 0.95
-        returns = []
-        for plan in product(range(4), repeat=grid.horizon):
-            total = play_plan(grid, plan, gamma)
-            if all(np.max(np.abs(total - r)) > 1e-9 for r in returns):
-                returns.append(total)
-        vectors = [ValueVector(tuple(r)) for r in returns]
-        reference = sorted(
-            v.values
-            for k, v in enumerate(vectors)
-            if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
-        )
-        got = sorted(v.values for v in enumerate_ccs(grid, resolution=500, discount=gamma))
-        assert len(got) == len(reference)
-        for a, b in zip(got, reference):
-            assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-9
-
-    def test_finite_horizon_matches_unrolled_bandit(self):
-        m = two_arm_bandit(gamma=0.5)
-        value = finite_horizon_values(m, wv(1.0, 0.0), horizon=3)
-        # Always pull arm 0: 1 + 0.5 + 0.25 on channel 0.
-        assert value.values == pytest.approx((1.75, 0.0), abs=1e-12)
 
 
 class TestTreasureGrid:
@@ -423,7 +352,7 @@ class TestToyLocomotion:
 class TestAdapters:
     def test_boxed_tabular_one_hot_and_argmax(self):
         m = two_arm_bandit(gamma=0.0)
-        env = boxed_tabular(m)
+        env = DiscreteToBox(m)
         rng = np.random.default_rng(0)
         obs = env.reset([rng])
         assert obs.shape == (1, 1)
@@ -448,27 +377,9 @@ class TestAdapters:
         with pytest.raises(ValueError):
             SingleObjectiveView(boxed_treasure(grid), 5)
 
-    def test_reaches_terminal(self):
-        assert not reaches_terminal(random_tabular_momdp(np.random.default_rng(0), 4, 2, 2))
-        grid = TreasureGrid(width=3, height=3, treasures=((2, 2, 1.0),), horizon=5)
-        assert reaches_terminal(treasure_grid_to_tabular(grid, discount=0.9))
-        # A chain 0 -> 1 -> 2 (terminal) that only action 1 moves along; a
-        # start in state 3, which loops on itself, reaches nothing.
-        transitions = np.zeros((4, 2, 4))
-        transitions[:, 0] = np.eye(4)
-        transitions[[0, 1, 2, 3], 1, [1, 2, 2, 3]] = 1.0
-        chain = dict(
-            transitions=transitions,
-            rewards=np.zeros((4, 2, 1)),
-            discount=0.9,
-            terminal=np.array([False, False, True, False]),
-        )
-        assert reaches_terminal(TabularMomdp(initial=np.array([1.0, 0, 0, 0]), **chain))
-        assert not reaches_terminal(TabularMomdp(initial=np.array([0, 0, 0, 1.0]), **chain))
-
     def test_boxed_tabular_horizon_ends_episodes(self):
         rng = np.random.default_rng(2)
-        env = boxed_tabular(random_tabular_momdp(rng, 4, 2, 2), horizon=3)
+        env = DiscreteToBox(random_tabular_momdp(rng, 4, 2, 2), horizon=3)
         env.reset([rng] * 2)
         dones = [env.step(np.eye(2), [rng] * 2)[2] for _ in range(3)]
         assert not dones[0].any() and not dones[1].any() and dones[2].all()
@@ -476,7 +387,7 @@ class TestAdapters:
     def test_reward_length_matches_declared(self):
         rng = np.random.default_rng(1)
         m = random_tabular_momdp(rng, 4, 2, 3, discount=0.9)
-        env = boxed_tabular(m)
+        env = DiscreteToBox(m)
         env.reset([rng] * 2)
         for _ in range(10):
             _, reward, _ = env.step(rng.standard_normal((2, 2)), [rng] * 2)
@@ -497,7 +408,7 @@ BATCHED_ENVS = {
     "treasure": lambda: boxed_treasure(
         TreasureGrid(width=3, height=3, treasures=((0, 2, 3.0), (2, 2, 12.0)), horizon=6)
     ),
-    "tabular": lambda: boxed_tabular(stochastic_tabular()),
+    "tabular": lambda: DiscreteToBox(stochastic_tabular()),
     "single-objective-view": lambda: SingleObjectiveView(ToyLocomotion(horizon=25, half_width=0.3), 3),
 }
 
@@ -535,7 +446,7 @@ class TestBatchedStepping:
         # The reference walks the problem with rng.choice; the boxed problem
         # must visit the same states and leave the generator in the same place.
         m = stochastic_tabular()
-        env = boxed_tabular(m)
+        env = DiscreteToBox(m)
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         action_rng = np.random.default_rng(8)
         obs = env.reset([rng])[0]

@@ -137,7 +137,7 @@ class ScriptedEnv:
 def fake_aols_result(weights):
     ws = tuple(weights)
     return AolsResult(
-        ccs=PartialCcs((), ()),
+        ccs=PartialCcs(()),
         explored_weights=ws,
         delta_max=0.0,
         history=(),
