@@ -7,6 +7,11 @@ oracle at the most promising simplex weights, and the certificate
 (`coverage_gap`) that checks a finished set against an oracle at its
 corner weights.
 
+One membership rule serves every coverage set in the package: a vector
+joins when it duplicates no member (`is_duplicate`) and beats every member
+at some weight (`is_convex_undominated`); `pruned` keeps the members that
+beat all the others.
+
 Corner weights grow one vector at a time, as in the incremental
 corner-weight update of optimistic linear support (Roijers, Whiteson &
 Oliehoek, JAIR 2015): a new vector removes the corners where it lies
@@ -25,13 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    SIMPLEX_ATOL,
-    ValueVector,
-    WeightVector,
-    scalarize,
-    simplex_extrema,
-)
+from .core import ValueVector, WeightVector, scalarize, simplex_extrema
 from .lp import LpUnbounded, solve_lp
 from .nets import write_text_atomic
 
@@ -158,6 +157,24 @@ def is_convex_undominated(
     a_eq[0, :dim] = 1.0
     _, best_slack = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
     return best_slack > margin + WEIGHT_MATCH_ATOL
+
+
+def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
+    """True when some member of s is within DUPLICATE_VALUE_ATOL of v in
+    every component."""
+    if not s:
+        return False
+    vals = np.array([other.values for other in s])
+    return bool(np.max(np.abs(vals - v.array), axis=1).min() <= DUPLICATE_VALUE_ATOL)
+
+
+def pruned(vectors: Sequence[ValueVector]) -> list[ValueVector]:
+    """The members, in order, that beat all the others at some weight
+    (`is_convex_undominated` against the rest of the set)."""
+    vectors = list(vectors)
+    return [
+        v for k, v in enumerate(vectors) if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
+    ]
 
 
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
@@ -363,10 +380,10 @@ def aols(
 
     Seeds a priority queue with all simplex extrema at infinite priority,
     then repeatedly pops the weight with the largest optimistic improvement
-    bound, queries the oracle there, and, whenever a new value vector is
-    found, folds it into the kept corner weights and pushes the unexplored
-    corners whose optimistic gap exceeds epsilon. Stops when the queue
-    empties or the iteration cap is hit.
+    bound and queries the oracle there. An answer that duplicates no member
+    (`is_duplicate`) joins the set and is folded into the kept corner
+    weights; the unexplored corners whose optimistic gap exceeds epsilon
+    are pushed. Stops when the queue empties or the iteration cap is hit.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -380,52 +397,33 @@ def aols(
         queue.push(e, math.inf, math.inf)
 
     s: list[ValueVector] = []
-    vals = np.zeros((0, objective_count))  # s as rows
-    corners = np.eye(objective_count)  # corner set of vals[:folded]
+    corners = np.eye(objective_count)  # corner set of s[:folded]
     folded = 0
     # Every weight ever queued: those explored and those still waiting.
     pushed = [e.weights for e in simplex_extrema(objective_count)]
     wv: list[tuple[WeightVector, float]] = []
-    explored: list[WeightVector] = []
     history: list[AolsIteration] = []
-    cache: dict[tuple[float, ...], ValueVector] = {}
-    pending_extrema = objective_count
-    iterations = 0
     cap_hit = False
 
-    def query(weight: WeightVector) -> ValueVector:
-        key = weight.weights
-        if key not in cache:
-            value = oracle(weight)
-            if value.dim != objective_count:
-                raise ValueError(
-                    f"oracle returned dimension {value.dim}, expected {objective_count}"
-                )
-            cache[key] = value
-        return cache[key]
-
     while len(queue) > 0:
-        if iterations >= max_iterations:
+        if len(wv) >= max_iterations:
             cap_hit = True
             break
-        weight, priority, _ = queue.pop()
-        iterations += 1
-        value = query(weight)
+        # No weight is popped twice: each pushed corner is farther than
+        # WEIGHT_MATCH_ATOL from every weight queued before it.
+        weight, _, _ = queue.pop()
+        value = oracle(weight)
+        if value.dim != objective_count:
+            raise ValueError(f"oracle returned dimension {value.dim}, expected {objective_count}")
         wv.append((weight, scalarize(weight, value)))
-        explored.append(weight)
-        seeding = pending_extrema > 0
-        if math.isinf(priority):
-            pending_extrema -= 1
-        seeded_now = seeding and pending_extrema == 0
-
-        inserted = False
-        if not s or np.max(np.abs(vals - value.array), axis=1).min() > DUPLICATE_VALUE_ATOL:
+        inserted = not is_duplicate(value, s)
+        if inserted:
             s.append(value)
-            vals = np.vstack([vals, value.array])
-            inserted = True
 
-        if s and pending_extrema == 0 and (inserted or seeded_now):
-            corners = _add_facets(corners, _shifted(vals), folded)
+        # The extrema, queued at infinite priority, are the first pops: fold
+        # once they are all explored, then after every insertion.
+        if len(wv) == objective_count or (inserted and len(wv) > objective_count):
+            corners = _add_facets(corners, _shifted(np.array([v.values for v in s])), folded)
             folded = len(s)
             candidates = _sorted_rows(corners)
             # Corners are pairwise farther apart than WEIGHT_MATCH_ATOL, so a
@@ -443,7 +441,7 @@ def aols(
 
         history.append(
             AolsIteration(
-                index=iterations,
+                index=len(wv),
                 weight=weight,
                 inserted=inserted,
                 remaining_delta_r=_remaining_delta_r(queue),
@@ -456,7 +454,7 @@ def aols(
 
     return AolsResult(
         ccs=PartialCcs(tuple(s)),
-        explored_weights=tuple(explored),
+        explored_weights=tuple(w for w, _ in wv),
         delta_max=delta_max,
         history=tuple(history),
         hit_iteration_cap=cap_hit,

@@ -12,6 +12,7 @@ against the exact planner at the set's corner weights.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccs import aols, coverage_gap, is_convex_undominated, write_history_csv
+from .ccs import aols, coverage_gap, pruned, write_history_csv
 from .config import (
     ConfigError,
     RunConfig,
@@ -61,6 +62,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -205,15 +213,13 @@ def _verify(vectors, oracle, tol: float) -> None:
     some weight."""
     gap, weight = coverage_gap(vectors, oracle)
     print(f"coverage gap {gap!r} at weight {' '.join(_fmt(w) for w in weight.weights)}")
-    redundant = [
-        k for k, v in enumerate(vectors) if not is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
-    ]
+    redundant = len(vectors) - len(pruned(vectors))
     ok = gap <= tol and not redundant
     print("VERIFIED" if ok else "MISMATCH")
     if not ok:
         raise RuntimeError(
             f"verification failed: coverage gap {gap!r} (tolerance {tol!r}), "
-            f"{len(redundant)} vectors dominated by the others"
+            f"{redundant} vectors dominated by the others"
         )
 
 
@@ -352,7 +358,7 @@ def build_parser() -> _Parser:
 
     p_ccs = sub.add_parser("ccs", help="solve a tabular problem's coverage set")
     p_ccs.add_argument("--momdp", required=True)
-    p_ccs.add_argument("--epsilon", type=float, default=1e-6)
+    p_ccs.add_argument("--epsilon", type=_positive_finite_float, default=1e-6)
     p_ccs.add_argument("--verify", action="store_true")
     p_ccs.add_argument("--out", default=None)
     p_ccs.set_defaults(func=cmd_ccs)

@@ -121,8 +121,8 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
         kwargs["seed"] = seed
     try:
         return TrainerConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"trainer configuration: {exc}") from exc
+    except ValueError as exc:  # the message starts with the rejected field
+        raise ConfigError(f"config key 'trainer.{str(exc).split()[0]}': {exc}") from exc
 
 
 def _parse_treasures(text: str) -> tuple[tuple[int, int, float], ...]:

@@ -6,13 +6,14 @@ The engine cycles through objectives; for each it repeatedly collects
 synchronized rollouts from a bank of environment copies, fits every critic
 to its own reward channel (the critics are one stacked network bank,
 trained in one minibatch pass), adds the mean critic vector to the running
-coverage set, and ascends the clipped surrogate on the proxy stream mixed
-by the objective's relationship-matrix row. Rollouts stay time-major; one
-GAE recursion per update over every copy and channel gives the critic
-targets and the actor's advantages, in copy-major rows. The rows are the
-identity: selecting them from the coverage set needs a value oracle that
-depends on the weight, and the critic bank gives one mean vector per
-update. At objective_count=1 this is plain single-objective training.
+coverage set by the membership rule of `ccs`, and ascends the clipped
+surrogate on the proxy stream mixed by the objective's relationship-matrix
+row. Rollouts stay time-major; one GAE recursion per update over every
+copy and channel gives the critic targets and the actor's advantages, in
+copy-major rows. The rows are the identity: selecting them from the
+coverage set needs a value oracle that depends on the weight, and the
+critic bank gives one mean vector per update. At objective_count=1 this is
+plain single-objective training.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .ccs import (
     AolsResult,
     PartialCcs,
     is_convex_undominated,
+    is_duplicate,
+    pruned,
     relative_improvement,
     scalarized_max,
 )
@@ -84,12 +87,13 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Each message starts with the field it rejects.
         if self.objective_count < 1:
             raise ValueError("objective_count must be >= 1")
         if self.updates_per_objective < 1:
             raise ValueError("updates_per_objective must be >= 1")
-        if self.clip_epsilon <= 0.0:
-            raise ValueError("clip_epsilon must be positive")
+        if not 0.0 < self.clip_epsilon < math.inf:
+            raise ValueError(f"clip_epsilon must be positive and finite, got {self.clip_epsilon}")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must lie in [0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -97,10 +101,12 @@ class TrainerConfig:
         for name in ("steps_per_update", "env_copies", "epochs_per_update", "minibatch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.termination_epsilon < 0.0:
-            raise ValueError("termination_epsilon must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.termination_epsilon < math.inf:
+            raise ValueError(f"termination_epsilon must be >= 0 and finite, got {self.termination_epsilon}")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
@@ -537,19 +543,6 @@ def _delta_probe(
     return gap, rel
 
 
-def _update_running_ccs(vectors: list[ValueVector], vbar: ValueVector) -> None:
-    if any(float(np.max(np.abs(vbar.array - v.array))) <= 1e-6 for v in vectors):
-        return
-    if not is_convex_undominated(vbar, vectors):
-        return
-    vectors.append(vbar)
-    vectors[:] = [
-        v
-        for k, v in enumerate(vectors)
-        if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
-    ]
-
-
 def _make_rngs(cfg: TrainerConfig):
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(3 + cfg.env_copies)
@@ -610,7 +603,8 @@ def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
             updated_values = _critic_values(bank, obs)
             vbar = ValueVector(tuple(updated_values.mean(axis=0)))
             delta_abs, delta_r = _delta_probe(vbar, running_vectors)
-            _update_running_ccs(running_vectors, vbar)
+            if not is_duplicate(vbar, running_vectors) and is_convex_undominated(vbar, running_vectors):
+                running_vectors = pruned(running_vectors + [vbar])
 
             actor, actor_opt, diag = ppo_actor_update(
                 actor, actor_opt, obs, _rows(batch.actions), _rows(batch.log_probs),

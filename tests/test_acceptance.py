@@ -49,7 +49,6 @@ from morlkit.training import (
     clipped_surrogate,
     evaluate_policy,
     gae,
-    td_residuals,
     train,
 )
 from reference_ccs import exact_ccs

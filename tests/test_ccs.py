@@ -534,14 +534,23 @@ class TestAols:
         assert result.hit_iteration_cap
 
     def test_memoizes_oracle_within_call(self):
-        seen = {}
+        # A constant oracle only visits the extrema; the planners at d = 2, 3
+        # and 4 also visit 5, 24 and 105 corners, each once: one call per
+        # history entry.
+        oracles = [(2, lambda w: vv(2.0, 1.0))]
+        for dim in (2, 3, 4):
+            m = random_tabular_momdp(np.random.default_rng(dim), 5, 3, dim, discount=0.85)
+            oracles.append((dim, lambda w, m=m: value_iteration(m, w)[1]))
+        for dim, planner in oracles:
+            seen = {}
 
-        def oracle(w):
-            assert w.weights not in seen, "oracle re-queried for the same weight"
-            seen[w.weights] = True
-            return vv(2.0, 1.0)
+            def oracle(w):
+                assert w.weights not in seen, "oracle re-queried for the same weight"
+                seen[w.weights] = True
+                return planner(w)
 
-        aols(oracle, 2, 1e-3)
+            result = aols(oracle, dim, 1e-6)
+            assert len(seen) == len(result.history) == len(result.explored_weights)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

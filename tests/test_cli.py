@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from morlkit.cli import VectorFileError, main, read_vectors
 from morlkit.config import (
     ConfigError,
     RunConfig,
+    build_bench_settings,
     build_env_factory,
     build_qa_spec,
     build_trainer_config,
@@ -88,6 +90,13 @@ class TestConfigParsing:
         # trainer.aols_epsilon was a key of earlier versions.
         with_dropped_key = RunConfig.from_dict(dict(cfg, **{"trainer.aols_epsilon": "0.1"}))
         assert with_dropped_key.trainer == RunConfig.from_dict(cfg).trainer
+
+    @pytest.mark.parametrize("name", ["treasure.cfg", "locomotion.cfg"])
+    def test_committed_configs_load(self, name):
+        raw = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
+        run = RunConfig.from_dict(raw)
+        build_bench_settings(raw, run.trainer.objective_count)
+        assert run.trainer.seed == 0
 
     def test_unknown_env_kind(self):
         cfg = parse_config_text(TREASURE_CFG)
@@ -243,6 +252,19 @@ class TestCmdCcs:
         save_tabular(m, path)
         assert main(["ccs", "--momdp", str(path), "--seed", "3"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+    def test_bad_epsilon_is_usage_error(self, tmp_path, capsys, monkeypatch, epsilon):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("AOLS started")
+
+        monkeypatch.setattr(cli, "aols", no_solve)
+        m = random_tabular_momdp(np.random.default_rng(4), 6, 2, 2, discount=0.9)
+        path = tmp_path / "m.momdp"
+        save_tabular(m, path)
+        assert main(["ccs", "--momdp", str(path), "--epsilon", epsilon]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "argument --epsilon" in err
 
     def test_constant_reward_single_vector(self, tmp_path, capsys):
         m_path = tmp_path / "const.momdp"
@@ -482,13 +504,23 @@ class TestRejectedInputExits1:
                 {"env.kind": "locomotion", "env.survive_bonus": "inf", "trainer.objective_count": "4"},
                 "env.survive_bonus",
             ),
+            ("train", {"trainer.learning_rate": "nan"}, "trainer.learning_rate"),
+            ("train", {"trainer.learning_rate": "inf"}, "trainer.learning_rate"),
+            ("train", {"trainer.clip_epsilon": "nan"}, "trainer.clip_epsilon"),
+            ("bench", {"trainer.clip_epsilon": "inf"}, "trainer.clip_epsilon"),
+            ("train", {"trainer.termination_epsilon": "nan"}, "trainer.termination_epsilon"),
+            ("train", {"trainer.termination_epsilon": "inf"}, "trainer.termination_epsilon"),
+            ("train", {"trainer.hidden_sizes": "-3"}, "trainer.hidden_sizes"),
+            ("train", {"trainer.hidden_sizes": "0,8"}, "trainer.hidden_sizes"),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
             "objective-count-mismatch", "bench-objective-count-mismatch",
             "bench-episodes-not-a-number", "bench-zero-episodes", "bench-objective-index-out-of-range",
             "start-outside-grid", "start-past-row-end", "nan-step-penalty", "nan-treasure-value",
-            "infinite-survive-bonus",
+            "infinite-survive-bonus", "nan-learning-rate", "infinite-learning-rate",
+            "nan-clip-epsilon", "bench-infinite-clip-epsilon", "nan-termination-epsilon",
+            "infinite-termination-epsilon", "negative-hidden-size", "zero-width-hidden-layer",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):

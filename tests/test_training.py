@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morlkit import training
-from morlkit.ccs import AolsResult, PartialCcs, aols
-from morlkit.core import Iorm, ValueVector, WeightVector
+from morlkit.ccs import AolsResult, PartialCcs
+from morlkit.core import ValueVector, WeightVector
 from morlkit.envs import (
     SingleObjectiveView,
     ToyLocomotion,
