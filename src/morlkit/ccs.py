@@ -7,10 +7,15 @@ oracle at the most promising simplex weights, and the certificate
 (`coverage_gap`) that checks a finished set against an oracle at its
 corner weights.
 
-One membership rule serves every coverage set in the package: a vector
-joins when it duplicates no member (`is_duplicate`) and beats every member
-at some weight (`is_convex_undominated`); `pruned` keeps the members that
-beat all the others.
+One rule serves each coverage-set decision in the package, in `aols` and
+in training alike. Closeness: two vectors within DUPLICATE_VALUE_ATOL in
+every component are one (`is_duplicate`); no `PartialCcs` holds both.
+Membership: a vector belongs when it beats all the others at some weight
+(`pruned`), so `aols` drops a vector that only ties another, such as the
+cheaper of two treasures at the same path cost, which tie at the weight
+that counts only the cost. Relative gap:
+(bound - surface) / bound for a positive bound, and the absolute gap
+bound - surface otherwise (`relative_improvement`).
 
 Corner weights grow one vector at a time, as in the incremental
 corner-weight update of optimistic linear support (Roijers, Whiteson &
@@ -22,7 +27,6 @@ its corner set between insertions and folds in each new vector.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
@@ -33,8 +37,6 @@ import numpy as np
 from .core import ValueVector, WeightVector, scalarize, simplex_extrema
 from .lp import LpUnbounded, solve_lp
 from .nets import write_text_atomic
-
-log = logging.getLogger(__name__)
 
 DUPLICATE_VALUE_ATOL = 1e-6
 WEIGHT_MATCH_ATOL = 1e-9
@@ -50,27 +52,23 @@ Oracle = Callable[[WeightVector], ValueVector]
 
 @dataclass(frozen=True)
 class PartialCcs:
-    """Working set of candidate-undominated value vectors, no two within
-    WEIGHT_MATCH_ATOL of each other."""
+    """Working set of candidate-undominated value vectors, none a duplicate
+    (`is_duplicate`) of an earlier one."""
 
     vectors: tuple[ValueVector, ...]
 
     def __post_init__(self) -> None:
         vecs = tuple(self.vectors)
-        if len(vecs) > 1:
-            vals = np.array([v.values for v in vecs])
-            gaps = np.max(np.abs(vals[:, None] - vals[None]), axis=2)
-            close = np.argwhere(np.triu(gaps <= WEIGHT_MATCH_ATOL, 1))
-            if len(close):
-                a, b = close[0]
-                raise ValueError(f"vectors {a} and {b} coincide")
+        for k, v in enumerate(vecs):
+            if is_duplicate(v, vecs[:k]):
+                raise ValueError(f"vector {k} duplicates an earlier one")
         object.__setattr__(self, "vectors", vecs)
 
 
 @dataclass(frozen=True)
 class AolsIteration:
-    """One pop of the weight queue: what was queried and how much
-    relative improvement the queue still promises afterwards."""
+    """One pop of the weight queue: what was queried and the largest gap
+    (`relative_improvement`) the queue still promises afterwards."""
 
     index: int
     weight: WeightVector
@@ -105,11 +103,6 @@ class MarginalWeightQueue:
     def pop(self) -> tuple[WeightVector, float, float]:
         neg, _, weight, bound = heapq.heappop(self._heap)
         return weight, -neg, bound
-
-    def peek_priority(self) -> tuple[float, float]:
-        """(priority, bound) of the top entry."""
-        neg, _, _, bound = self._heap[0]
-        return -neg, bound
 
     def entries(self) -> list[tuple[float, float]]:
         """(priority, bound) for every queued weight, unordered."""
@@ -168,13 +161,28 @@ def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
     return bool(np.max(np.abs(vals - v.array), axis=1).min() <= DUPLICATE_VALUE_ATOL)
 
 
-def pruned(vectors: Sequence[ValueVector]) -> list[ValueVector]:
+def pruned(
+    vectors: Sequence[ValueVector], wins_at: Sequence[WeightVector] | None = None
+) -> list[ValueVector]:
     """The members, in order, that beat all the others at some weight
-    (`is_convex_undominated` against the rest of the set)."""
+    (`is_convex_undominated` against the rest of the set).
+
+    wins_at[k], when given, is a weight to try vectors[k] at first: a member
+    that beats every other there by more than WEIGHT_MATCH_ATOL is kept
+    without solving the dominance program.
+    """
     vectors = list(vectors)
-    return [
-        v for k, v in enumerate(vectors) if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
-    ]
+    vals = np.array([v.values for v in vectors])
+
+    def belongs(k: int) -> bool:
+        others = vectors[:k] + vectors[k + 1 :]
+        if wins_at is not None and others:
+            dots = vals @ wins_at[k].array
+            if dots[k] > np.delete(dots, k).max() + WEIGHT_MATCH_ATOL:
+                return True
+        return is_convex_undominated(vectors[k], others)
+
+    return [v for k, v in enumerate(vectors) if belongs(k)]
 
 
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
@@ -343,30 +351,27 @@ def optimistic_bound(
 
 
 def relative_improvement(v_bound: float, v_star: float) -> float:
-    """Relative gap (v_bound - v_star) / v_bound between an optimistic
-    bound and the current surface value."""
-    if v_bound == 0.0:
-        raise ZeroDivisionError("relative improvement undefined for zero bound")
-    return (v_bound - v_star) / v_bound
+    """Gap between an optimistic bound and the current surface value:
+    relative, (v_bound - v_star) / v_bound, when the bound is positive, and
+    absolute, v_bound - v_star, otherwise, where a ratio would flip sign or
+    divide by zero."""
+    if v_bound > 0.0:
+        return (v_bound - v_star) / v_bound
+    return v_bound - v_star
 
 
 def _remaining_delta_r(queue: MarginalWeightQueue) -> float:
-    """Largest relative gap still promised by the queue.
+    """Largest gap still promised by the queue, by `relative_improvement`.
 
     The queue itself is ordered by the absolute gap (the selection rule);
-    the relative form used for convergence reporting maximizes over all
-    queued entries since the two orders can differ.
+    the form used for convergence reporting maximizes over all queued
+    entries since the two orders can differ.
     """
     best = 0.0
     for priority, bound in queue.entries():
         if math.isinf(priority):
             return math.inf
-        try:
-            rel = relative_improvement(bound, bound - priority)
-        except ZeroDivisionError:
-            log.warning("zero optimistic bound; logging absolute gap instead")
-            rel = priority
-        best = max(best, rel)
+        best = max(best, relative_improvement(bound, bound - priority))
     return best
 
 
@@ -383,7 +388,9 @@ def aols(
     bound and queries the oracle there. An answer that duplicates no member
     (`is_duplicate`) joins the set and is folded into the kept corner
     weights; the unexplored corners whose optimistic gap exceeds epsilon
-    are pushed. Stops when the queue empties or the iteration cap is hit.
+    are pushed. Stops when the queue empties or the iteration cap is hit,
+    and returns the members that beat all the others at some weight
+    (`pruned`).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -397,6 +404,7 @@ def aols(
         queue.push(e, math.inf, math.inf)
 
     s: list[ValueVector] = []
+    found_at: list[WeightVector] = []  # the weight where each member was returned
     corners = np.eye(objective_count)  # corner set of s[:folded]
     folded = 0
     # Every weight ever queued: those explored and those still waiting.
@@ -419,6 +427,7 @@ def aols(
         inserted = not is_duplicate(value, s)
         if inserted:
             s.append(value)
+            found_at.append(weight)
 
         # The extrema, queued at infinite priority, are the first pops: fold
         # once they are all explored, then after every insertion.
@@ -448,12 +457,11 @@ def aols(
             )
         )
 
-    delta_max = 0.0
-    if len(queue) > 0:
-        delta_max, _ = queue.peek_priority()
-
+    delta_max = max((priority for priority, _ in queue.entries()), default=0.0)
+    # A vector that only ties the others leaves the surface, and so the
+    # corners and bounds above, as they are; it is dropped once, here.
     return AolsResult(
-        ccs=PartialCcs(tuple(s)),
+        ccs=PartialCcs(tuple(pruned(s, found_at))),
         explored_weights=tuple(w for w, _ in wv),
         delta_max=delta_max,
         history=tuple(history),

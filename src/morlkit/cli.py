@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .config import (
     serialize_config,
 )
 from .core import Iorm, ValueVector
-from .envs import SingleObjectiveView, TabularFormatError, load_tabular, value_iteration
+from .envs import TabularFormatError, load_tabular, value_iteration
 from .explain import generate_alternatives, render_contrastive, render_policy_statement
 from .nets import (
     CheckpointFormatError,
@@ -174,6 +173,14 @@ def _eval_table(qa, mean: ValueVector, std: ValueVector) -> str:
     return "\n".join(lines)
 
 
+def _evaluate(run: RunConfig, actor, episodes: int, seed: int | None):
+    """`evaluate_policy` on a fresh env of the run, at the run's discount,
+    drawing from a generator seeded with seed (the run's seed if None)."""
+    seed = run.trainer.seed if seed is None else seed
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return evaluate_policy(run.env_factory(), actor, episodes, run.trainer.discount, rng)
+
+
 def cmd_train(args) -> int:
     raw = load_config(args.config)
     run = RunConfig.from_dict(raw, seed=args.seed)
@@ -225,13 +232,9 @@ def _verify(vectors, oracle, tol: float) -> None:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    raw, run = load_run(run_dir)
+    _, run = load_run(run_dir)
     require_episode_end(run.raw)
-    actor = load_actor(run_dir)
-    seed = args.seed if args.seed is not None else run.trainer.seed
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    env = run.env_factory()
-    mean, std, _ = evaluate_policy(env, actor, args.episodes, run.trainer.discount, rng)
+    mean, std, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
     table = _eval_table(run.qa, mean, std)
     print(table)
     if args.out:
@@ -248,19 +251,10 @@ def cmd_explain(args) -> int:
         raw = overlay
         run = RunConfig.from_dict(raw)
     require_episode_end(run.raw)
-    actor = load_actor(run_dir)
-    seed = args.seed if args.seed is not None else run.trainer.seed
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    env = run.env_factory()
-    current, _, _ = evaluate_policy(env, actor, args.episodes, run.trainer.discount, rng)
-    library = read_vectors(run_dir / "ccs.txt") if (run_dir / "ccs.txt").exists() else []
-    pool = list(library)
-    if all(
-        float(np.max(np.abs(current.array - v.array))) > 1e-9 for v in pool
-    ):
+    current, _, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
+    pool = read_vectors(run_dir / "ccs.txt") if (run_dir / "ccs.txt").exists() else []
+    if all(float(np.max(np.abs(current.array - v.array))) > 1e-9 for v in pool):
         pool.append(current)
-    if not pool:
-        raise RuntimeError("empty value library; train or evaluate first")
     blocks = [render_policy_statement(run.qa, current)]
     alternatives = generate_alternatives(pool, current, run.qa, run.explain)
     for alt in alternatives:
@@ -285,45 +279,43 @@ def _min_max_normalize(a: float, b: float) -> tuple[float, float]:
 
 def cmd_bench(args) -> int:
     raw = load_config(args.config)
+    if "env.objective_index" in raw:
+        raise ConfigError(
+            "config key 'env.objective_index': bench sets it for its single-objective "
+            "baseline; choose that channel with bench.objective_index"
+        )
     run = RunConfig.from_dict(raw, seed=args.seed)
     trainer = run.trainer
     baseline_index, episodes = build_bench_settings(raw, trainer.objective_count)
     require_episode_end(run.raw)
+    # The baseline is the same run on one reward channel, with as many updates.
+    single_run = RunConfig.from_dict(
+        {
+            **run.raw,
+            "trainer.objective_count": "1",
+            "env.objective_index": str(baseline_index),
+            "trainer.updates_per_objective": str(trainer.objective_count * trainer.updates_per_objective),
+        }
+    )
 
     multi = train(run.env_factory, trainer)
-
-    single_cfg = replace(
-        trainer,
-        objective_count=1,
-        updates_per_objective=trainer.objective_count * trainer.updates_per_objective,
-    )
-    single_factory = lambda: SingleObjectiveView(run.env_factory(), baseline_index)
-    single = train(single_factory, single_cfg)
-
-    rng = np.random.default_rng(np.random.SeedSequence(trainer.seed))
-    env = run.env_factory()
-    multi_mean, multi_std, _ = evaluate_policy(env, multi.actor, episodes, trainer.discount, rng)
-    rng = np.random.default_rng(np.random.SeedSequence(trainer.seed))
-    env = run.env_factory()
-    single_mean, single_std, _ = evaluate_policy(env, single.actor, episodes, trainer.discount, rng)
+    single = train(single_run.env_factory, single_run.trainer)
+    # Both policies are evaluated on every channel of the multi-objective env.
+    multi_mean, multi_std, _ = _evaluate(run, multi.actor, episodes, trainer.seed)
+    single_mean, single_std, _ = _evaluate(run, single.actor, episodes, trainer.seed)
 
     qa = run.qa
     names = [obj.name for obj in qa.objectives]
     width = max(len(n) for n in names + ["Objective"])
-    header = f"{'Objective'.ljust(width)}  {'Single-objective':>22}  {'Multi-objective':>22}"
-    lines = [header]
-    single_norms = []
-    multi_norms = []
+    lines = [f"{'Objective'.ljust(width)}  {'Single-objective':>22}  {'Multi-objective':>22}"]
     for k, name in enumerate(names):
         s_cell = f"{single_mean[k]:.3f} +- {single_std[k]:.3f}"
         m_cell = f"{multi_mean[k]:.3f} +- {multi_std[k]:.3f}"
         lines.append(f"{name.ljust(width)}  {s_cell:>22}  {m_cell:>22}")
-        s_n, m_n = _min_max_normalize(single_mean[k], multi_mean[k])
-        single_norms.append(s_n)
-        multi_norms.append(m_n)
     table = "\n".join(lines)
-    single_score = float(np.mean(single_norms))
-    multi_score = float(np.mean(multi_norms))
+    norms = [_min_max_normalize(single_mean[k], multi_mean[k]) for k in range(len(names))]
+    single_score = float(np.mean([s for s, _ in norms]))
+    multi_score = float(np.mean([m for _, m in norms]))
     winner = "multi" if multi_score > single_score else "single"
     summary = (
         f"normalized_mean_single={single_score!r}\n"
@@ -338,11 +330,7 @@ def cmd_bench(args) -> int:
         write_text_atomic(out_dir / "bench_table.txt", table + "\n")
         write_text_atomic(out_dir / "bench_summary.txt", summary)
         save_run(multi, out_dir / "multi", run.raw, 0.0)
-        single_raw = dict(run.raw)
-        single_raw["trainer.objective_count"] = "1"
-        single_raw["env.objective_index"] = str(baseline_index)
-        single_raw["trainer.updates_per_objective"] = str(single_cfg.updates_per_objective)
-        save_run(single, out_dir / "single", single_raw, 0.0)
+        save_run(single, out_dir / "single", single_run.raw, 0.0)
     return 0
 
 

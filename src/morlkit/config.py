@@ -82,12 +82,8 @@ def _get_int(cfg, key, default=None) -> int:
     return _get(cfg, key, int, default)
 
 
-def _get_float(cfg, key, default=None) -> float:
-    return _get(cfg, key, float, default)
-
-
 def _get_finite_float(cfg, key, default=None) -> float:
-    value = _get_float(cfg, key, default)
+    value = _get(cfg, key, float, default)
     if not math.isfinite(value):
         raise ConfigError(f"config key {key!r}: must be finite, got {value}")
     return value
@@ -175,10 +171,12 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
         momdp = treasure_grid_to_tabular(grid, discount=0.0)
         base_factory = lambda: DiscreteToBox(momdp, horizon=grid.horizon)
     elif kind == "locomotion":
-        horizon = _get_int(cfg, "env.horizon", 200)
+        horizon = _get_positive_int(cfg, "env.horizon", 200)
         bonus = _get_finite_float(cfg, "env.survive_bonus", 1.0)
         half_width = _get_finite_float(cfg, "env.half_width", 5.0)
-        contact_limit = _get_int(cfg, "env.contact_limit", 10)
+        if half_width <= 0.0:
+            raise ConfigError(f"config key 'env.half_width': must be positive, got {half_width}")
+        contact_limit = _get_positive_int(cfg, "env.contact_limit", 10)
         start_noise = _get_finite_float(cfg, "env.start_noise", 0.1)
         base_factory = lambda: ToyLocomotion(
             horizon=horizon,
@@ -278,11 +276,11 @@ def build_explain_config(cfg: dict[str, str], objective_count: int) -> ExplainCo
     try:
         return ExplainConfig(
             increments=tuple(
-                _get_float(cfg, f"explain.{k}.increment", 1.0)
+                _get_finite_float(cfg, f"explain.{k}.increment", 1.0)
                 for k in range(objective_count)
             ),
             max_values=tuple(
-                _get_float(cfg, f"explain.{k}.max_value", 100.0)
+                _get_finite_float(cfg, f"explain.{k}.max_value", 100.0)
                 for k in range(objective_count)
             ),
             max_alternatives=tuple(

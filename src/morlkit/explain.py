@@ -75,8 +75,8 @@ class QaSpec:
 class ExplainConfig:
     """Search settings per objective, in utility orientation.
 
-    increments: step size for tightening each attribute's target (> 0).
-    max_values: cap on the utility-oriented target sweep.
+    increments: step size for tightening each attribute's target (> 0, finite).
+    max_values: cap on the utility-oriented target sweep (finite).
     max_alternatives: cap on alternatives anchored at each attribute (>= 1).
     """
 
@@ -88,8 +88,10 @@ class ExplainConfig:
         n = len(self.increments)
         if n < 1 or len(self.max_values) != n or len(self.max_alternatives) != n:
             raise ValueError("per-objective settings must have equal nonzero length")
-        if any(dv <= 0.0 for dv in self.increments):
-            raise ValueError("increments must be positive")
+        if not all(0.0 < dv < math.inf for dv in self.increments):
+            raise ValueError("increments must be positive and finite")
+        if not all(math.isfinite(m) for m in self.max_values):
+            raise ValueError("max_values must be finite")
         if any(m < 1 for m in self.max_alternatives):
             raise ValueError("max_alternatives entries must be >= 1")
 

@@ -523,7 +523,8 @@ def _delta_probe(
     vbar: ValueVector, running: Sequence[ValueVector]
 ) -> tuple[float, float]:
     """Improvement of the newest mean critic vector over the running
-    coverage set at the uniform probe weight: (absolute gap, relative gap)."""
+    coverage set at the uniform probe weight: (absolute gap, gap by
+    `relative_improvement`)."""
     probe = uniform_weight(vbar.dim)
     bound = scalarize(probe, vbar)
     if not running:
@@ -532,15 +533,9 @@ def _delta_probe(
     gap = bound - surface
     if gap <= 0.0:
         return 0.0, 0.0
-    try:
-        rel = relative_improvement(bound, surface)
-    except ZeroDivisionError:
-        log.warning("zero probe bound; logging absolute improvement instead")
-        rel = gap
-    if bound < 0.0:
-        log.warning("negative probe bound; logging absolute improvement instead")
-        rel = gap
-    return gap, rel
+    if bound <= 0.0:
+        log.warning("probe bound %r is not positive; logging absolute improvement instead", bound)
+    return gap, relative_improvement(bound, surface)
 
 
 def _make_rngs(cfg: TrainerConfig):

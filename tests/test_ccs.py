@@ -15,12 +15,19 @@ from morlkit.ccs import (
     coverage_gap,
     is_convex_undominated,
     optimistic_bound,
+    pruned,
     relative_improvement,
     scalarized_max,
     write_history_csv,
 )
 from morlkit.core import ValueVector, WeightVector, scalarize, simplex_extrema
-from morlkit.envs import TabularMomdp, random_tabular_momdp, value_iteration
+from morlkit.envs import (
+    TabularMomdp,
+    TreasureGrid,
+    random_tabular_momdp,
+    treasure_grid_to_tabular,
+    value_iteration,
+)
 from reference_ccs import exact_ccs, finite_horizon_values, pareto_front
 from reference_corners import pairwise_corner_weights, rebuilt_corner_weights
 
@@ -113,6 +120,16 @@ def one_state_momdp(rewards, gamma):
         discount=gamma,
         terminal=np.zeros(1, dtype=bool),
     )
+
+
+def tie_grid():
+    """A 4x4 treasure grid whose exact planner returns three vectors, one of
+    which only ties another: (1.805, -2.8525) and (3.61, -2.8525) both take
+    the shortest path, so they tie at w = (0, 1) and the first wins nowhere."""
+    grid = TreasureGrid(
+        width=4, height=4, treasures=((0, 3, 2.0), (2, 3, 6.0), (3, 3, 15.0), (3, 0, 4.0)), horizon=12
+    )
+    return treasure_grid_to_tabular(grid, 0.95)
 
 
 def grid_undominated_oracle(v, s, points=10_001):
@@ -338,9 +355,13 @@ class TestRelativeImprovement:
     def test_hand_arithmetic(self):
         assert relative_improvement(8.0, 7.6) == pytest.approx(0.05)
 
-    def test_zero_bound_errors(self):
-        with pytest.raises(ZeroDivisionError):
-            relative_improvement(0.0, 1.0)
+    def test_zero_bound_gives_absolute_gap(self):
+        assert relative_improvement(0.0, -0.25) == 0.25
+
+    def test_negative_bound_gives_absolute_gap(self):
+        # A ratio would flip the sign: this surface lies 0.5 below the bound.
+        assert relative_improvement(-2.0, -2.5) == 0.5
+        assert relative_improvement(-2.0, -1.5) == -0.5
 
 
 class TestMarginalWeightQueue:
@@ -365,8 +386,54 @@ class TestPartialCcs:
         with pytest.raises(ValueError):
             PartialCcs((vv(1, 2), vv(1, 2)))
 
+    def test_rejects_members_within_duplicate_tolerance(self):
+        # 1e-7 apart: farther than the weight tolerance, within is_duplicate's.
+        with pytest.raises(ValueError, match="vector 2 duplicates"):
+            PartialCcs((vv(0, 3), vv(1, 2), vv(1, 2 + 1e-7)))
+        assert len(PartialCcs((vv(1, 2), vv(1, 2 + 1e-5))).vectors) == 2
+
+
+class TestPruned:
+    @pytest.mark.parametrize("kind", ["random", "concave", "integer"])
+    def test_weight_hints_do_not_change_membership(self, kind):
+        # Integer sets tie often; the hint is a weight where a member may or
+        # may not win, and only where it wins by more than the tolerance is
+        # the dominance program skipped.
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            vectors = corner_test_set(kind, seed, int(rng.integers(2, 5)))
+            hints = [wv(*rng.dirichlet(np.ones(vectors[0].dim))) for _ in vectors]
+            assert pruned(vectors, hints) == pruned(vectors), seed
+
+    def test_drops_a_vector_that_only_ties(self):
+        assert pruned([vv(1, 0), vv(0.5, 0), vv(0, 1)]) == [vv(1, 0), vv(0, 1)]
+
 
 class TestAols:
+    def test_drops_vectors_that_only_tie(self, monkeypatch):
+        dominance = ccs.is_convex_undominated
+        programs = []
+        monkeypatch.setattr(
+            ccs, "is_convex_undominated", lambda *args: programs.append(args) or dominance(*args)
+        )
+        m = tie_grid()
+        result = aols(lambda w: value_iteration(m, w)[1], 2, 1e-6)
+        assert sum(it.inserted for it in result.history) == 3
+        got = [v.values for v in result.ccs.vectors]
+        assert got == [pytest.approx((11.606714, -5.298162)), pytest.approx((3.61, -2.8525))]
+        # The other two vectors each win by a margin where they were found.
+        assert len(programs) == 1 and programs[0][0].values == pytest.approx((1.805, -2.8525))
+
+    def test_history_reports_the_gap_while_corners_are_queued(self):
+        # After iteration 3 the queue holds a corner whose optimistic bound
+        # is negative; its gap counts as an absolute gap, not as zero.
+        m = tie_grid()
+        result = aols(lambda w: value_iteration(m, w)[1], 2, 1e-6)
+        assert len(result.history) == 4 and not result.hit_iteration_cap
+        assert all(it.remaining_delta_r > 0.0 for it in result.history[:-1])
+        assert result.history[2].remaining_delta_r == pytest.approx(0.3449, abs=1e-4)
+        assert result.history[-1].remaining_delta_r == 0.0
+
     def test_constant_oracle_single_point(self):
         calls = []
 

@@ -19,8 +19,14 @@ from morlkit.config import (
     serialize_config,
 )
 from morlkit.core import Iorm, ValueVector, WeightVector
-from morlkit.envs import TabularMomdp, random_tabular_momdp, save_tabular
-from morlkit.training import TrainerConfig
+from morlkit.envs import (
+    TabularMomdp,
+    TreasureGrid,
+    random_tabular_momdp,
+    save_tabular,
+    treasure_grid_to_tabular,
+)
+from morlkit.training import TrainerConfig, evaluate_policy
 
 TREASURE_CFG = """\
 seed=3
@@ -189,6 +195,19 @@ class TestCmdCcs:
         out = capsys.readouterr().out
         assert "VERIFIED" in out and "coverage gap " in out
 
+    def test_verified_where_vectors_tie(self, tmp_path, capsys):
+        # The exact planner also returns (1.805, -2.8525) on this grid; it
+        # ties (3.61, -2.8525) at w = (0, 1) and wins nowhere, so AOLS drops it.
+        grid = TreasureGrid(
+            width=4, height=4, treasures=((0, 3, 2.0), (2, 3, 6.0), (3, 3, 15.0), (3, 0, 4.0)), horizon=12
+        )
+        path = tmp_path / "grid.momdp"
+        save_tabular(treasure_grid_to_tabular(grid, 0.95), path)
+        assert main(["ccs", "--momdp", str(path), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "coverage set (2 vectors)" in out and "VERIFIED" in out
+        assert "1.805000" not in out
+
     def test_verify_fails_when_a_vector_is_missing(self, tmp_path, capsys, monkeypatch):
         m = random_tabular_momdp(np.random.default_rng(17), 10, 3, 2, discount=0.9)
         path = tmp_path / "m.momdp"
@@ -312,6 +331,40 @@ class TestCmdEvalExplain:
         second = capsys.readouterr().out
         assert first == second
         assert "+-" in first
+
+    def test_shared_evaluation_matches_eval_table(self, run_dir, capsys):
+        # eval, explain and both bench evaluations go through cli._evaluate:
+        # evaluate_policy on a fresh env, seeded with the given seed or else
+        # the run's.
+        _, run = cli.load_run(run_dir)
+        actor = cli.load_actor(run_dir)
+        mean, std, returns = cli._evaluate(run, actor, 3, 7)
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        direct = evaluate_policy(run.env_factory(), actor, 3, run.trainer.discount, rng)
+        assert np.array_equal(returns, direct[2])
+        assert main(["eval", str(run_dir), "--episodes", "3", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == cli._eval_table(run.qa, mean, std) + "\n"
+        own_seed = cli._evaluate(run, actor, 3, run.trainer.seed)[2]
+        assert np.array_equal(cli._evaluate(run, actor, 3, None)[2], own_seed)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"explain.0.increment": "nan"}, "explain.0.increment"),
+            ({"explain.1.max_value": "nan"}, "explain.1.max_value"),
+            (
+                {"env.kind": "locomotion", "trainer.objective_count": "4", "env.half_width": "0"},
+                "env.half_width",
+            ),
+        ],
+        ids=["nan-increment", "nan-max-value", "zero-half-width"],
+    )
+    def test_rejected_overlay_exits_1(self, run_dir, tmp_path, capsys, monkeypatch, overrides, key):
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: pytest.fail("evaluation started"))
+        overlay = write_cfg(tmp_path, with_keys("", overrides), name="overlay.cfg")
+        assert main(["explain", str(run_dir), "--config", str(overlay)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
 
     def test_eval_single_episode_zero_std(self, run_dir, capsys):
         assert main(["eval", str(run_dir), "--episodes", "1"]) == 0
@@ -472,11 +525,23 @@ class TestCmdBench:
         table = (out / "bench_table.txt").read_text()
         assert "Single-objective" in table and "Multi-objective" in table
 
+    def test_single_config_describes_the_baseline_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, TREASURE_CFG + "bench.episodes=2\n")
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--config", str(out / "single" / "config.txt"), "--out", str(rerun)]) == 0
+        for name in ("config.txt", "metrics.csv", "delta_r.csv", "ccs.txt", "actor.ckpt", "critic_0.ckpt"):
+            assert (rerun / name).read_bytes() == (out / "single" / name).read_bytes(), name
+
 
 def with_keys(text, overrides):
     """Config text with the given keys replaced or added."""
     lines = [line for line in text.splitlines() if line.split("=", 1)[0] not in overrides]
     return "\n".join(lines + [f"{k}={v}" for k, v in overrides.items()]) + "\n"
+
+
+LOCOMOTION = {"env.kind": "locomotion", "trainer.objective_count": "4"}
 
 
 class TestRejectedInputExits1:
@@ -512,6 +577,14 @@ class TestRejectedInputExits1:
             ("train", {"trainer.termination_epsilon": "inf"}, "trainer.termination_epsilon"),
             ("train", {"trainer.hidden_sizes": "-3"}, "trainer.hidden_sizes"),
             ("train", {"trainer.hidden_sizes": "0,8"}, "trainer.hidden_sizes"),
+            ("train", {"explain.0.increment": "nan"}, "explain.0.increment"),
+            ("train", {"explain.1.max_value": "nan"}, "explain.1.max_value"),
+            ("train", {**LOCOMOTION, "env.horizon": "0"}, "env.horizon"),
+            ("train", {**LOCOMOTION, "env.contact_limit": "0"}, "env.contact_limit"),
+            ("train", {**LOCOMOTION, "env.half_width": "0"}, "env.half_width"),
+            ("bench", {**LOCOMOTION, "env.half_width": "-1"}, "env.half_width"),
+            ("bench", {"env.objective_index": "0"}, "env.objective_index"),
+            ("bench", {"env.objective_index": "0", "trainer.objective_count": "1"}, "env.objective_index"),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
@@ -521,6 +594,10 @@ class TestRejectedInputExits1:
             "infinite-survive-bonus", "nan-learning-rate", "infinite-learning-rate",
             "nan-clip-epsilon", "bench-infinite-clip-epsilon", "nan-termination-epsilon",
             "infinite-termination-epsilon", "negative-hidden-size", "zero-width-hidden-layer",
+            "nan-explain-increment", "nan-explain-max-value", "locomotion-zero-horizon",
+            "locomotion-zero-contact-limit", "locomotion-zero-half-width",
+            "bench-locomotion-negative-half-width", "bench-sets-objective-index",
+            "bench-sets-objective-index-single-channel",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):
