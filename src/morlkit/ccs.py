@@ -104,9 +104,9 @@ class MarginalWeightQueue:
         neg, _, weight, bound = heapq.heappop(self._heap)
         return weight, -neg, bound
 
-    def entries(self) -> list[tuple[float, float]]:
-        """(priority, bound) for every queued weight, unordered."""
-        return [(-neg, bound) for neg, _, _, bound in self._heap]
+    def entries(self) -> list[tuple[float, float, WeightVector]]:
+        """(priority, bound, weight) for every queued weight, unordered."""
+        return [(-neg, bound, weight) for neg, _, weight, bound in self._heap]
 
 
 def scalarized_max(
@@ -368,7 +368,7 @@ def _remaining_delta_r(queue: MarginalWeightQueue) -> float:
     entries since the two orders can differ.
     """
     best = 0.0
-    for priority, bound in queue.entries():
+    for priority, bound, _ in queue.entries():
         if math.isinf(priority):
             return math.inf
         best = max(best, relative_improvement(bound, bound - priority))
@@ -407,8 +407,6 @@ def aols(
     found_at: list[WeightVector] = []  # the weight where each member was returned
     corners = np.eye(objective_count)  # corner set of s[:folded]
     folded = 0
-    # Every weight ever queued: those explored and those still waiting.
-    pushed = [e.weights for e in simplex_extrema(objective_count)]
     wv: list[tuple[WeightVector, float]] = []
     history: list[AolsIteration] = []
     cap_hit = False
@@ -435,9 +433,9 @@ def aols(
             corners = _add_facets(corners, _shifted(np.array([v.values for v in s])), folded)
             folded = len(s)
             candidates = _sorted_rows(corners)
-            # Corners are pairwise farther apart than WEIGHT_MATCH_ATOL, so a
-            # corner pushed here never makes a later one count as seen.
-            seen = np.array(pushed)
+            # Weights ever queued were explored or still wait. Corners lie more than
+            # WEIGHT_MATCH_ATOL apart, so no corner pushed here hides a later one.
+            seen = np.array([w.weights for w, _ in wv] + [w.weights for *_, w in queue.entries()])
             gaps = np.max(np.abs(candidates[:, None] - seen[None]), axis=2).min(axis=1)
             for row in candidates[gaps > WEIGHT_MATCH_ATOL]:
                 corner = WeightVector(tuple(row))
@@ -446,7 +444,6 @@ def aols(
                 gap = bound - surface
                 if gap > epsilon:
                     queue.push(corner, gap, bound)
-                    pushed.append(corner.weights)
 
         history.append(
             AolsIteration(
@@ -457,7 +454,7 @@ def aols(
             )
         )
 
-    delta_max = max((priority for priority, _ in queue.entries()), default=0.0)
+    delta_max = max((priority for priority, *_ in queue.entries()), default=0.0)
     # A vector that only ties the others leaves the surface, and so the
     # corners and bounds above, as they are; it is dropped once, here.
     return AolsResult(

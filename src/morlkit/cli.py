@@ -64,6 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_finite_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -110,10 +117,10 @@ def write_vectors(vectors, path: Path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n" if lines else "")
 
 
-def read_vectors(path: Path) -> list[ValueVector]:
+def read_vectors(path: Path, dim: int | None = None) -> list[ValueVector]:
     """Inverse of write_vectors; raises VectorFileError naming the file and
     line for a non-number, a non-finite value or a row whose length differs
-    from the first."""
+    from dim, when given, or else from the first row's."""
     out: list[ValueVector] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -126,6 +133,8 @@ def read_vectors(path: Path) -> list[ValueVector]:
             raise VectorFileError(
                 f"{path}:{lineno}: row has {vector.dim} values, the first row has {out[0].dim}"
             )
+        if dim is not None and vector.dim != dim:
+            raise VectorFileError(f"{path}:{lineno}: row has {vector.dim} values, expected {dim}")
         out.append(vector)
     return out
 
@@ -147,12 +156,12 @@ def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str],
     )
 
 
-def load_run(run_dir: Path) -> tuple[dict[str, str], RunConfig]:
+def load_run(run_dir: Path, overlay: dict[str, str] | None = None) -> RunConfig:
+    """The run's config, with the overlay's keys replacing its own."""
     config_path = run_dir / "config.txt"
     if not config_path.exists():
         raise UsageError(f"{run_dir} does not look like a run directory (no config.txt)")
-    raw = load_config(config_path)
-    return raw, RunConfig.from_dict(raw)
+    return RunConfig.from_dict({**load_config(config_path), **(overlay or {})})
 
 
 def load_actor(run_dir: Path):
@@ -232,7 +241,7 @@ def _verify(vectors, oracle, tol: float) -> None:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    _, run = load_run(run_dir)
+    run = load_run(run_dir)
     require_episode_end(run.raw)
     mean, std, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
     table = _eval_table(run.qa, mean, std)
@@ -244,15 +253,17 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     run_dir = Path(args.run_dir)
-    raw, run = load_run(run_dir)
-    if args.config:
-        overlay = dict(raw)
-        overlay.update(load_config(args.config))
-        raw = overlay
-        run = RunConfig.from_dict(raw)
+    overlay = load_config(args.config) if args.config else {}
+    foreign = [repr(key) for key in sorted(overlay) if not key.startswith(("explain.", "qa."))]
+    if foreign:  # the actor was trained on the run's environment and objectives
+        raise ConfigError(
+            f"config keys {', '.join(foreign)}: an explain overlay sets only explain.* and qa.* keys"
+        )
+    run = load_run(run_dir, overlay)
     require_episode_end(run.raw)
     current, _, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
-    pool = read_vectors(run_dir / "ccs.txt") if (run_dir / "ccs.txt").exists() else []
+    library = run_dir / "ccs.txt"
+    pool = read_vectors(library, run.trainer.objective_count) if library.exists() else []
     if all(float(np.max(np.abs(current.array - v.array))) > 1e-9 for v in pool):
         pool.append(current)
     blocks = [render_policy_statement(run.qa, current)]
@@ -340,7 +351,7 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="run the multi-objective trainer")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_non_negative_int, default=None)
     p_train.add_argument("--out", default=None)
     p_train.set_defaults(func=cmd_train)
 
@@ -354,7 +365,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a trained run directory")
     p_eval.add_argument("run_dir")
     p_eval.add_argument("--episodes", type=_positive_int, default=20)
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=_non_negative_int, default=None)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -362,13 +373,13 @@ def build_parser() -> _Parser:
     p_explain.add_argument("run_dir")
     p_explain.add_argument("--config", default=None)
     p_explain.add_argument("--episodes", type=_positive_int, default=10)
-    p_explain.add_argument("--seed", type=int, default=None)
+    p_explain.add_argument("--seed", type=_non_negative_int, default=None)
     p_explain.add_argument("--out", default=None)
     p_explain.set_defaults(func=cmd_explain)
 
     p_bench = sub.add_parser("bench", help="compare multi- vs single-objective training")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=_non_negative_int, default=None)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

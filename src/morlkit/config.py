@@ -118,7 +118,9 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
     try:
         return TrainerConfig(**kwargs)
     except ValueError as exc:  # the message starts with the rejected field
-        raise ConfigError(f"config key 'trainer.{str(exc).split()[0]}': {exc}") from exc
+        field = str(exc).split()[0]
+        key = "seed" if field == "seed" else f"trainer.{field}"
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def _parse_treasures(text: str) -> tuple[tuple[int, int, float], ...]:

@@ -1,8 +1,9 @@
 """Desk-scale vector-reward environments and exact planning oracles.
 
 The tabular problems double as ground truth for the coverage-set solver:
-`value_iteration` solves a scalarized problem exactly and reports the
-per-objective value of its greedy policy.
+`value_iteration` solves a scalarized problem exactly by policy iteration,
+evaluating each policy it visits once, and reports the per-objective value
+of its greedy policy.
 
 An environment object holds C copies that step together. reset(rngs)
 starts C = len(rngs) episodes, copy c drawing from rngs[c] in copy order;
@@ -44,10 +45,11 @@ class TabularMomdp:
     terminal: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.transitions, dtype=float)
-        r = np.asarray(self.rewards, dtype=float)
-        d0 = np.asarray(self.initial, dtype=float)
-        term = np.asarray(self.terminal, dtype=bool)
+        # C-ordered copies, frozen below; the caller's arrays stay writeable.
+        p = np.array(self.transitions, dtype=float, order="C")
+        r = np.array(self.rewards, dtype=float, order="C")
+        d0 = np.array(self.initial, dtype=float)
+        term = np.array(self.terminal, dtype=bool)
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ValueError("transitions must have shape (S, A, S)")
         ns, na, _ = p.shape
@@ -60,8 +62,6 @@ class TabularMomdp:
         for name, arr in (("transitions", p), ("rewards", r), ("initial", d0)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        p = p.copy()
-        r = r.copy()
         for s in np.flatnonzero(term):
             p[s] = 0.0
             p[s, :, s] = 1.0
@@ -70,10 +70,8 @@ class TabularMomdp:
             raise ValueError("transition rows must be distributions")
         if abs(d0.sum() - 1.0) > 1e-9 or np.any(d0 < -1e-12):
             raise ValueError("initial state distribution must sum to 1")
-        for arr in (p, r, d0):
+        for arr in (p, r, d0, term):
             arr.flags.writeable = False
-        term = term.copy()
-        term.flags.writeable = False
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "initial", d0)
@@ -456,15 +454,6 @@ def boxed_treasure(grid: TreasureGrid) -> DiscreteToBox:
     return DiscreteToBox(treasure_grid_to_tabular(grid, discount=0.0), horizon=grid.horizon)
 
 
-def _greedy_improve(q: np.ndarray, policy: np.ndarray) -> np.ndarray:
-    best = q.max(axis=1)
-    improved = policy.copy()
-    for s in range(q.shape[0]):
-        if q[s, policy[s]] < best[s] - 1e-12:
-            improved[s] = int(np.argmax(q[s]))
-    return improved
-
-
 def _evaluate_policy_channels(m: TabularMomdp, policy: np.ndarray) -> np.ndarray:
     """Exact per-objective values of a stationary policy: (S, I)."""
     ns = m.num_states
@@ -479,10 +468,11 @@ def value_iteration(
     """Solve the w-scalarized problem exactly and report the greedy policy's
     per-objective value at the initial distribution.
 
-    Uses policy iteration with exact policy evaluation, then verifies the
-    scalarized Bellman residual against tol. Deterministic for fixed input
-    (argmax ties go to the lowest action index; the incumbent action is
-    kept unless strictly improved upon).
+    Uses policy iteration with exact policy evaluation, evaluating each
+    policy it visits once; the last evaluation gives the start value and
+    the scalarized Bellman residual, which is checked against tol.
+    Deterministic for fixed input (argmax ties go to the lowest action
+    index; the incumbent action is kept unless beaten by more than 1e-12).
     """
     if w.dim != m.objective_count:
         raise ValueError("weight dimension does not match objective count")
@@ -490,17 +480,17 @@ def value_iteration(
     policy = np.zeros(m.num_states, dtype=int)
     # Strict-improvement switching cannot revisit a policy; the cap is safety.
     for _ in range(10_000):
-        values = _evaluate_policy_channels(m, policy) @ w.array
+        channel_values = _evaluate_policy_channels(m, policy)
+        values = channel_values @ w.array
         q = r_w + m.discount * (m.transitions @ values)
-        improved = _greedy_improve(q, policy)
-        if np.array_equal(improved, policy):
+        best = q.max(axis=1)
+        switch = q[np.arange(m.num_states), policy] < best - 1e-12
+        if not switch.any():
             break
-        policy = improved
+        policy = np.where(switch, q.argmax(axis=1), policy)
     else:
         raise RuntimeError("policy iteration failed to converge")
-    channel_values = _evaluate_policy_channels(m, policy)
-    v_w = channel_values @ w.array
-    residual = float(np.max(np.abs((r_w + m.discount * (m.transitions @ v_w)).max(axis=1) - v_w)))
+    residual = float(np.max(np.abs(best - values)))
     if residual > tol:
         raise RuntimeError(f"Bellman residual {residual:.3e} exceeds tol {tol:.3e}")
     start_value = m.initial @ channel_values

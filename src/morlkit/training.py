@@ -107,6 +107,8 @@ class TrainerConfig:
             raise ValueError(f"termination_epsilon must be >= 0 and finite, got {self.termination_epsilon}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
@@ -367,10 +369,7 @@ def iorm_row_select(
     pool = [w for w, s in zip(candidates, scores) if s >= best - 1e-9]
     entropies = [_weight_entropy(w) for w in pool]
     top = max(entropies)
-    for w, h in zip(pool, entropies):
-        if h >= top - 1e-12:
-            return w
-    return pool[0]
+    return next(w for w, h in zip(pool, entropies) if h >= top - 1e-12)
 
 
 @dataclass

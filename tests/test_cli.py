@@ -336,7 +336,7 @@ class TestCmdEvalExplain:
         # eval, explain and both bench evaluations go through cli._evaluate:
         # evaluate_policy on a fresh env, seeded with the given seed or else
         # the run's.
-        _, run = cli.load_run(run_dir)
+        run = cli.load_run(run_dir)
         actor = cli.load_actor(run_dir)
         mean, std, returns = cli._evaluate(run, actor, 3, 7)
         rng = np.random.default_rng(np.random.SeedSequence(7))
@@ -411,6 +411,25 @@ class TestCmdEvalExplain:
         assert main(["explain", str(run_dir), "--episodes", "1"]) == 1
         err = capsys.readouterr().err
         assert f"{path}{message}" in err
+
+    def test_overlay_outside_explain_and_qa_exits_1(self, run_dir, tmp_path, capsys, monkeypatch):
+        # The actor was trained on the run's 3x3 treasure grid: an overlay
+        # that swaps the environment must not reach evaluation.
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: pytest.fail("evaluation started"))
+        overrides = {"env.kind": "locomotion", "trainer.objective_count": "4", "explain.0.increment": "2"}
+        overlay = write_cfg(tmp_path, with_keys("", overrides), name="overlay.cfg")
+        assert main(["explain", str(run_dir), "--config", str(overlay)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'env.kind'" in err and "'trainer.objective_count'" in err
+        assert "explain.0.increment" not in err
+
+    def test_value_library_of_another_width_exits_1(self, run_dir, capsys):
+        path = run_dir / "ccs.txt"
+        path.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")
+        assert main(["explain", str(run_dir), "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}:1: row has 3 values, expected 2" in err
 
     def test_explain_missing_run(self, tmp_path, capsys):
         code = main(["explain", str(tmp_path / "nope"), "--episodes", "1"])
@@ -688,6 +707,31 @@ class TestRejectedInputExits1:
         capsys.readouterr()
         assert main([command, str(run_dir), "--episodes", "0"]) == 1
         assert "argument --episodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "bench", "eval", "explain"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        cfg = write_cfg(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: pytest.fail("evaluation started"))
+        target = ["--config", str(cfg)] if command in ("train", "bench") else [str(run_dir)]
+        capsys.readouterr()
+        assert main([command, *target, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "argument --seed" in err
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_negative_seed_key_names_seed(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+        cfg = write_cfg(tmp_path, with_keys(TREASURE_CFG, {"seed": "-2"}))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'seed': ") and "trainer.seed" not in err
+
+    def test_trainer_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            TrainerConfig(objective_count=1, updates_per_objective=1, seed=-1)
 
 
 class TestUsage:

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from morlkit import envs
 from morlkit.core import WeightVector
 from morlkit.envs import (
     DiscreteToBox,
@@ -81,6 +82,14 @@ class TestTabularMomdp:
                 np.full((2, 1, 2), 0.5), np.zeros((2, 1, 2)), np.array([np.nan, 1.0]), 0.9,
                 np.zeros(2, dtype=bool),
             )
+
+    def test_caller_arrays_stay_writeable(self):
+        # The problem freezes its own copies, not the arrays it was given.
+        p, r, d0 = np.full((2, 1, 2), 0.5), np.zeros((2, 1, 2)), np.array([1.0, 0.0])
+        terminal = np.zeros(2, dtype=bool)
+        m = TabularMomdp(p, r, d0, 0.9, terminal)
+        assert all(a.flags.writeable for a in (p, r, d0, terminal))
+        assert not any(a.flags.writeable for a in (m.transitions, m.rewards, m.initial, m.terminal))
 
     def test_terminal_rows_rewritten_absorbing(self):
         m = TabularMomdp(
@@ -218,6 +227,37 @@ class TestValueIteration:
         m = two_arm_bandit()
         with pytest.raises(ValueError):
             value_iteration(m, wv(1.0))
+
+    @pytest.mark.parametrize("objectives", [2, 3, 4, "tie-grid"])
+    def test_each_policy_evaluated_once(self, monkeypatch, objectives):
+        # Policy iteration evaluates the start policy, then one policy per
+        # improvement step; the last evaluation gives the returned value.
+        if objectives == "tie-grid":
+            treasures = ((0, 3, 2.0), (2, 3, 6.0), (3, 3, 15.0), (3, 0, 4.0))
+            grid = TreasureGrid(width=4, height=4, treasures=treasures, horizon=12)
+            m = treasure_grid_to_tabular(grid, 0.95)
+        else:
+            m = random_tabular_momdp(np.random.default_rng(objectives), 6, 3, objectives, 0.9)
+        evaluate = envs._evaluate_policy_channels
+        seen = []
+
+        def recording(m, policy):
+            seen.append(policy.copy())
+            return evaluate(m, policy)
+
+        monkeypatch.setattr(envs, "_evaluate_policy_channels", recording)
+        rng = np.random.default_rng(7)
+        weights = [np.eye(m.objective_count)[k] for k in range(m.objective_count)]
+        weights += list(rng.dirichlet(np.ones(m.objective_count), size=8))
+        for w in weights:
+            seen.clear()
+            policy, value = value_iteration(m, WeightVector(tuple(w)))
+            distinct = {p.tobytes() for p in seen}
+            assert len(distinct) == len(seen)
+            steps = sum(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+            assert len(seen) == steps + 1
+            assert np.array_equal(seen[-1], policy)
+            assert value.values == tuple(m.initial @ evaluate(m, policy))
 
 
 class TestTreasureGrid:

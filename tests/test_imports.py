@@ -1,7 +1,11 @@
-"""Every name a source or test file imports is used in that file.
+"""Every name a source or test file imports is used in that file, and
+every private module-level helper of the package is used somewhere in it.
 
 A name counts as used when the file loads it (`name` or `name.attr`) or
-lists it in `__all__`. `from __future__` imports are exempt.
+lists it in `__all__`. `from __future__` imports are exempt. A private
+helper is a module-level function or class of `src/morlkit` whose name
+starts with `_`; it counts as used when package code outside its own
+definition names it.
 """
 
 import ast
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "morlkit").rglob("*.py"))
 FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
 
@@ -40,3 +45,46 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nimport sys as system\nfrom math import pi, tau\nprint(pi, os.sep)\n")
     assert unused_imports(tree) == ["system (line 2)", "tau (line 3)"]
+
+
+def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    definitions: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, tree in modules.items():
+        for statement in tree.body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = statement.name
+                if own.startswith("_"):
+                    definitions.append((module, own))
+            for node in ast.walk(statement):
+                name = (
+                    node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None
+                )
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in definitions if name not in used]
+
+
+def test_no_unused_private_helpers():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in SOURCES
+    }
+    assert unused_private_helpers(modules) == []
+
+
+def test_detects_an_unused_private_helper():
+    source = (
+        "def _improve(q):\n    return _improve(q[1:]) if q else q\n\n"
+        "def _evaluate(p):\n    return p\n\n"
+        "class _State:\n    pass\n\n"
+        "def solve(p):\n    return _evaluate(p)\n"
+    )
+    other = "from .a import _State\n"
+    modules = {"a": ast.parse(source), "b": ast.parse(other)}
+    assert unused_private_helpers(modules) == ["a._improve"]
+    assert unused_private_helpers({"a": ast.parse(source)}) == ["a._improve", "a._State"]
