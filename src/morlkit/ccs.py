@@ -21,12 +21,12 @@ Corner weights grow one vector at a time, as in the incremental
 corner-weight update of optimistic linear support (Roijers, Whiteson &
 Oliehoek, JAIR 2015): a new vector removes the corners where it lies
 above the surface, and the new corners all lie on its facet. `aols` keeps
-its corner set between insertions and folds in each new vector.
+its corner set between insertions and folds in each new vector; the
+corners it has yet to query wait in one list, in the order they were found.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
@@ -67,8 +67,8 @@ class PartialCcs:
 
 @dataclass(frozen=True)
 class AolsIteration:
-    """One pop of the weight queue: what was queried and the largest gap
-    (`relative_improvement`) the queue still promises afterwards."""
+    """One query of `aols`: the weight asked and the largest gap
+    (`relative_improvement`) its pending corners still promise afterwards."""
 
     index: int
     weight: WeightVector
@@ -83,30 +83,6 @@ class AolsResult:
     delta_max: float
     history: tuple[AolsIteration, ...]
     hit_iteration_cap: bool
-
-
-class MarginalWeightQueue:
-    """Max-priority queue of candidate weights; infinite priority first,
-    FIFO among equal priorities."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, WeightVector, float]] = []
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, weight: WeightVector, priority: float, bound: float) -> None:
-        heapq.heappush(self._heap, (-priority, self._counter, weight, bound))
-        self._counter += 1
-
-    def pop(self) -> tuple[WeightVector, float, float]:
-        neg, _, weight, bound = heapq.heappop(self._heap)
-        return weight, -neg, bound
-
-    def entries(self) -> list[tuple[float, float, WeightVector]]:
-        """(priority, bound, weight) for every queued weight, unordered."""
-        return [(-neg, bound, weight) for neg, _, weight, bound in self._heap]
 
 
 def scalarized_max(
@@ -360,18 +336,18 @@ def relative_improvement(v_bound: float, v_star: float) -> float:
     return v_bound - v_star
 
 
-def _remaining_delta_r(queue: MarginalWeightQueue) -> float:
-    """Largest gap still promised by the queue, by `relative_improvement`.
+def _remaining_delta_r(pending: Sequence[tuple[float, float, WeightVector]]) -> float:
+    """Largest gap still promised by the pending (gap, bound, weight)
+    entries, by `relative_improvement`.
 
-    The queue itself is ordered by the absolute gap (the selection rule);
-    the form used for convergence reporting maximizes over all queued
-    entries since the two orders can differ.
+    `aols` picks corners by the absolute gap; convergence is reported in
+    this form, maximized over every entry, since the two orders can differ.
     """
     best = 0.0
-    for priority, bound, _ in queue.entries():
-        if math.isinf(priority):
+    for gap, bound, _ in pending:
+        if math.isinf(gap):
             return math.inf
-        best = max(best, relative_improvement(bound, bound - priority))
+        best = max(best, relative_improvement(bound, bound - gap))
     return best
 
 
@@ -383,14 +359,14 @@ def aols(
 ) -> AolsResult:
     """Approximate optimistic linear support.
 
-    Seeds a priority queue with all simplex extrema at infinite priority,
-    then repeatedly pops the weight with the largest optimistic improvement
-    bound and queries the oracle there. An answer that duplicates no member
-    (`is_duplicate`) joins the set and is folded into the kept corner
-    weights; the unexplored corners whose optimistic gap exceeds epsilon
-    are pushed. Stops when the queue empties or the iteration cap is hit,
-    and returns the members that beat all the others at some weight
-    (`pruned`).
+    Starts with all simplex extrema pending at infinite gap, then
+    repeatedly queries the oracle at the pending weight with the largest
+    optimistic gap, the earliest added among equal gaps. An answer that
+    duplicates no member (`is_duplicate`) joins the set and is folded into
+    the kept corner weights; the unexplored corners whose optimistic gap
+    exceeds epsilon are added to the pending list. Stops when none is
+    pending or the iteration cap is hit, and returns the members that beat
+    all the others at some weight (`pruned`).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -399,9 +375,8 @@ def aols(
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    queue = MarginalWeightQueue()
-    for e in simplex_extrema(objective_count):
-        queue.push(e, math.inf, math.inf)
+    # (gap, bound, weight) of every weight still to query, in the order added.
+    pending = [(math.inf, math.inf, e) for e in simplex_extrema(objective_count)]
 
     s: list[ValueVector] = []
     found_at: list[WeightVector] = []  # the weight where each member was returned
@@ -411,13 +386,13 @@ def aols(
     history: list[AolsIteration] = []
     cap_hit = False
 
-    while len(queue) > 0:
+    while pending:
         if len(wv) >= max_iterations:
             cap_hit = True
             break
-        # No weight is popped twice: each pushed corner is farther than
-        # WEIGHT_MATCH_ATOL from every weight queued before it.
-        weight, _, _ = queue.pop()
+        # No weight is queried twice: each added corner is farther than
+        # WEIGHT_MATCH_ATOL from every weight added before it.
+        *_, weight = pending.pop(max(range(len(pending)), key=lambda k: pending[k][0]))
         value = oracle(weight)
         if value.dim != objective_count:
             raise ValueError(f"oracle returned dimension {value.dim}, expected {objective_count}")
@@ -427,15 +402,15 @@ def aols(
             s.append(value)
             found_at.append(weight)
 
-        # The extrema, queued at infinite priority, are the first pops: fold
+        # The extrema, pending at infinite gap, are the first queries: fold
         # once they are all explored, then after every insertion.
         if len(wv) == objective_count or (inserted and len(wv) > objective_count):
             corners = _add_facets(corners, _shifted(np.array([v.values for v in s])), folded)
             folded = len(s)
             candidates = _sorted_rows(corners)
-            # Weights ever queued were explored or still wait. Corners lie more than
-            # WEIGHT_MATCH_ATOL apart, so no corner pushed here hides a later one.
-            seen = np.array([w.weights for w, _ in wv] + [w.weights for *_, w in queue.entries()])
+            # Weights ever added were explored or still wait. Corners lie more than
+            # WEIGHT_MATCH_ATOL apart, so no corner added here hides a later one.
+            seen = np.array([w.weights for w, _ in wv] + [w.weights for *_, w in pending])
             gaps = np.max(np.abs(candidates[:, None] - seen[None]), axis=2).min(axis=1)
             for row in candidates[gaps > WEIGHT_MATCH_ATOL]:
                 corner = WeightVector(tuple(row))
@@ -443,18 +418,18 @@ def aols(
                 bound = optimistic_bound(wv, corner, epsilon)
                 gap = bound - surface
                 if gap > epsilon:
-                    queue.push(corner, gap, bound)
+                    pending.append((gap, bound, corner))
 
         history.append(
             AolsIteration(
                 index=len(wv),
                 weight=weight,
                 inserted=inserted,
-                remaining_delta_r=_remaining_delta_r(queue),
+                remaining_delta_r=_remaining_delta_r(pending),
             )
         )
 
-    delta_max = max((priority for priority, *_ in queue.entries()), default=0.0)
+    delta_max = max((gap for gap, *_ in pending), default=0.0)
     # A vector that only ties the others leaves the surface, and so the
     # corners and bounds above, as they are; it is dropped once, here.
     return AolsResult(

@@ -28,7 +28,7 @@ from .config import (
     require_episode_end,
     serialize_config,
 )
-from .core import Iorm, ValueVector
+from .core import ValueVector
 from .envs import TabularFormatError, load_tabular, value_iteration
 from .explain import generate_alternatives, render_contrastive, render_policy_statement
 from .nets import (
@@ -57,22 +57,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parsed(cast, text: str, kind: str):
+    """cast(text), with a non-number reported as an argument error (argparse
+    would name the type helper instead)."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, text, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, text, "an integer")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _positive_finite_float(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, text, "a number")
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
@@ -107,13 +116,9 @@ def write_delta_csv(artifacts: RunArtifacts, path: Path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_iorm(iorm: Iorm, path: Path) -> None:
-    lines = [" ".join(_fmt(w) for w in row.weights) for row in iorm.rows]
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
 def write_vectors(vectors, path: Path) -> None:
-    lines = [" ".join(_fmt(x) for x in v.values) for v in vectors]
+    """One row per value or weight vector, components space-separated."""
+    lines = [" ".join(_fmt(x) for x in v) for v in vectors]
     write_text_atomic(path, "\n".join(lines) + "\n" if lines else "")
 
 
@@ -144,7 +149,7 @@ def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str],
     write_text_atomic(out_dir / "config.txt", serialize_config(raw_config))
     write_metrics_csv(artifacts, out_dir / "metrics.csv")
     write_delta_csv(artifacts, out_dir / "delta_r.csv")
-    write_iorm(artifacts.iorm, out_dir / "iorm.txt")
+    write_vectors(artifacts.iorm.rows, out_dir / "iorm.txt")
     write_vectors(artifacts.ccs.vectors, out_dir / "ccs.txt")
     write_arrays(out_dir / "actor.ckpt", policy_to_arrays(artifacts.actor))
     for k, net in enumerate(artifacts.critics.nets):

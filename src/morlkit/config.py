@@ -89,6 +89,13 @@ def _get_finite_float(cfg, key, default=None) -> float:
     return value
 
 
+def _get_positive_float(cfg, key, default=None) -> float:
+    value = _get_finite_float(cfg, key, default)
+    if value <= 0.0:
+        raise ConfigError(f"config key {key!r}: must be positive, got {value}")
+    return value
+
+
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -175,9 +182,7 @@ def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
     elif kind == "locomotion":
         horizon = _get_positive_int(cfg, "env.horizon", 200)
         bonus = _get_finite_float(cfg, "env.survive_bonus", 1.0)
-        half_width = _get_finite_float(cfg, "env.half_width", 5.0)
-        if half_width <= 0.0:
-            raise ConfigError(f"config key 'env.half_width': must be positive, got {half_width}")
+        half_width = _get_positive_float(cfg, "env.half_width", 5.0)
         contact_limit = _get_positive_int(cfg, "env.contact_limit", 10)
         start_noise = _get_finite_float(cfg, "env.start_noise", 0.1)
         base_factory = lambda: ToyLocomotion(
@@ -249,21 +254,27 @@ def build_qa_spec(cfg: dict[str, str], objective_count: int) -> QaSpec:
                 for k in range(objective_count)
             )
         )
-    entries = []
+    entries: list[QaObjective] = []
     for k in range(objective_count):
-        entries.append(
-            QaObjective(
+        try:
+            entry = QaObjective(
                 name=_get(cfg, f"qa.{k}.name", str),
                 qa_type=_get(cfg, f"qa.{k}.type", str, "Standard measurement"),
                 direction=_get(cfg, f"qa.{k}.direction", str, MAXIMIZE),
                 phrase=_get(cfg, f"qa.{k}.phrase", str, f"objective {k}"),
                 precision=_get_int(cfg, f"qa.{k}.precision", 3),
             )
-        )
-    try:
-        return QaSpec(tuple(entries))
-    except ValueError as exc:
-        raise ConfigError(f"qa configuration: {exc}") from exc
+        except ConfigError:
+            raise
+        except ValueError as exc:  # the message starts with the rejected field
+            raise ConfigError(f"config key 'qa.{k}.{str(exc).split()[0]}': {exc}") from exc
+        names = [e.name for e in entries]
+        if entry.name in names:
+            raise ConfigError(
+                f"config key 'qa.{k}.name': {entry.name!r} is already qa.{names.index(entry.name)}.name"
+            )
+        entries.append(entry)
+    return QaSpec(tuple(entries))
 
 
 def build_bench_settings(cfg: dict[str, str], objective_count: int) -> tuple[int, int]:
@@ -275,25 +286,12 @@ def build_bench_settings(cfg: dict[str, str], objective_count: int) -> tuple[int
 
 
 def build_explain_config(cfg: dict[str, str], objective_count: int) -> ExplainConfig:
-    try:
-        return ExplainConfig(
-            increments=tuple(
-                _get_finite_float(cfg, f"explain.{k}.increment", 1.0)
-                for k in range(objective_count)
-            ),
-            max_values=tuple(
-                _get_finite_float(cfg, f"explain.{k}.max_value", 100.0)
-                for k in range(objective_count)
-            ),
-            max_alternatives=tuple(
-                _get_int(cfg, f"explain.{k}.max_alternatives", 2)
-                for k in range(objective_count)
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"explain configuration: {exc}") from exc
+    prefixes = [f"explain.{k}." for k in range(objective_count)]
+    return ExplainConfig(
+        increments=tuple(_get_positive_float(cfg, f"{p}increment", 1.0) for p in prefixes),
+        max_values=tuple(_get_finite_float(cfg, f"{p}max_value", 100.0) for p in prefixes),
+        max_alternatives=tuple(_get_positive_int(cfg, f"{p}max_alternatives", 2) for p in prefixes),
+    )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class QaObjective:
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
         if not self.name:
-            raise ValueError("objective name must be nonempty")
+            raise ValueError("name must be nonempty")
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,6 @@ class CriticBank:
         if not self.nets:
             raise ValueError("critic bank must be nonempty")
 
-    @property
-    def size(self) -> int:
-        return len(self.nets)
-
 
 @dataclass(frozen=True)
 class PpoDiagnostics:

@@ -8,7 +8,6 @@ import pytest
 from morlkit import ccs
 from morlkit.ccs import (
     WEIGHT_MATCH_ATOL,
-    MarginalWeightQueue,
     PartialCcs,
     aols,
     corner_weights,
@@ -364,21 +363,46 @@ class TestRelativeImprovement:
         assert relative_improvement(-2.0, -1.5) == -0.5
 
 
-class TestMarginalWeightQueue:
-    def test_priority_order_and_infinite_first(self):
-        q = MarginalWeightQueue()
-        q.push(wv(1, 0), 0.5, 1.0)
-        q.push(wv(0, 1), math.inf, math.inf)
-        q.push(wv(0.5, 0.5), 0.7, 2.0)
-        assert q.pop()[0].weights == (0.0, 1.0)
-        assert q.pop()[0].weights == (0.5, 0.5)
-        assert q.pop()[0].weights == (1.0, 0.0)
+def best_of(*vectors):
+    """Exact oracle over a fixed set: the first vector with the largest
+    scalarized value."""
+    vectors = [vv(*v) for v in vectors]
+    return lambda w: max(vectors, key=lambda v: scalarize(w, v))
 
-    def test_fifo_among_equal(self):
-        q = MarginalWeightQueue()
-        q.push(wv(1, 0), 1.0, 1.0)
-        q.push(wv(0, 1), 1.0, 1.0)
-        assert q.pop()[0].weights == (1.0, 0.0)
+
+class TestAolsQueryOrder:
+    """Which pending corner `aols` queries next. With the extrema (1, 0)
+    and (0, 1) queried, the oracle's middle vector found at (0.5, 0.5) adds
+    two corners, the one with the smaller first weight first."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 2), (5, 3, 3), (5, 2, 4)])
+    def test_extrema_first_in_index_order(self, shape):
+        # Every extremum waits at infinite gap, so they are queried before
+        # any corner and, as equal gaps, in the order they were added.
+        m = random_tabular_momdp(np.random.default_rng(3), *shape, discount=0.9)
+        result = aols(lambda w: value_iteration(m, w)[1], shape[2], 1e-6)
+        assert len(result.history) > shape[2]
+        head = [it.weight for it in result.history[: shape[2]]]
+        assert head == simplex_extrema(shape[2])
+
+    def test_larger_gap_first(self):
+        result = aols(best_of((1, 0), (0, 1), (0.5, 0.7)), 2, 1e-6)
+        # Gaps about 0.0750 at (0.375, 0.625) and 0.0833 at (7/12, 5/12):
+        # the corner added second is queried first.
+        got = [it.weight.weights for it in result.history]
+        assert got[:3] == [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+        assert got[3:] == [pytest.approx((7 / 12, 5 / 12)), pytest.approx((0.375, 0.625))]
+
+    def test_earliest_added_first_among_equal_gaps(self):
+        oracle = best_of((1, 0), (0, 1), (0.75, 0.75))
+        result = aols(oracle, 2, 1e-6)
+        explored = [it.weight for it in result.history]
+        assert [w.weights for w in explored[3:]] == [(0.25, 0.75), (0.75, 0.25)]
+        # The two corners tie exactly, so only the order added decides.
+        wv_obs = [(w, scalarize(w, oracle(w))) for w in explored[:3]]
+        s = [vv(1, 0), vv(0, 1), vv(0.75, 0.75)]
+        gaps = {optimistic_bound(wv_obs, w, 1e-6) - scalarized_max(s, w)[0] for w in explored[3:]}
+        assert len(gaps) == 1
 
 
 class TestPartialCcs:

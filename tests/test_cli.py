@@ -356,8 +356,14 @@ class TestCmdEvalExplain:
                 {"env.kind": "locomotion", "trainer.objective_count": "4", "env.half_width": "0"},
                 "env.half_width",
             ),
+            ({"explain.0.increment": "-1"}, "explain.0.increment"),
+            ({"qa.0.name": "treasure", "qa.1.name": "time", "qa.1.direction": "up"}, "qa.1.direction"),
+            ({"qa.0.name": "treasure", "qa.1.name": "treasure"}, "qa.1.name"),
         ],
-        ids=["nan-increment", "nan-max-value", "zero-half-width"],
+        ids=[
+            "nan-increment", "nan-max-value", "zero-half-width", "negative-increment",
+            "qa-unknown-direction", "qa-duplicate-name",
+        ],
     )
     def test_rejected_overlay_exits_1(self, run_dir, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: pytest.fail("evaluation started"))
@@ -561,6 +567,7 @@ def with_keys(text, overrides):
 
 
 LOCOMOTION = {"env.kind": "locomotion", "trainer.objective_count": "4"}
+QA_NAMES = {"qa.0.name": "treasure", "qa.1.name": "time"}
 
 
 class TestRejectedInputExits1:
@@ -604,6 +611,12 @@ class TestRejectedInputExits1:
             ("bench", {**LOCOMOTION, "env.half_width": "-1"}, "env.half_width"),
             ("bench", {"env.objective_index": "0"}, "env.objective_index"),
             ("bench", {"env.objective_index": "0", "trainer.objective_count": "1"}, "env.objective_index"),
+            ("train", {**QA_NAMES, "qa.1.direction": "up"}, "qa.1.direction"),
+            ("train", {**QA_NAMES, "qa.1.precision": "-2"}, "qa.1.precision"),
+            ("train", {"qa.0.name": ""}, "qa.0.name"),
+            ("bench", {"qa.0.name": "cost", "qa.1.name": "cost"}, "qa.1.name"),
+            ("train", {"explain.0.increment": "-1"}, "explain.0.increment"),
+            ("train", {"explain.1.max_alternatives": "0"}, "explain.1.max_alternatives"),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
@@ -616,7 +629,9 @@ class TestRejectedInputExits1:
             "nan-explain-increment", "nan-explain-max-value", "locomotion-zero-horizon",
             "locomotion-zero-contact-limit", "locomotion-zero-half-width",
             "bench-locomotion-negative-half-width", "bench-sets-objective-index",
-            "bench-sets-objective-index-single-channel",
+            "bench-sets-objective-index-single-channel", "qa-unknown-direction",
+            "qa-negative-precision", "qa-empty-name", "bench-qa-duplicate-name",
+            "negative-explain-increment", "zero-explain-max-alternatives",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):
@@ -740,6 +755,21 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "run", "--seed", "abc"], "argument --seed: must be an integer, got 'abc'"),
+            (["train", "--config", "c", "--seed", "1.5"], "argument --seed: must be an integer, got '1.5'"),
+            (["eval", "run", "--episodes", "x"], "argument --episodes: must be an integer, got 'x'"),
+            (["ccs", "--momdp", "m", "--epsilon", "abc"], "argument --epsilon: must be a number, got 'abc'"),
+        ],
+        ids=["seed", "fractional-seed", "episodes", "epsilon"],
+    )
+    def test_non_number_flag_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err and "_int" not in err
 
     def test_vector_io_round_trip(self, tmp_path):
         from morlkit.cli import write_vectors

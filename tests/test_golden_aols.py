@@ -5,8 +5,9 @@ The digest in tests/golden/ covers, for fixed random tabular problems with
 remaining relative gap) and the coverage-set vectors in insertion order;
 and, for seeded random linear programs, the solution and objective of
 `solve_lp` (or the exception it raised) and the verdict of
-`is_convex_undominated`. The AOLS queue compares priorities exactly, so a
-change in the last bit of a corner weight or an LP value can reorder it;
+`is_convex_undominated`. AOLS picks its next corner by comparing gaps
+exactly, so a change in the last bit of a corner weight or an LP value can
+reorder its queries;
 this test catches such a change where the tolerance-based tests would not.
 A change that is meant to alter these outputs updates the file and says why.
 

@@ -3,9 +3,9 @@ every private module-level helper of the package is used somewhere in it.
 
 A name counts as used when the file loads it (`name` or `name.attr`) or
 lists it in `__all__`. `from __future__` imports are exempt. A private
-helper is a module-level function or class of `src/morlkit` whose name
-starts with `_`; it counts as used when package code outside its own
-definition names it.
+helper is a module-level function, class or assigned name of
+`src/morlkit` that starts with `_` and is not a dunder; it counts as used
+when package code outside its own definition names it.
 """
 
 import ast
@@ -52,11 +52,16 @@ def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
     used: set[str] = set()
     for module, tree in modules.items():
         for statement in tree.body:
-            own = None
+            own: set[str] = set()
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = statement.name
-                if own.startswith("_"):
-                    definitions.append((module, own))
+                own = {statement.name}
+            elif isinstance(statement, ast.Assign):
+                own = {t.id for t in statement.targets if isinstance(t, ast.Name)}
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                own = {statement.target.id}
+            definitions += [
+                (module, name) for name in sorted(own) if name.startswith("_") and not name.endswith("__")
+            ]
             for node in ast.walk(statement):
                 name = (
                     node.id if isinstance(node, ast.Name)
@@ -64,7 +69,7 @@ def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
                     else node.name if isinstance(node, ast.alias)
                     else None
                 )
-                if name is not None and name != own:
+                if name is not None and name not in own:
                     used.add(name)
     return [f"{module}.{name}" for module, name in definitions if name not in used]
 
@@ -82,9 +87,10 @@ def test_detects_an_unused_private_helper():
         "def _improve(q):\n    return _improve(q[1:]) if q else q\n\n"
         "def _evaluate(p):\n    return p\n\n"
         "class _State:\n    pass\n\n"
-        "def solve(p):\n    return _evaluate(p)\n"
+        "__all__ = ['solve']\n_LIMIT = 3\n_SCALE: float = 2.0\n\n"
+        "def solve(p):\n    return _evaluate(p) * _SCALE\n"
     )
     other = "from .a import _State\n"
     modules = {"a": ast.parse(source), "b": ast.parse(other)}
-    assert unused_private_helpers(modules) == ["a._improve"]
-    assert unused_private_helpers({"a": ast.parse(source)}) == ["a._improve", "a._State"]
+    assert unused_private_helpers(modules) == ["a._improve", "a._LIMIT"]
+    assert unused_private_helpers({"a": ast.parse(source)}) == ["a._improve", "a._State", "a._LIMIT"]

@@ -778,7 +778,7 @@ class TestTrain:
         assert len(art.ccs.vectors) >= 1
         for m in art.metrics:
             assert m.delta_r >= 0.0
-        assert art.critics.size == 2
+        assert len(art.critics.nets) == 2
 
     @pytest.mark.parametrize(
         "objective_count, factory",
