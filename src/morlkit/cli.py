@@ -332,7 +332,10 @@ def cmd_bench(args) -> int:
     norms = [_min_max_normalize(single_mean[k], multi_mean[k]) for k in range(len(names))]
     single_score = float(np.mean([s for s, _ in norms]))
     multi_score = float(np.mean([m for _, m in norms]))
-    winner = "multi" if multi_score > single_score else "single"
+    if multi_score == single_score:
+        winner = "tie"
+    else:
+        winner = "multi" if multi_score > single_score else "single"
     summary = (
         f"normalized_mean_single={single_score!r}\n"
         f"normalized_mean_multi={multi_score!r}\n"

@@ -113,6 +113,8 @@ _FIELD_CASTS = {"int": int, "float": float, "tuple[int, ...]": _parse_int_tuple}
 def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> TrainerConfig:
     """TrainerConfig from the trainer.* keys present, parsed by field annotation;
     the dataclass holds the other defaults. seed overrides the seed key."""
+    if "trainer.seed" in cfg:
+        raise ConfigError("config key 'trainer.seed' is not read; set the top-level key 'seed'")
     kwargs = {
         f.name: _get(cfg, f"trainer.{f.name}", _FIELD_CASTS[f.type])
         for f in fields(TrainerConfig)

@@ -2,18 +2,19 @@
 policy-gradient updates on a proxy reward channel, and a running coverage
 set of the mean critic vectors.
 
-The engine cycles through objectives; for each it repeatedly collects
-synchronized rollouts from a bank of environment copies, fits every critic
-to its own reward channel (the critics are one stacked network bank,
-trained in one minibatch pass), adds the mean critic vector to the running
-coverage set by the membership rule of `ccs`, and ascends the clipped
-surrogate on the proxy stream mixed by the objective's relationship-matrix
-row. Rollouts stay time-major; one GAE recursion per update over every
-copy and channel gives the critic targets and the actor's advantages, in
-copy-major rows. The rows are the identity: selecting them from the
-coverage set needs a value oracle that depends on the weight, and the
-critic bank gives one mean vector per update. At objective_count=1 this is
-plain single-objective training.
+`start` builds a run's `TrainerState`; `run_sequence` advances it through
+one objective: each update collects synchronized rollouts from a bank of
+environment copies, fits every critic to its own reward channel (one
+stacked network bank, one minibatch pass), adds the mean critic vector to
+the running coverage set by the membership rule of `ccs`, and ascends the
+clipped surrogate on the proxy stream mixed by the objective's
+relationship-matrix row. `train` runs one sequence per row. Rollouts stay
+time-major; one GAE recursion per update over every copy and channel gives
+the critic targets and the actor's advantages, in copy-major rows. The
+rows are the identity: selecting them from the coverage set needs a value
+oracle that depends on the weight, and the critic bank gives one mean
+vector per update. At objective_count=1 this is plain single-objective
+training.
 """
 
 from __future__ import annotations
@@ -533,17 +534,33 @@ def _delta_probe(
     return gap, relative_improvement(bound, surface)
 
 
-def _make_rngs(cfg: TrainerConfig):
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(3 + cfg.env_copies)
+@dataclass
+class TrainerState:
+    """Everything a run carries from one update to the next, advanced in
+    place by run_sequence. The update count is len(metrics)."""
+
+    actor: GaussianPolicyParams
+    actor_opt: AdamState
+    bank: MlpParams
+    bank_opt: AdamState
+    collector: _CollectorState
+    rollout_rng: np.random.Generator
+    minibatch_rng: np.random.Generator
+    env_rngs: list[np.random.Generator]
+    running_vectors: list[ValueVector]
+    metrics: list[UpdateMetrics]
+
+
+def start(env, cfg: TrainerConfig) -> TrainerState:
+    """Fresh state for a run on env, every stream spawned from cfg.seed."""
+    if env.objective_count != cfg.objective_count:
+        raise ValueError(
+            f"environment emits {env.objective_count} reward channels, "
+            f"config expects {cfg.objective_count}"
+        )
+    children = np.random.SeedSequence(cfg.seed).spawn(3 + cfg.env_copies)
     init_rng = np.random.default_rng(children[0])
-    rollout_rng = np.random.default_rng(children[1])
-    minibatch_rng = np.random.default_rng(children[2])
-    env_rngs = [np.random.default_rng(ss) for ss in children[3:]]
-    return init_rng, rollout_rng, minibatch_rng, env_rngs
-
-
-def _init_networks(cfg: TrainerConfig, obs_dim: int, act_dim: int, init_rng):
+    obs_dim, act_dim = env.observation_dim, env.action_dim
     actor = GaussianPolicyParams(
         mean_net=mlp_init([obs_dim, *cfg.hidden_sizes, act_dim], init_rng, output_gain=0.01),
         log_std=np.zeros(act_dim),
@@ -551,81 +568,81 @@ def _init_networks(cfg: TrainerConfig, obs_dim: int, act_dim: int, init_rng):
     bank = mlp_stack(
         [mlp_init([obs_dim, *cfg.hidden_sizes, 1], init_rng) for _ in range(cfg.objective_count)]
     )
-    actor_opt = adam_init(param_vector(policy_param_list(actor)), cfg.learning_rate)
-    bank_opt = adam_init(mlp_vector(bank), cfg.learning_rate)
-    return actor, bank, actor_opt, bank_opt
+    env_rngs = [np.random.default_rng(ss) for ss in children[3:]]
+    return TrainerState(
+        actor=actor,
+        actor_opt=adam_init(param_vector(policy_param_list(actor)), cfg.learning_rate),
+        bank=bank,
+        bank_opt=adam_init(mlp_vector(bank), cfg.learning_rate),
+        collector=_init_collector(env, env_rngs, cfg.objective_count),
+        rollout_rng=np.random.default_rng(children[1]),
+        minibatch_rng=np.random.default_rng(children[2]),
+        env_rngs=env_rngs,
+        running_vectors=[],
+        metrics=[],
+    )
+
+
+def run_sequence(
+    env, state: TrainerState, objective: int, row: WeightVector, cfg: TrainerConfig
+) -> bool:
+    """Advance state by cfg.updates_per_objective updates on the proxy reward
+    mixed by row (collection, critic regression, coverage-set update, proxy
+    policy ascent); True if one stops early on cfg.termination_epsilon."""
+    for _ in range(cfg.updates_per_objective):
+        batch, state.collector = collect_rollout(
+            env, state.collector, state.actor, cfg.steps_per_update, cfg.discount,
+            state.rollout_rng, state.env_rngs,
+        )
+        obs = _rows(batch.obs)
+        targets, advantages = _targets_and_advantages(
+            batch, row, _critic_values(state.bank, obs),
+            _critic_values(state.bank, batch.bootstrap_obs), cfg,
+        )
+        state.bank, state.bank_opt = critic_update(
+            state.bank, state.bank_opt, obs, targets, cfg, state.minibatch_rng
+        )
+
+        vbar = ValueVector(tuple(_critic_values(state.bank, obs).mean(axis=0)))
+        running = state.running_vectors
+        delta_abs, delta_r = _delta_probe(vbar, running)
+        if not is_duplicate(vbar, running) and is_convex_undominated(vbar, running):
+            state.running_vectors = pruned(running + [vbar])
+
+        state.actor, state.actor_opt, diag = ppo_actor_update(
+            state.actor, state.actor_opt, obs, _rows(batch.actions), _rows(batch.log_probs),
+            advantages, cfg, state.minibatch_rng,
+        )
+
+        state.metrics.append(
+            UpdateMetrics(
+                update_index=len(state.metrics),
+                objective_index=objective,
+                mean_returns=_mean_returns(batch, cfg.discount),
+                delta_abs=delta_abs,
+                delta_r=delta_r,
+                clip_fraction=diag.clip_fraction,
+                approx_kl=diag.approx_kl,
+            )
+        )
+        if cfg.termination_epsilon > 0.0 and delta_abs < cfg.termination_epsilon:
+            return True
+    return False
 
 
 def train(env_factory: EnvFactory, cfg: TrainerConfig) -> RunArtifacts:
-    """Full multi-objective run: objective sequences outer, collection /
-    critic regression / coverage-set update / proxy policy ascent inner."""
+    """Full run: start, then one run_sequence per IORM row until one stops early."""
     env = env_factory()
-    if env.objective_count != cfg.objective_count:
-        raise ValueError(
-            f"environment emits {env.objective_count} reward channels, "
-            f"config expects {cfg.objective_count}"
-        )
-    init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, bank, actor_opt, bank_opt = _init_networks(
-        cfg, env.observation_dim, env.action_dim, init_rng
-    )
+    state = start(env, cfg)
     iorm = Iorm.identity(cfg.objective_count)
-    collector = _init_collector(env, env_rngs, cfg.objective_count)
-    running_vectors: list[ValueVector] = []
-    metrics: list[UpdateMetrics] = []
-    update_index = 0
-    early = False
-
-    for objective in range(cfg.objective_count):
-        row = iorm.rows[objective]
-        for _ in range(cfg.updates_per_objective):
-            batch, collector = collect_rollout(
-                env, collector, actor, cfg.steps_per_update, cfg.discount,
-                rollout_rng, env_rngs,
-            )
-            obs = _rows(batch.obs)
-            targets, advantages = _targets_and_advantages(
-                batch, row, _critic_values(bank, obs),
-                _critic_values(bank, batch.bootstrap_obs), cfg,
-            )
-            bank, bank_opt = critic_update(bank, bank_opt, obs, targets, cfg, minibatch_rng)
-
-            updated_values = _critic_values(bank, obs)
-            vbar = ValueVector(tuple(updated_values.mean(axis=0)))
-            delta_abs, delta_r = _delta_probe(vbar, running_vectors)
-            if not is_duplicate(vbar, running_vectors) and is_convex_undominated(vbar, running_vectors):
-                running_vectors = pruned(running_vectors + [vbar])
-
-            actor, actor_opt, diag = ppo_actor_update(
-                actor, actor_opt, obs, _rows(batch.actions), _rows(batch.log_probs),
-                advantages, cfg, minibatch_rng,
-            )
-
-            metrics.append(
-                UpdateMetrics(
-                    update_index=update_index,
-                    objective_index=objective,
-                    mean_returns=_mean_returns(batch, cfg.discount),
-                    delta_abs=delta_abs,
-                    delta_r=delta_r,
-                    clip_fraction=diag.clip_fraction,
-                    approx_kl=diag.approx_kl,
-                )
-            )
-            update_index += 1
-            if cfg.termination_epsilon > 0.0 and delta_abs < cfg.termination_epsilon:
-                early = True
-                break
-        if early:
-            break
-
+    early_stopped = any(run_sequence(env, state, k, row, cfg) for k, row in enumerate(iorm.rows))
     return RunArtifacts(
-        actor=actor,
-        critics=CriticBank(nets=mlp_unstack(bank)),
+        actor=state.actor,
+        critics=CriticBank(nets=mlp_unstack(state.bank)),
         iorm=iorm,
-        metrics=metrics,
-        ccs=PartialCcs(tuple(running_vectors)),
-        early_stopped=early,
+        metrics=state.metrics,
+        ccs=PartialCcs(tuple(state.running_vectors)),
+        early_stopped=early_stopped,
         config=cfg,
     )
 

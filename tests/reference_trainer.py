@@ -24,14 +24,12 @@ from morlkit.training import (
     UpdateMetrics,
     _critic_values,
     _delta_probe,
-    _init_collector,
-    _init_networks,
-    _make_rngs,
     _mean_returns,
     collect_rollout,
     critic_update,
     gae,
     ppo_actor_update,
+    start,
     td_residuals,
 )
 
@@ -68,11 +66,12 @@ def train_single_objective(env_factory: EnvFactory, cfg: TrainerConfig) -> RunAr
     env = env_factory()
     if env.objective_count != 1:
         raise ValueError("reference trainer expects a one-channel environment")
-    init_rng, rollout_rng, minibatch_rng, env_rngs = _make_rngs(cfg)
-    actor, critic, actor_opt, critic_opt = _init_networks(
-        cfg, env.observation_dim, env.action_dim, init_rng
-    )
-    collector = _init_collector(env, env_rngs, 1)
+    # Only the setup is shared with train; the loop below reads the fresh
+    # state's fields into locals and never touches the state again.
+    state = start(env, cfg)
+    actor, actor_opt, critic, critic_opt = state.actor, state.actor_opt, state.bank, state.bank_opt
+    collector, rollout_rng, minibatch_rng = state.collector, state.rollout_rng, state.minibatch_rng
+    env_rngs = state.env_rngs
     running_vectors: list[ValueVector] = []
     metrics: list[UpdateMetrics] = []
 

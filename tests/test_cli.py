@@ -97,6 +97,13 @@ class TestConfigParsing:
         with_dropped_key = RunConfig.from_dict(dict(cfg, **{"trainer.aols_epsilon": "0.1"}))
         assert with_dropped_key.trainer == RunConfig.from_dict(cfg).trainer
 
+    def test_trainer_seed_key_points_to_seed(self):
+        # The trainer's seed comes from the top-level key; a trainer.seed key
+        # would otherwise be dropped and the run would use the default seed.
+        cfg = dict(parse_config_text(TREASURE_CFG), **{"trainer.seed": "5"})
+        with pytest.raises(ConfigError, match=r"'trainer\.seed'.*top-level key 'seed'"):
+            RunConfig.from_dict(cfg)
+
     @pytest.mark.parametrize("name", ["treasure.cfg", "locomotion.cfg"])
     def test_committed_configs_load(self, name):
         raw = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
@@ -550,6 +557,16 @@ class TestCmdBench:
         table = (out / "bench_table.txt").read_text()
         assert "Single-objective" in table and "Multi-objective" in table
 
+    def test_equal_scores_are_a_tie(self, tmp_path):
+        # Criterion 10's run: both policies score (2.850, -1.950), so both
+        # normalized means are 0.5 and neither policy wins.
+        cfg = write_cfg(tmp_path, with_keys(TREASURE_CFG, CRITERION_10))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "bench_summary.txt").read_text() == (
+            "normalized_mean_single=0.5\nnormalized_mean_multi=0.5\nwinner=tie\n"
+        )
+
     def test_single_config_describes_the_baseline_run(self, tmp_path):
         cfg = write_cfg(tmp_path, TREASURE_CFG + "bench.episodes=2\n")
         out = tmp_path / "bench"
@@ -567,6 +584,10 @@ def with_keys(text, overrides):
 
 
 LOCOMOTION = {"env.kind": "locomotion", "trainer.objective_count": "4"}
+CRITERION_10 = {
+    "seed": "12", "trainer.updates_per_objective": "3", "trainer.steps_per_update": "128",
+    "trainer.env_copies": "1", "trainer.epochs_per_update": "3",
+}
 QA_NAMES = {"qa.0.name": "treasure", "qa.1.name": "time"}
 
 
@@ -617,6 +638,7 @@ class TestRejectedInputExits1:
             ("bench", {"qa.0.name": "cost", "qa.1.name": "cost"}, "qa.1.name"),
             ("train", {"explain.0.increment": "-1"}, "explain.0.increment"),
             ("train", {"explain.1.max_alternatives": "0"}, "explain.1.max_alternatives"),
+            ("train", {"trainer.seed": "5"}, "trainer.seed"),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
@@ -632,6 +654,7 @@ class TestRejectedInputExits1:
             "bench-sets-objective-index-single-channel", "qa-unknown-direction",
             "qa-negative-precision", "qa-empty-name", "bench-qa-duplicate-name",
             "negative-explain-increment", "zero-explain-max-alternatives",
+            "trainer-seed-key",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):

@@ -39,6 +39,8 @@ from morlkit.training import (
     iorm_row_select,
     normalize_advantages,
     ppo_actor_update,
+    run_sequence,
+    start,
     td_residuals,
     train,
     _init_collector,
@@ -823,8 +825,29 @@ class TestTrain:
 
     def test_objective_count_checked(self):
         grid = TreasureGrid(width=2, height=2, treasures=((1, 1, 1.0),), horizon=4)
-        with pytest.raises(ValueError):
-            train(lambda: boxed_treasure(grid), tiny_cfg(objective_count=3))
+        with pytest.raises(ValueError, match="emits 2 reward channels, config expects 3"):
+            start(boxed_treasure(grid), tiny_cfg(objective_count=3))
+
+    def test_run_sequence_resumes_bit_for_bit(self):
+        # Two sequences of 2 updates on one row are one sequence of 4: the
+        # state carries everything an update needs from the one before.
+        grid = TreasureGrid(width=3, height=3, treasures=((0, 2, 3.0), (2, 2, 12.0)), horizon=10)
+        row = wv(0.25, 0.75)
+        halves, whole = tiny_cfg(seed=4, updates_per_objective=2), tiny_cfg(seed=4, updates_per_objective=4)
+        env_a, env_b = boxed_treasure(grid), boxed_treasure(grid)
+        a, b = start(env_a, halves), start(env_b, whole)
+        assert not run_sequence(env_a, a, 1, row, halves)
+        assert not run_sequence(env_a, a, 1, row, halves)
+        assert not run_sequence(env_b, b, 1, row, whole)
+        assert len(a.metrics) == 4 and a.metrics == b.metrics
+        assert [m.update_index for m in a.metrics] == [0, 1, 2, 3]
+        pa, pb = policy_to_arrays(a.actor), policy_to_arrays(b.actor)
+        assert all(np.array_equal(pa[k], pb[k]) for k in pa)
+        ca, cb = mlp_to_arrays(a.bank, "c"), mlp_to_arrays(b.bank, "c")
+        assert all(np.array_equal(ca[k], cb[k]) for k in ca)
+        for opt_a, opt_b in ((a.actor_opt, b.actor_opt), (a.bank_opt, b.bank_opt)):
+            assert np.array_equal(opt_a.m, opt_b.m) and np.array_equal(opt_a.v, opt_b.v)
+        assert [v.values for v in a.running_vectors] == [v.values for v in b.running_vectors]
 
     def test_determinism_same_seed(self):
         grid = TreasureGrid(width=3, height=3, treasures=((0, 2, 3.0), (2, 2, 12.0)), horizon=10)
