@@ -85,15 +85,11 @@ class AolsResult:
     hit_iteration_cap: bool
 
 
-def scalarized_max(
-    s: Sequence[ValueVector], w: WeightVector
-) -> tuple[float, ValueVector]:
-    """Best scalarized value over the set and one maximizer (lowest index wins ties)."""
+def scalarized_max(s: Sequence[ValueVector], w: WeightVector) -> float:
+    """Best scalarized value over the set, max_V w.V."""
     if not s:
         raise ValueError("scalarized_max needs a nonempty set")
-    dots = [scalarize(w, v) for v in s]
-    idx = int(np.argmax(dots))
-    return dots[idx], s[idx]
+    return max(scalarize(w, v) for v in s)
 
 
 def is_convex_undominated(
@@ -124,7 +120,10 @@ def is_convex_undominated(
     b_ub = np.zeros(len(s))
     a_eq = np.zeros((1, n))
     a_eq[0, :dim] = 1.0
-    _, best_slack = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
+    x, _ = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
+    # The worst slack at the weight found, evaluated directly: round-off in
+    # the simplex tableau can report a t above what that weight reaches.
+    best_slack = -float(np.max(a_ub[:, :dim] @ x[:dim]))
     return best_slack > margin + WEIGHT_MATCH_ATOL
 
 
@@ -189,7 +188,7 @@ def coverage_gap(s: Sequence[ValueVector], oracle: Oracle) -> tuple[float, Weigh
     `corner_weights` order.
     """
     gaps = [
-        (scalarize(w, oracle(w)) - scalarized_max(s, w)[0], w) for w in corner_weights(s)
+        (scalarize(w, oracle(w)) - scalarized_max(s, w), w) for w in corner_weights(s)
     ]
     return max(gaps, key=lambda item: item[0])
 
@@ -414,9 +413,8 @@ def aols(
             gaps = np.max(np.abs(candidates[:, None] - seen[None]), axis=2).min(axis=1)
             for row in candidates[gaps > WEIGHT_MATCH_ATOL]:
                 corner = WeightVector(tuple(row))
-                surface, _ = scalarized_max(s, corner)
                 bound = optimistic_bound(wv, corner, epsilon)
-                gap = bound - surface
+                gap = bound - scalarized_max(s, corner)
                 if gap > epsilon:
                     pending.append((gap, bound, corner))
 

@@ -23,7 +23,6 @@ from .ccs import aols, coverage_gap, pruned, write_history_csv
 from .config import (
     ConfigError,
     RunConfig,
-    build_bench_settings,
     load_config,
     require_episode_end,
     serialize_config,
@@ -302,12 +301,13 @@ def cmd_bench(args) -> int:
         )
     run = RunConfig.from_dict(raw, seed=args.seed)
     trainer = run.trainer
-    baseline_index, episodes = build_bench_settings(raw, trainer.objective_count)
+    baseline_index, episodes = run.bench
     require_episode_end(run.raw)
-    # The baseline is the same run on one reward channel, with as many updates.
+    # The baseline is the same run on one reward channel, with as many
+    # updates. The bench, explain and qa keys describe the multi-objective run.
     single_run = RunConfig.from_dict(
         {
-            **run.raw,
+            **{k: v for k, v in run.raw.items() if not k.startswith(("bench.", "explain.", "qa."))},
             "trainer.objective_count": "1",
             "env.objective_index": str(baseline_index),
             "trainer.updates_per_objective": str(trainer.objective_count * trainer.updates_per_objective),

@@ -9,8 +9,10 @@ Example:
     env.width=3
 
 Values are kept as strings in a plain dict; typed accessors convert on
-demand and report the offending key on failure. Parse-then-serialize
-round-trips the parsed content losslessly.
+demand and report the offending key on failure. `RunConfig.from_dict`
+records the keys its readers look up and rejects every other key but the
+retired ones. Parse-then-serialize round-trips the parsed content
+losslessly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,30 @@ from .training import TrainerConfig
 
 class ConfigError(ValueError):
     """Invalid configuration content; message names the key or line."""
+
+
+# Keys of earlier versions that no setting reads any more; they still load.
+_RETIRED_KEYS = frozenset({"trainer.aols_epsilon", "trainer.aols_iteration_cap"})
+
+
+class _ReadKeys(dict):
+    """A config dict that records every key a reader looks up in it."""
+
+    def __init__(self, cfg: dict[str, str]) -> None:
+        super().__init__(cfg)
+        self.read: set[str] = set()
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -120,7 +146,8 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
         for f in fields(TrainerConfig)
         if f.name != "seed" and (f"trainer.{f.name}" in cfg or f.default is MISSING)
     }
-    if seed is None and "seed" in cfg:
+    # Membership first, so that the key counts as read under an override.
+    if "seed" in cfg and seed is None:
         seed = _get_int(cfg, "seed")
     if seed is not None:
         kwargs["seed"] = seed
@@ -298,18 +325,23 @@ def build_explain_config(cfg: dict[str, str], objective_count: int) -> ExplainCo
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs, assembled from one flat config dict."""
+    """Everything a command needs, assembled from one flat config dict.
+    bench is (baseline objective index, evaluation episodes) for `morlkit bench`."""
 
     raw: dict[str, str]
     trainer: TrainerConfig
     env_factory: Callable[[], object]
     qa: QaSpec
     explain: ExplainConfig
+    bench: tuple[int, int]
 
     @classmethod
     def from_dict(cls, cfg: dict[str, str], seed: int | None = None) -> "RunConfig":
-        trainer = build_trainer_config(cfg, seed)
-        env_factory = build_env_factory(cfg)
+        """Run every reader on cfg, then reject each key that none of them
+        read, unless it is a retired key of an earlier version."""
+        reads = _ReadKeys(cfg)
+        trainer = build_trainer_config(reads, seed)
+        env_factory = build_env_factory(reads)
         channels = env_factory().objective_count
         if channels != trainer.objective_count:
             raise ConfigError(
@@ -318,10 +350,19 @@ class RunConfig:
             )
         effective = dict(cfg)
         effective["seed"] = str(trainer.seed)
-        return cls(
+        run = cls(
             raw=effective,
             trainer=trainer,
             env_factory=env_factory,
-            qa=build_qa_spec(cfg, trainer.objective_count),
-            explain=build_explain_config(cfg, trainer.objective_count),
+            qa=build_qa_spec(reads, trainer.objective_count),
+            explain=build_explain_config(reads, trainer.objective_count),
+            bench=build_bench_settings(reads, trainer.objective_count),
         )
+        unread = sorted(set(cfg) - reads.read - _RETIRED_KEYS)
+        if unread:
+            raise ConfigError(
+                f"config key{'s' if len(unread) > 1 else ''} {', '.join(map(repr, unread))}: "
+                "not read by any setting (misspelt, for another env.kind, numbered past "
+                "trainer.objective_count, or a qa.<k> key without qa.0.name)"
+            )
+        return run

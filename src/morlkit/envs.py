@@ -462,15 +462,13 @@ def _evaluate_policy_channels(m: TabularMomdp, policy: np.ndarray) -> np.ndarray
     return np.linalg.solve(np.eye(ns) - m.discount * p_pi, r_pi)
 
 
-def value_iteration(
-    m: TabularMomdp, w: WeightVector, tol: float = 1e-8
-) -> tuple[np.ndarray, ValueVector]:
+def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, ValueVector]:
     """Solve the w-scalarized problem exactly and report the greedy policy's
     per-objective value at the initial distribution.
 
     Uses policy iteration with exact policy evaluation, evaluating each
     policy it visits once; the last evaluation gives the start value and
-    the scalarized Bellman residual, which is checked against tol.
+    the scalarized Bellman residual, which must be at most 1e-8.
     Deterministic for fixed input (argmax ties go to the lowest action
     index; the incumbent action is kept unless beaten by more than 1e-12).
     """
@@ -491,7 +489,7 @@ def value_iteration(
     else:
         raise RuntimeError("policy iteration failed to converge")
     residual = float(np.max(np.abs(best - values)))
-    if residual > tol:
-        raise RuntimeError(f"Bellman residual {residual:.3e} exceeds tol {tol:.3e}")
+    if residual > 1e-8:
+        raise RuntimeError(f"Bellman residual {residual:.3e} exceeds 1e-8")
     start_value = m.initial @ channel_values
     return policy, ValueVector(tuple(start_value))

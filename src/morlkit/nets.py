@@ -147,12 +147,8 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     return out, (inputs[:-1], posts, squeeze)
 
 
-def mlp_backward(
-    p: MlpParams, cache: tuple, grad_out: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact gradients for all parameters and the input.
-
-    Returns (grads, grad_input) with grads flat as [dW0, db0, dW1, db1, ...],
+def mlp_backward(p: MlpParams, cache: tuple, grad_out: np.ndarray) -> list[np.ndarray]:
+    """Exact gradients of all parameters, flat as [dW0, db0, dW1, db1, ...],
     each shaped like its parameter (lane first for a stack). The cache must
     come from a matching mlp_forward call.
     """
@@ -167,9 +163,9 @@ def mlp_backward(
             g = g * (1.0 - posts[k] ** 2)
         grads[2 * k] = inputs[k].swapaxes(-1, -2) @ g
         grads[2 * k + 1] = g.sum(axis=-2)
-        g = g @ p.weights[k].swapaxes(-1, -2)
-    grad_input = g[..., 0, :] if squeeze else g
-    return grads, grad_input
+        if k > 0:
+            g = g @ p.weights[k].swapaxes(-1, -2)
+    return grads
 
 
 def mlp_param_list(p: MlpParams) -> list[np.ndarray]:
@@ -257,9 +253,8 @@ def gaussian_log_prob_backward(
     mcache, z, std = cache
     grad_logp = np.asarray(grad_logp, dtype=float)
     dmean = (z / std) * grad_logp[:, None]
-    net_grads, _ = mlp_backward(pol.mean_net, mcache, dmean)
     dlog_std = ((z**2 - 1.0) * grad_logp[:, None]).sum(axis=0)
-    return net_grads + [dlog_std]
+    return mlp_backward(pol.mean_net, mcache, dmean) + [dlog_std]
 
 
 def policy_param_list(pol: GaussianPolicyParams) -> list[np.ndarray]:
@@ -349,7 +344,7 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     exactly via repr."""
     lines = [CHECKPOINT_MAGIC]
     for name in sorted(arrays):
-        if " " in name or "\n" in name:
+        if name.split() != [name]:  # one token with no whitespace
             raise ValueError(f"bad array name {name!r}")
         arr = np.asarray(arrays[name], dtype=float)
         shape = " ".join(str(d) for d in arr.shape)
@@ -443,16 +438,17 @@ def mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> MlpParams:
     return MlpParams(tuple(weights), tuple(biases), tuple(_CODE_ACT[c] for c in codes))
 
 
-def policy_to_arrays(pol: GaussianPolicyParams, prefix: str = "actor") -> dict[str, np.ndarray]:
-    out = mlp_to_arrays(pol.mean_net, f"{prefix}.mean")
-    out[f"{prefix}.log_std"] = pol.log_std
+def policy_to_arrays(pol: GaussianPolicyParams) -> dict[str, np.ndarray]:
+    """The policy's arrays, named actor.mean.* and actor.log_std."""
+    out = mlp_to_arrays(pol.mean_net, "actor.mean")
+    out["actor.log_std"] = pol.log_std
     return out
 
 
-def policy_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "actor") -> GaussianPolicyParams:
+def policy_from_arrays(arrays: dict[str, np.ndarray]) -> GaussianPolicyParams:
     """Checked inverse of policy_to_arrays."""
-    mean_net = mlp_from_arrays(arrays, f"{prefix}.mean")
+    mean_net = mlp_from_arrays(arrays, "actor.mean")
     return GaussianPolicyParams(
         mean_net=mean_net,
-        log_std=_checked(arrays, f"{prefix}.log_std", (mean_net.output_dim,)),
+        log_std=_checked(arrays, "actor.log_std", (mean_net.output_dim,)),
     )

@@ -214,10 +214,11 @@ def clipped_surrogate(
     return float(objective.mean()), grad, clip_mask
 
 
-def normalize_advantages(advantages: np.ndarray, std_floor: float = 1e-8) -> np.ndarray:
+def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
+    """Zero mean and unit standard deviation, the deviation floored at 1e-8."""
     advantages = np.asarray(advantages, dtype=float)
     centered = advantages - advantages.mean()
-    return centered / max(float(advantages.std()), std_floor)
+    return centered / max(float(advantages.std()), 1e-8)
 
 
 def _working_copy(opt: AdamState) -> AdamState:
@@ -312,8 +313,7 @@ def critic_update(
             err = pred[..., 0] - targets[rows, idx]
             loss_ok = np.isfinite((err**2).mean(axis=-1))
             dout = (2.0 * err / err.shape[-1])[..., None]
-            grads, _ = mlp_backward(net, cache, dout)
-            grad = param_vector(grads, lanes)
+            grad = param_vector(mlp_backward(net, cache, dout), lanes)
             ok = loss_ok & np.isfinite(grad).all(axis=-1)
             if not ok.all():
                 for lane in np.flatnonzero(live & ~ok):
@@ -525,7 +525,7 @@ def _delta_probe(
     bound = scalarize(probe, vbar)
     if not running:
         return math.inf, 1.0
-    surface, _ = scalarized_max(list(running), probe)
+    surface = scalarized_max(list(running), probe)
     gap = bound - surface
     if gap <= 0.0:
         return 0.0, 0.0

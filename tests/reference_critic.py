@@ -75,7 +75,7 @@ def reference_critic_update(
                 log.warning("non-finite critic loss; aborting critic update")
                 return snapshot
             dout = (2.0 * err / err.shape[0])[:, None]
-            grads, _ = mlp_backward(net, cache, dout)
+            grads = mlp_backward(net, cache, dout)
             if not all(np.all(np.isfinite(g)) for g in grads):
                 log.warning("non-finite critic gradient; aborting critic update")
                 return snapshot

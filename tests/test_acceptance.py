@@ -192,7 +192,7 @@ def test_criterion_4_gradient_fidelity():
                 return float(out @ probe)
 
             _, cache = mlp_forward(net, x)
-            analytic, _ = mlp_backward(net, cache, probe)
+            analytic = mlp_backward(net, cache, probe)
         numeric_max = 0.0
         diff_max = 0.0
         for k, p in enumerate(params):

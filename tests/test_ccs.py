@@ -142,20 +142,17 @@ def grid_undominated_oracle(v, s, points=10_001):
 
 class TestScalarizedMax:
     def test_singleton(self):
-        value, arg = scalarized_max([vv(1, 0)], wv(0.3, 0.7))
+        value = scalarized_max([vv(1, 0)], wv(0.3, 0.7))
         assert value == pytest.approx(0.3)
-        assert arg.values == (1.0, 0.0)
 
     def test_symmetric_tie_lowest_index(self):
-        value, arg = scalarized_max([vv(1, 0), vv(0, 1)], wv(0.5, 0.5))
+        value = scalarized_max([vv(1, 0), vv(0, 1)], wv(0.5, 0.5))
         assert value == pytest.approx(0.5)
-        assert arg.values == (1.0, 0.0)
 
     def test_exhaustive_dot_product(self):
         # Oracle: compute both dots by hand; 0.25*3+0.75*1 = 1.5 < 0.25+3 = 3.25.
-        value, arg = scalarized_max([vv(3, 1), vv(1, 4)], wv(0.25, 0.75))
+        value = scalarized_max([vv(3, 1), vv(1, 4)], wv(0.25, 0.75))
         assert value == pytest.approx(3.25)
-        assert arg.values == (1.0, 4.0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -337,10 +334,10 @@ class TestOptimisticBound:
             obs_weights = list(simplex_extrema(2)) + [
                 wv(*(lambda r: (r, 1 - r))(rng.uniform())) for _ in range(5)
             ]
-            obs = [(w, scalarized_max(s, w)[0]) for w in obs_weights]
+            obs = [(w, scalarized_max(s, w)) for w in obs_weights]
             for _ in range(10):
                 w = wv(*(lambda r: (r, 1 - r))(rng.uniform()))
-                surface, _ = scalarized_max(s, w)
+                surface = scalarized_max(s, w)
                 assert optimistic_bound(obs, w, 0.0) >= surface - 1e-9
 
 
@@ -401,7 +398,7 @@ class TestAolsQueryOrder:
         # The two corners tie exactly, so only the order added decides.
         wv_obs = [(w, scalarize(w, oracle(w))) for w in explored[:3]]
         s = [vv(1, 0), vv(0, 1), vv(0.75, 0.75)]
-        gaps = {optimistic_bound(wv_obs, w, 1e-6) - scalarized_max(s, w)[0] for w in explored[3:]}
+        gaps = {optimistic_bound(wv_obs, w, 1e-6) - scalarized_max(s, w) for w in explored[3:]}
         assert len(gaps) == 1
 
 
@@ -551,7 +548,7 @@ class TestAols:
         for probe in probes:
             previous = -math.inf
             for k in range(1, len(order) + 1):
-                surface, _ = scalarized_max(order[:k], probe)
+                surface = scalarized_max(order[:k], probe)
                 assert surface >= previous - 1e-12
                 previous = surface
 
@@ -573,7 +570,7 @@ class TestAols:
         result = aols(lambda w: value_iteration(m, w)[1], 2, epsilon)
         for w in grid_weights_2d(501):
             _, true_value = value_iteration(m, w)
-            surface, _ = scalarized_max(list(result.ccs.vectors), w)
+            surface = scalarized_max(list(result.ccs.vectors), w)
             assert scalarize(w, true_value) - surface <= epsilon + 1e-9
 
     def test_treasure_grid_matches_policy_enumeration(self):
@@ -687,7 +684,7 @@ class TestCoverageGap:
         for k in range(len(vectors)):
             gap, weight = coverage_gap(vectors[:k] + vectors[k + 1 :], oracle)
             assert gap > 1e-6, f"dropping vector {k}"
-            surface, _ = scalarized_max(vectors[:k] + vectors[k + 1 :], weight)
+            surface = scalarized_max(vectors[:k] + vectors[k + 1 :], weight)
             assert gap == scalarize(weight, oracle(weight)) - surface
 
     @pytest.mark.parametrize("seed", range(4))
@@ -695,7 +692,7 @@ class TestCoverageGap:
         # The exact optimal value at w is the best of the exact coverage set.
         m = random_tabular_momdp(np.random.default_rng(seed), 6, 3, 2, discount=0.85)
         reference = exact_ccs(m)
-        oracle = lambda w: scalarized_max(reference, w)[1]
+        oracle = lambda w: max(reference, key=lambda v: scalarize(w, v))
         t = np.linspace(0.0, 1.0, 10_001)
         grid = np.column_stack([t, 1.0 - t])
         optimal = np.max(grid @ np.array([v.values for v in reference]).T, axis=1)

@@ -97,6 +97,15 @@ class TestConfigParsing:
         with_dropped_key = RunConfig.from_dict(dict(cfg, **{"trainer.aols_epsilon": "0.1"}))
         assert with_dropped_key.trainer == RunConfig.from_dict(cfg).trainer
 
+    def test_every_unread_key_named_and_retired_keys_not(self):
+        extra = {
+            "sead": "4", "trainer.learnig_rate": "0.5",
+            "trainer.aols_epsilon": "0.1", "trainer.aols_iteration_cap": "50",
+        }
+        cfg = dict(parse_config_text(TREASURE_CFG), **extra)
+        with pytest.raises(ConfigError, match=r"^config keys 'sead', 'trainer\.learnig_rate': "):
+            RunConfig.from_dict(cfg)
+
     def test_trainer_seed_key_points_to_seed(self):
         # The trainer's seed comes from the top-level key; a trainer.seed key
         # would otherwise be dropped and the run would use the default seed.
@@ -366,10 +375,11 @@ class TestCmdEvalExplain:
             ({"explain.0.increment": "-1"}, "explain.0.increment"),
             ({"qa.0.name": "treasure", "qa.1.name": "time", "qa.1.direction": "up"}, "qa.1.direction"),
             ({"qa.0.name": "treasure", "qa.1.name": "treasure"}, "qa.1.name"),
+            ({"explain.0.incremnt": "2"}, "explain.0.incremnt"),
         ],
         ids=[
             "nan-increment", "nan-max-value", "zero-half-width", "negative-increment",
-            "qa-unknown-direction", "qa-duplicate-name",
+            "qa-unknown-direction", "qa-duplicate-name", "misspelt-explain-key",
         ],
     )
     def test_rejected_overlay_exits_1(self, run_dir, tmp_path, capsys, monkeypatch, overrides, key):
@@ -576,6 +586,15 @@ class TestCmdBench:
         for name in ("config.txt", "metrics.csv", "delta_r.csv", "ccs.txt", "actor.ckpt", "critic_0.ckpt"):
             assert (rerun / name).read_bytes() == (out / "single" / name).read_bytes(), name
 
+    def test_baseline_config_holds_only_its_own_keys(self, tmp_path):
+        extra = {**QA_NAMES, "explain.1.increment": "2", "bench.objective_index": "1", "bench.episodes": "2"}
+        cfg = write_cfg(tmp_path, with_keys(TREASURE_CFG, extra))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        single = load_config(out / "single" / "config.txt")
+        assert not [key for key in single if key.startswith(("bench.", "explain.", "qa."))]
+        assert main(["eval", str(out / "single"), "--episodes", "2"]) == 0
+
 
 def with_keys(text, overrides):
     """Config text with the given keys replaced or added."""
@@ -639,6 +658,13 @@ class TestRejectedInputExits1:
             ("train", {"explain.0.increment": "-1"}, "explain.0.increment"),
             ("train", {"explain.1.max_alternatives": "0"}, "explain.1.max_alternatives"),
             ("train", {"trainer.seed": "5"}, "trainer.seed"),
+            ("train", {"trainer.learnig_rate": "0.5"}, "trainer.learnig_rate"),
+            ("train", {"env.widht": "7"}, "env.widht"),
+            ("train", {"sead": "4"}, "sead"),
+            ("train", {"qa.1.name": "time"}, "qa.1.name"),
+            ("train", {"explain.2.increment": "2"}, "explain.2.increment"),
+            ("train", {"env.path": "m.momdp"}, "env.path"),
+            ("bench", {"bench.episode": "3"}, "bench.episode"),
         ],
         ids=[
             "treasure-outside-grid", "zero-horizon", "objective-index-out-of-range",
@@ -654,7 +680,9 @@ class TestRejectedInputExits1:
             "bench-sets-objective-index-single-channel", "qa-unknown-direction",
             "qa-negative-precision", "qa-empty-name", "bench-qa-duplicate-name",
             "negative-explain-increment", "zero-explain-max-alternatives",
-            "trainer-seed-key",
+            "trainer-seed-key", "misspelt-trainer-key", "misspelt-env-key", "misspelt-top-level-key",
+            "qa-name-without-qa-0", "explain-past-objective-count", "key-of-another-env-kind",
+            "misspelt-bench-key",
         ],
     )
     def test_config_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, overrides, key):
@@ -677,7 +705,8 @@ class TestRejectedInputExits1:
             TREASURE_CFG,
             {"env.kind": "tabular", "env.path": str(tmp_path / "m.momdp"), "trainer.steps_per_update": "32"},
         )
-        text = "\n".join(line for line in text.splitlines() if not line.startswith("env.horizon"))
+        treasure_only = ("env.horizon", "env.width", "env.height", "env.treasures")
+        text = "\n".join(line for line in text.splitlines() if not line.startswith(treasure_only))
         cfg = write_cfg(tmp_path, text + "\n" + extra)
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0

@@ -1,11 +1,14 @@
-"""Every name a source or test file imports is used in that file, and
-every private module-level helper of the package is used somewhere in it.
+"""Every name a source or test file imports is used in that file, every
+private module-level helper of the package is used somewhere in it, and
+every public module-level function and class of the package has a caller
+in it or a reason on `UNCALLED_PUBLIC`.
 
 A name counts as used when the file loads it (`name` or `name.attr`) or
 lists it in `__all__`. `from __future__` imports are exempt. A private
 helper is a module-level function, class or assigned name of
-`src/morlkit` that starts with `_` and is not a dunder; it counts as used
-when package code outside its own definition names it.
+`src/morlkit` that starts with `_` and is not a dunder. A helper or a
+public name counts as used when package code outside its own definition
+names it.
 """
 
 import ast
@@ -47,8 +50,10 @@ def test_detects_an_unused_import():
     assert unused_imports(tree) == ["system (line 2)", "tau (line 3)"]
 
 
-def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
-    definitions: list[tuple[str, str]] = []
+def unused_definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, bool]]:
+    """(module, name, is a function or class) of every module-level
+    definition that no code of the modules names outside its own definition."""
+    definitions: list[tuple[str, str, bool]] = []
     used: set[str] = set()
     for module, tree in modules.items():
         for statement in tree.body:
@@ -59,9 +64,8 @@ def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
                 own = {t.id for t in statement.targets if isinstance(t, ast.Name)}
             elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
                 own = {statement.target.id}
-            definitions += [
-                (module, name) for name in sorted(own) if name.startswith("_") and not name.endswith("__")
-            ]
+            callable_ = not isinstance(statement, (ast.Assign, ast.AnnAssign))
+            definitions += [(module, name, callable_) for name in sorted(own)]
             for node in ast.walk(statement):
                 name = (
                     node.id if isinstance(node, ast.Name)
@@ -71,7 +75,24 @@ def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
                 )
                 if name is not None and name not in own:
                     used.add(name)
-    return [f"{module}.{name}" for module, name in definitions if name not in used]
+    return [(module, name, callable_) for module, name, callable_ in definitions if name not in used]
+
+
+def unused_private_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    return [
+        f"{module}.{name}"
+        for module, name, _ in unused_definitions(modules)
+        if name.startswith("_") and not name.endswith("__")
+    ]
+
+
+def uncalled_public_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions and classes that no code names."""
+    return [
+        f"{module}.{name}"
+        for module, name, callable_ in unused_definitions(modules)
+        if callable_ and not name.startswith("_")
+    ]
 
 
 def test_no_unused_private_helpers():
@@ -80,6 +101,39 @@ def test_no_unused_private_helpers():
         for path in SOURCES
     }
     assert unused_private_helpers(modules) == []
+
+
+# Public names that no package code calls, each kept for a reason.
+UNCALLED_PUBLIC = {
+    "envs.boxed_treasure": "a library entry point that the README lists",
+    "envs.random_tabular_momdp": "the benchmark's AOLS workload builds its problems with it",
+    "envs.save_tabular": "it writes the problem files that load_tabular reads",
+    "nets.policy_from_param_list": "the benchmark's tracer wraps it by name",
+    "training.iorm_row_select": "the benchmark's tracer wraps it by name",
+}
+
+
+def test_every_public_name_has_a_caller():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in SOURCES
+    }
+    assert sorted(uncalled_public_names(modules)) == sorted(UNCALLED_PUBLIC)
+
+
+def test_detects_an_uncalled_public_name():
+    source = (
+        "LIMIT = 3\n\n"
+        "def solve(p):\n    return solve(p[1:]) if p else _scale(p)\n\n"
+        "def _scale(p):\n    return p\n\n"
+        "class Result:\n    pass\n\n"
+        "class Report:\n    pass\n\n"
+        "def render(r):\n    return Report()\n"
+    )
+    other = "from .a import render\n"
+    modules = {"a": ast.parse(source), "b": ast.parse(other)}
+    assert uncalled_public_names(modules) == ["a.solve", "a.Result"]
+    assert uncalled_public_names({"a": ast.parse(source)}) == ["a.solve", "a.Result", "a.render"]
 
 
 def test_detects_an_unused_private_helper():

@@ -435,7 +435,7 @@ class TestCriticUpdate:
 
         pred, cache = mlp_forward(net, obs)
         err = pred[:, 0] - targets
-        grads, _ = mlp_backward(net, cache, (2 * err / 16)[:, None])
+        grads = mlp_backward(net, cache, (2 * err / 16)[:, None])
         total = sum(float(np.abs(g).sum()) for g in grads)
         assert total < 1e-8
 
@@ -468,8 +468,8 @@ class TestAbortPaths:
         backward = training.mlp_backward
 
         def nan_backward(*args):
-            grads, grad_input = backward(*args)
-            return grads[:-1] + [np.full_like(grads[-1], np.nan)], grad_input
+            grads = backward(*args)
+            return grads[:-1] + [np.full_like(grads[-1], np.nan)]
 
         monkeypatch.setattr(training, "mlp_backward", nan_backward)
         self.no_adam_step(monkeypatch)
@@ -586,12 +586,12 @@ class TestCriticBank:
         calls = []
 
         def nan_in_lane_1(*args):
-            grads, grad_input = backward(*args)
+            grads = backward(*args)
             calls.append(None)
             if len(calls) == 5:
                 grads[0] = grads[0].copy()
                 grads[0][1, 0, 0] = np.nan
-            return grads, grad_input
+            return grads
 
         monkeypatch.setattr(training, "mlp_backward", nan_in_lane_1)
         with caplog.at_level(logging.WARNING, logger="morlkit.training"):
