@@ -22,7 +22,12 @@ corner-weight update of optimistic linear support (Roijers, Whiteson &
 Oliehoek, JAIR 2015): a new vector removes the corners where it lies
 above the surface, and the new corners all lie on its facet. `aols` keeps
 its corner set between insertions and folds in each new vector; the
-corners it has yet to query wait in one list, in the order they were found.
+corners it has yet to query wait in one list, in the order they were found,
+and a corner that a new vector lifts off the surface leaves the list. The
+optimistic bound at a corner is the lower convex hull of the explored
+points (weight, scalarized answer + epsilon) there, the dual of the LP in
+`optimistic_bound`; `aols` grows that hull one query at a time and bounds
+each fold's new corners with one matrix product, solving no LP.
 """
 
 from __future__ import annotations
@@ -280,13 +285,17 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
     return points
 
 
+def _nearest_gap(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """For each row, its max-norm distance to the nearest pool row."""
+    return np.max(np.abs(rows[:, None] - pool[None]), axis=2).min(axis=1)
+
+
 def _append_distinct(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """points plus, in order, each candidate farther than WEIGHT_MATCH_ATOL
     from every row kept before it."""
     if len(candidates) == 0:
         return points
-    gaps = np.max(np.abs(candidates[:, None] - points[None]), axis=2)
-    candidates = candidates[gaps.min(axis=1) > WEIGHT_MATCH_ATOL]
+    candidates = candidates[_nearest_gap(candidates, points) > WEIGHT_MATCH_ATOL]
     close = np.max(np.abs(candidates[:, None] - candidates[None]), axis=2) <= WEIGHT_MATCH_ATOL
     close = np.triu(close, 1)
     keep = np.ones(len(candidates), dtype=bool)
@@ -294,6 +303,47 @@ def _append_distinct(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         if keep[k]:
             keep &= ~close[k]
     return np.vstack([points, candidates[keep]])
+
+
+def _fold_lower_hull(
+    facets: np.ndarray, planes: np.ndarray, points: np.ndarray, heights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the last point, (points[-1], heights[-1]), into the lower convex
+    hull of the points before it, by beneath-beyond.
+
+    points are simplex weights, and the hull is the largest convex function
+    on the simplex at or below every height. facets[k] holds, in increasing
+    order, the indices of the dim points that span facet k, and planes[k]
+    the u whose w.u is the facet's height at w, so the hull at w is
+    max_k planes[k].w: the value of `optimistic_bound`'s program, by LP
+    duality, when the points include every simplex extremum. The facets
+    whose plane lies above the new point by more than WEIGHT_MATCH_ATOL go.
+    Each ridge of just one of them, one shared with a kept facet or on the
+    simplex boundary, joins the new point in a new facet; rank-deficient
+    joins are skipped, as in `_add_facets`.
+    """
+    new = len(points) - 1
+    above = planes @ points[new] > heights[new] + WEIGHT_MATCH_ATOL
+    if not above.any():
+        return facets, planes
+    dim = points.shape[1]
+    # Row k of drop_one lists the facet slots other than k, so each ridge
+    # keeps its indices in increasing order.
+    slots = np.arange(dim - 1)
+    drop_one = slots + (slots >= np.arange(dim)[:, None])
+    ridges = facets[above][:, drop_one].reshape(-1, dim - 1)
+    # Two facets share a ridge at most, and equal ridges are neighbours once
+    # the rows sort lexicographically (no index key, which could overflow).
+    ridges = ridges[np.lexsort(ridges.T[::-1])]
+    repeat = np.all(ridges[1:] == ridges[:-1], axis=1)
+    horizon = ridges[~(np.append(repeat, False) | np.append(False, repeat))]
+    # The new point has the largest index, so it comes last.
+    joined = np.column_stack([horizon, np.full(len(horizon), new)])
+    systems = points[joined]
+    scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+    joined = joined[np.abs(np.linalg.det(systems)) > RANK_RTOL * scale]
+    fresh = np.linalg.solve(points[joined], heights[joined][..., None])[..., 0]
+    return np.concatenate([facets[~above], joined]), np.concatenate([planes[~above], fresh])
 
 
 def optimistic_bound(
@@ -360,12 +410,15 @@ def aols(
 
     Starts with all simplex extrema pending at infinite gap, then
     repeatedly queries the oracle at the pending weight with the largest
-    optimistic gap, the earliest added among equal gaps. An answer that
-    duplicates no member (`is_duplicate`) joins the set and is folded into
-    the kept corner weights; the unexplored corners whose optimistic gap
-    exceeds epsilon are added to the pending list. Stops when none is
-    pending or the iteration cap is hit, and returns the members that beat
-    all the others at some weight (`pruned`).
+    optimistic gap, the earliest added among equal gaps. Every answer is
+    folded into the lower convex hull of the explored points (weight,
+    scalarized answer + epsilon) (`_fold_lower_hull`), whose height at a
+    weight is the optimistic bound there. An answer that duplicates no
+    member (`is_duplicate`) joins the set and is folded into the kept
+    corner weights; pending weights that are no longer corners leave the
+    pending list, and the new corners whose optimistic gap exceeds epsilon
+    join it. Stops when none is pending or the iteration cap is hit, and
+    returns the members that beat all the others at some weight (`pruned`).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -381,46 +434,62 @@ def aols(
     found_at: list[WeightVector] = []  # the weight where each member was returned
     corners = np.eye(objective_count)  # corner set of s[:folded]
     folded = 0
-    wv: list[tuple[WeightVector, float]] = []
+    explored: list[WeightVector] = []
+    points = np.empty((0, objective_count))  # explored weights
+    heights = np.empty(0)  # scalarized answers plus epsilon
+    facets = planes = None  # lower hull of (points, heights), once it holds the extrema
     history: list[AolsIteration] = []
     cap_hit = False
 
     while pending:
-        if len(wv) >= max_iterations:
+        if len(explored) >= max_iterations:
             cap_hit = True
             break
         # No weight is queried twice: each added corner is farther than
-        # WEIGHT_MATCH_ATOL from every weight added before it.
+        # WEIGHT_MATCH_ATOL from every weight explored or pending.
         *_, weight = pending.pop(max(range(len(pending)), key=lambda k: pending[k][0]))
         value = oracle(weight)
         if value.dim != objective_count:
             raise ValueError(f"oracle returned dimension {value.dim}, expected {objective_count}")
-        wv.append((weight, scalarize(weight, value)))
+        explored.append(weight)
+        points = np.vstack([points, weight.array])
+        heights = np.append(heights, scalarize(weight, value) + epsilon)
         inserted = not is_duplicate(value, s)
         if inserted:
             s.append(value)
             found_at.append(weight)
 
-        # The extrema, pending at infinite gap, are the first queries: fold
-        # once they are all explored, then after every insertion.
-        if len(wv) == objective_count or (inserted and len(wv) > objective_count):
-            corners = _add_facets(corners, _shifted(np.array([v.values for v in s])), folded)
+        # The extrema, pending at infinite gap, are the first queries, in
+        # index order. Once all are explored the hull is their one facet and
+        # the corners fold; after that every answer joins the hull, and every
+        # insertion folds the corners.
+        if len(explored) == objective_count:
+            facets, planes = np.arange(objective_count)[None], heights[None]
+        elif len(explored) > objective_count:
+            facets, planes = _fold_lower_hull(facets, planes, points, heights)
+        if len(explored) == objective_count or (inserted and len(explored) > objective_count):
+            vals = np.array([v.values for v in s])
+            corners = _add_facets(corners, _shifted(vals), folded)
             folded = len(s)
+            # A pending weight that a new vector lifted off the surface is no
+            # longer a corner, and is not worth a query.
+            waiting = np.array([w.weights for *_, w in pending]).reshape(-1, objective_count)
+            still = _nearest_gap(waiting, corners) <= WEIGHT_MATCH_ATOL
+            pending = [p for p, keep in zip(pending, still) if keep]
             candidates = _sorted_rows(corners)
-            # Weights ever added were explored or still wait. Corners lie more than
-            # WEIGHT_MATCH_ATOL apart, so no corner added here hides a later one.
-            seen = np.array([w.weights for w, _ in wv] + [w.weights for *_, w in pending])
-            gaps = np.max(np.abs(candidates[:, None] - seen[None]), axis=2).min(axis=1)
-            for row in candidates[gaps > WEIGHT_MATCH_ATOL]:
-                corner = WeightVector(tuple(row))
-                bound = optimistic_bound(wv, corner, epsilon)
-                gap = bound - scalarized_max(s, corner)
+            # Corners lie more than WEIGHT_MATCH_ATOL apart, so no corner added
+            # here hides a later one.
+            seen = np.vstack([points, waiting[still]])
+            fresh = candidates[_nearest_gap(candidates, seen) > WEIGHT_MATCH_ATOL]
+            bounds = np.max(fresh @ planes.T, axis=1)
+            gaps = bounds - np.max(fresh @ vals.T, axis=1)
+            for row, bound, gap in zip(fresh.tolist(), bounds.tolist(), gaps.tolist()):
                 if gap > epsilon:
-                    pending.append((gap, bound, corner))
+                    pending.append((gap, bound, WeightVector(tuple(row))))
 
         history.append(
             AolsIteration(
-                index=len(wv),
+                index=len(explored),
                 weight=weight,
                 inserted=inserted,
                 remaining_delta_r=_remaining_delta_r(pending),
@@ -432,7 +501,7 @@ def aols(
     # corners and bounds above, as they are; it is dropped once, here.
     return AolsResult(
         ccs=PartialCcs(tuple(pruned(s, found_at))),
-        explored_weights=tuple(w for w, _ in wv),
+        explored_weights=tuple(explored),
         delta_max=delta_max,
         history=tuple(history),
         hit_iteration_cap=cap_hit,

@@ -623,7 +623,7 @@ class TestAols:
 
     def test_memoizes_oracle_within_call(self):
         # A constant oracle only visits the extrema; the planners at d = 2, 3
-        # and 4 also visit 5, 24 and 105 corners, each once: one call per
+        # and 4 also visit 5, 17 and 56 corners, each once: one call per
         # history entry.
         oracles = [(2, lambda w: vv(2.0, 1.0))]
         for dim in (2, 3, 4):
@@ -639,6 +639,36 @@ class TestAols:
 
             result = aols(oracle, dim, 1e-6)
             assert len(seen) == len(result.history) == len(result.explored_weights)
+
+    def test_queries_only_current_corners(self):
+        # After the extrema, (8, 5, 5) is found at (0.625, 0.375, 0) and lifts
+        # the corner (0.25, 0, 0.75) that waits with it off the surface.
+        oracle = best_of((5, 7, 5), (8, 2, 4), (8, 5, 5))
+        answers = []
+        stale = []
+
+        def watched(w):
+            if len(answers) >= 3:
+                corners = np.array([c.weights for c in corner_weights(answers)])
+                if np.max(np.abs(corners - w.array), axis=1).min() > WEIGHT_MATCH_ATOL:
+                    stale.append(w.weights)
+            answers.append(oracle(w))
+            return answers[-1]
+
+        result = aols(watched, 3, 1e-6)
+        assert stale == []
+        assert len(answers) == 5
+        assert sorted(v.values for v in result.ccs.vectors) == [(5.0, 7.0, 5.0), (8.0, 5.0, 5.0)]
+
+    def test_oracle_calls_on_the_benchmark_problems(self):
+        # The five problems the aols_random3 benchmark relabels. Dropping
+        # the corners a later vector lifts took the calls from 211
+        # (57, 35, 38, 27, 54) to 158.
+        calls = []
+        for i in range(5):
+            m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
+            calls.append(len(aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).history))
+        assert calls == [43, 27, 29, 20, 39]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

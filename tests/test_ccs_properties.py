@@ -2,19 +2,22 @@
 Oliehoek, JAIR 2015): relabelling the objectives relabels every output,
 scaling every reward by a power of two scales the coverage set by the same
 factor, and a vector that a member beats in every component changes no
-membership.
+membership. The lower hull that bounds `aols`'s corners gives the value
+of the LP in `optimistic_bound`, its dual.
 
 Sets are compared as sets, each element within 1e-9 relative (absolute
 below magnitude 1). Value sets are small integer vectors, so that a tie is
-an exact tie and no decision rests on round-off.
+an exact tie and no decision rests on round-off; the hull is also checked
+on float values, where it is compared with the LP within 1e-9.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morlkit.ccs import aols, corner_weights, coverage_gap, pruned
-from morlkit.core import ValueVector, scalarize
+from morlkit import ccs
+from morlkit.ccs import aols, corner_weights, coverage_gap, optimistic_bound, pruned
+from morlkit.core import ValueVector, WeightVector, scalarize
 from morlkit.envs import TabularMomdp, random_tabular_momdp, value_iteration
 
 SMALL = settings(max_examples=40, deadline=None)
@@ -137,3 +140,74 @@ def test_beaten_vector_near_a_tie_leaves_pruned_unchanged():
     vectors = [ValueVector((1.0, 0.0, 0.0)), ValueVector((-2.0, -2.0, 2.0)), ValueVector((0.0, 0.0, 2.0))]
     grown = [ValueVector((1.0 - 1e-6, -1.0, -1.0))] + vectors
     assert pruned(grown) == pruned(vectors) == [vectors[0], vectors[2]]
+
+
+def simplex_weights(dim: int):
+    """Weights of dim objectives: multiples of 1/4, points of a face (some
+    weight exactly 0), or anywhere on a grid of small integer ratios."""
+    quarters = st.lists(st.integers(0, 4), min_size=dim - 1, max_size=dim - 1).map(
+        lambda cuts: np.diff([0, *sorted(cuts), 4]) / 4
+    )
+    ratios = st.lists(st.integers(0, 12), min_size=dim, max_size=dim).filter(any)
+    face = st.tuples(ratios, st.integers(0, dim - 1)).map(
+        lambda case: [0 if k == case[1] else r for k, r in enumerate(case[0])]
+    ).filter(any)
+    return st.one_of(quarters, face, ratios).map(lambda w: np.asarray(w, dtype=float) / np.sum(w))
+
+
+@st.composite
+def observation_sets(draw):
+    """(weights, values, epsilon, queries): the simplex extrema then up to 8
+    weights of 2-4 objectives, with values that are small integers (coplanar
+    points and ties), integers moved by 1e-6 (points just off a facet) or
+    floats, and the weights to bound."""
+    dim = draw(st.integers(2, 4))
+    weights = np.vstack([np.eye(dim), *draw(st.lists(simplex_weights(dim), max_size=8))])
+    numbers = draw(
+        st.sampled_from(
+            [
+                st.integers(-3, 3),
+                st.tuples(st.integers(-3, 3), st.sampled_from([-1e-6, 0.0, 1e-6])).map(sum),
+                st.floats(-2.0, 3.0),
+            ]
+        )
+    )
+    values = draw(st.lists(numbers, min_size=len(weights), max_size=len(weights)))
+    epsilon = draw(st.sampled_from([0.0, 1e-6, 0.25]))
+    queries = draw(st.lists(simplex_weights(dim), min_size=1, max_size=6))
+    return weights, np.array(values, dtype=float), epsilon, queries
+
+
+def tie_program(heights):
+    """Observations at the extrema and at the corner weights of the four
+    vectors whose tie the dominance program misread (see
+    `test_beaten_vector_near_a_tie_leaves_pruned_unchanged`), with values
+    heights(vectors, w), bounded at those weights and two more."""
+    vectors = [
+        ValueVector(v) for v in ((-2.0, -2.0, 2.0), (1.0 - 1e-6, -1.0, -1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
+    ]
+    weights = np.vstack([np.eye(3), [w.weights for w in corner_weights(vectors)]])
+    values = np.array([heights(vectors, w) for w in weights])
+    queries = list(weights) + [np.array([1, 1, 1]) / 3, np.array([0.5, 0.0, 0.5])]
+    return weights, values, 1e-6, queries
+
+
+SURFACE_TIE = tie_program(lambda s, w: max(np.dot(w, v.values) for v in s))
+COPLANAR_TIE = tie_program(lambda s, w: float(np.dot(w, s[0].values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(observation_sets())
+@example(SURFACE_TIE)
+@example(COPLANAR_TIE)
+def test_lower_hull_bound_matches_the_lp(case):
+    weights, values, epsilon, queries = case
+    dim = weights.shape[1]
+    heights = values + epsilon
+    facets, planes = np.arange(dim)[None], heights[None, :dim]
+    for n in range(dim + 1, len(weights) + 1):
+        facets, planes = ccs._fold_lower_hull(facets, planes, weights[:n], heights[:n])
+    observations = [(WeightVector(tuple(w)), float(v)) for w, v in zip(weights, values)]
+    for w in queries:
+        lp = optimistic_bound(observations, WeightVector(tuple(w)), epsilon)
+        assert abs(np.max(planes @ w) - lp) <= 1e-9

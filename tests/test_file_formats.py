@@ -1,7 +1,9 @@
-"""Round trips and line-edit fuzzing of the three text formats: tabular
+"""Round trips and line-edit fuzzing of the four text formats: tabular
 problems (`save_tabular`/`load_tabular`), checkpoints
 (`write_arrays`/`read_arrays`, with `policy_from_arrays` as the actor
-loader) and value-vector files (`write_vectors`/`read_vectors`).
+loader), value-vector files (`write_vectors`/`read_vectors`) and run
+configs (`serialize_config`/`parse_config_text`, with `RunConfig.from_dict`
+as the loader).
 
 A round trip reproduces its input exactly: the same shapes, and every
 float with the same repr. An edited file either loads into a valid,
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from morlkit.cli import VectorFileError, read_vectors, write_vectors
+from morlkit.config import ConfigError, RunConfig, parse_config_text, serialize_config
 from morlkit.envs import (
     TabularFormatError,
     TabularMomdp,
@@ -194,3 +197,80 @@ def test_edited_vector_file_loads_or_is_rejected(data):
         except VectorFileError:
             return
     assert all(v.dim == 2 and np.isfinite(v.array).all() for v in loaded)
+
+
+CONFIG = Path(__file__).parent.parent / "configs" / "treasure.cfg"
+# Keys for inserted and renamed lines: every section the readers know, a
+# retired key, one the readers reject by name and one no reader knows.
+CONFIG_KEYS = (
+    "seed", "trainer.objective_count", "trainer.steps_per_update", "trainer.discount",
+    "trainer.learning_rate", "trainer.hidden_sizes", "trainer.seed", "trainer.aols_epsilon",
+    "env.kind", "env.width", "env.start", "env.treasures", "env.step_penalty", "env.path",
+    "env.objective_index", "qa.0.name", "qa.1.name", "qa.0.direction", "qa.0.precision",
+    "explain.0.increment", "explain.1.max_alternatives", "bench.objective_index",
+    "bench.episodes", "env.widht",
+)
+# Values for edited lines: small numbers at and past every range boundary
+# (no grid large enough to cost memory), non-numbers, lists and kinds.
+CONFIG_VALUES = TOKENS + (
+    "", "-5", "20", "0,0", "2,2", "3,x", "1,2,3.0", "0,2,3.0;2,2,12.0", "0,0,1.0", ";",
+    "treasure", "locomotion", "tabular", "maximize", "minimize", "a b", "=",
+)
+CONFIG_EDITS = ("delete", "duplicate", "swap", "cut", "value", "key", "insert")
+
+
+def line_texts():
+    """One line of text, without surrounding whitespace or line breaks."""
+    return st.text(max_size=8).map(str.strip).filter(lambda t: "".join(t.splitlines()) == t)
+
+
+@ROUND_TRIPS
+@given(
+    st.dictionaries(
+        line_texts().filter(lambda k: k and "=" not in k and not k.startswith("#")),
+        line_texts(),
+        max_size=6,
+    )
+)
+def test_config_round_trip(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+def edit_config_lines(data, text: str) -> str:
+    """text after 1-3 random line edits: delete, duplicate or swap a line,
+    cut it short, replace its value or key, or insert a key=value line."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(lines)))
+        op = data.draw(st.sampled_from(CONFIG_EDITS))
+        if op == "insert" or k == len(lines):
+            key, value = data.draw(st.sampled_from(CONFIG_KEYS)), data.draw(st.sampled_from(CONFIG_VALUES))
+            lines.insert(k, f"{key}={value}")
+        elif op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "cut":
+            lines[k] = lines[k][: data.draw(st.integers(0, len(lines[k])))]
+        else:
+            key, _, value = lines[k].partition("=")
+            if op == "value":
+                value = data.draw(st.sampled_from(CONFIG_VALUES))
+            else:
+                key = data.draw(st.sampled_from(CONFIG_KEYS))
+            lines[k] = f"{key}={value}"
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(st.data())
+def test_edited_config_loads_or_is_rejected(data):
+    text = edit_config_lines(data, CONFIG.read_text())
+    try:
+        run = RunConfig.from_dict(parse_config_text(text, source="edited.cfg"))
+    except ConfigError:
+        return
+    assert run.env_factory().objective_count == run.trainer.objective_count
