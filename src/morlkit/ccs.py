@@ -20,21 +20,36 @@ bound - surface otherwise (`relative_improvement`).
 Corner weights grow one vector at a time, as in the incremental
 corner-weight update of optimistic linear support (Roijers, Whiteson &
 Oliehoek, JAIR 2015): a new vector removes the corners where it lies
-above the surface, and the new corners all lie on its facet. `aols` keeps
-its corner set between insertions and folds in each new vector; the
+above the surface, and the new corners all lie on its facet. They are found
+by the double-description step (Fukuda & Prodon, 1996): each lies on an
+edge of the old surface from a removed corner to a kept one, where the new
+vector crosses it, so no linear system is solved (`_add_facets`). `aols`
+keeps its corner set between insertions and folds in each new vector; the
 corners it has yet to query wait in one list, in the order they were found,
 and a corner that a new vector lifts off the surface leaves the list. The
 optimistic bound at a corner is the lower convex hull of the explored
 points (weight, scalarized answer + epsilon) there, the dual of the LP in
-`optimistic_bound`; `aols` grows that hull one query at a time and bounds
+`optimistic_bound`; `aols` folds the points into that hull, in the order
+they were queried, only when a corner fold is about to read it, and bounds
 each fold's new corners with one matrix product, solving no LP.
+
+The closeness rules are absolute, so the results scale with the rewards
+only over a range of scales. Scaling every reward of the 5-state, 3-action,
+3-objective problems of `envs.random_tabular_momdp` (seeds 0-4) by a c
+that is not a power of two scales the `aols` set by c (relative error below
+1e-12, same member count) for c from 3e-5 to 3e6 with an oracle that
+picks the best of all policies. Below that, DUPLICATE_VALUE_ATOL merges
+distinct vectors, and `solve_lp` can call a dominance program unbounded;
+above, round-off in values of that size exceeds WEIGHT_MATCH_ATOL. With
+`envs.value_iteration` as the oracle the range ends at about 4e3, where
+the planner's absolute switching threshold stops policy iteration
+converging.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,9 +60,6 @@ from .nets import write_text_atomic
 
 DUPLICATE_VALUE_ATOL = 1e-6
 WEIGHT_MATCH_ATOL = 1e-9
-# Corner updates solve this many facet subsets per batch, so their memory
-# does not grow with the number of subsets.
-CORNER_BLOCK = 4096
 # A system counts as rank-deficient when |det| is below this fraction of
 # the product of its row norms (the Hadamard bound on |det|).
 RANK_RTOL = 1e-12
@@ -168,9 +180,10 @@ def pruned(
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
     """Vertices of the upper surface max_V w.V over the simplex, sorted.
 
-    Built one vector at a time by `_add_facets`; simplex extrema are always
-    included, and no two corners are within WEIGHT_MATCH_ATOL of each
-    other.
+    Built one vector at a time by `_add_facets`, which finds each new
+    corner where the new vector crosses an edge of the surface so far;
+    simplex extrema are always included, and no two corners are within
+    WEIGHT_MATCH_ATOL of each other.
     """
     if not s:
         raise ValueError("corner_weights needs a nonempty set")
@@ -200,7 +213,7 @@ def coverage_gap(s: Sequence[ValueVector], oracle: Oracle) -> tuple[float, Weigh
 
 def _shifted(vals: np.ndarray) -> np.ndarray:
     """The vectors less their componentwise maximum. A common shift leaves
-    the corners unchanged; removing it keeps the rank test in
+    the corners unchanged; removing it keeps the lift and tie tests in
     `_add_facets` about the gaps between vectors, not their magnitude."""
     return vals - vals.max(axis=0)
 
@@ -211,77 +224,49 @@ def _sorted_rows(points: np.ndarray) -> np.ndarray:
 
 
 def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
-    """Fold vectors vals[start:] into the corner set of vals[:start].
+    """Fold vectors vals[start:] into the corner set of vals[:start], by the
+    double-description step (Fukuda & Prodon, "Double Description Method
+    Revisited", 1996).
 
     points holds the corners of the upper surface of vals[:start] (for
     start = 0, only the simplex extrema), extrema first. The surface is the
     lower boundary of the polytope {(w, u) : w in simplex, u >= w.V for
-    every V}, whose facet rows over (w, u) are [V, -1] (u = w.V) for each
-    vector and [e_k, 0] (w_k = 0) for each bound. Adding vector j drops the
-    corners it lifts the surface above by more than WEIGHT_MATCH_ATOL; every
-    new vertex lies on its facet, so it solves the simplex row [1..1, 0] = 1
-    together with row j and dim - 1 of the other j + dim rows, rows in
-    index order (vectors, then bounds). These C(j + dim, dim - 1) systems
-    are solved in batches of CORNER_BLOCK. Rank-deficient systems are
-    dropped before the solve; a solution is kept when it solves its system,
-    lies on the simplex and its u reaches the envelope there, and when it is
-    farther than WEIGHT_MATCH_ATOL from every corner kept before it.
+    every V}, whose facet rows are u = w.V for each vector and w_k = 0 for
+    each bound. A corner's active rows are the vectors within
+    WEIGHT_MATCH_ATOL of the surface there and the bounds its weight meets
+    exactly, read afresh from vals at each step. Vector j lifts the corners
+    where its lift g = w.V_j - surface exceeds WEIGHT_MATCH_ATOL; they go,
+    except the simplex extrema, which are corners of every set. Each new
+    corner lies on an edge from a lifted corner a to a kept corner b: the
+    two share at least dim - 1 active rows and no third corner has all of
+    them (the combinatorial adjacency test). The edge crosses vector j's
+    facet at a + g(a) / (g(a) - g(b)) (b - a), with g(b) taken as 0 where it
+    is positive, so no linear system is solved; a weight that is zero at
+    both ends stays exactly zero. A new corner joins when it is farther
+    than WEIGHT_MATCH_ATOL from every corner kept before it.
     """
     dim = points.shape[1]
-    simplex_row = np.append(np.ones(dim), 0.0)
-    rhs = np.zeros(dim + 1)
-    rhs[0] = 1.0
-    for j in range(start, len(vals)):
-        current = vals[: j + 1]
-        if j > 0:
-            # The simplex extrema are corners of every set.
-            dots = points[dim:] @ current.T
-            lifted = dots[:, j] > dots[:, :j].max(axis=1) + WEIGHT_MATCH_ATOL
-            points = np.vstack([points[:dim], points[dim:][~lifted]])
-        bounds = j + 1  # index of the first bound row
-        facets = np.vstack(
-            [
-                np.hstack([current, -np.ones((bounds, 1))]),
-                np.hstack([np.eye(dim), np.zeros((dim, 1))]),
-            ]
-        )
-        # Row j joins dim - 1 of the other rows, listed here in index order.
-        others = np.delete(np.arange(bounds + dim), j)
-        subsets = combinations(range(len(others)), dim - 1)
-        total = math.comb(len(others), dim - 1)
-        found = []
-        for first in range(0, total, CORNER_BLOCK):
-            size = min(CORNER_BLOCK, total - first)
-            picks = np.fromiter(
-                chain.from_iterable(islice(subsets, size)), dtype=np.intp, count=size * (dim - 1)
-            ).reshape(size, dim - 1)
-            block = np.sort(np.column_stack([others[picks], np.full(size, j)]), axis=1)
-            systems = np.empty((size, dim + 1, dim + 1))
-            systems[:, 0] = simplex_row
-            systems[:, 1:] = facets[block]
-            scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
-            full_rank = np.abs(np.linalg.det(systems)) > RANK_RTOL * scale
-            block, systems = block[full_rank], systems[full_rank]
-            # A stack of column vectors as b, which numpy 1.x and 2.x read alike.
-            columns = np.broadcast_to(rhs[:, None], (len(systems), dim + 1, 1))
-            raw = np.linalg.solve(systems, columns)[..., 0]
-            residual = np.max(np.abs(np.einsum("bij,bj->bi", systems, raw) - rhs), axis=1)
-            w, u = raw[:, :dim].copy(), raw[:, dim]
-            # A bound row pins its weight to exactly zero, which the solve can
-            # miss by round-off.
-            picked, slot = np.nonzero(block >= bounds)
-            w[picked, block[picked, slot] - bounds] = 0.0
-            # Comparisons with NaN are false, so a non-finite solution fails here.
-            ok = (
-                (residual <= 1e-7)
-                & (np.min(w, axis=1) >= -WEIGHT_MATCH_ATOL)
-                & (np.abs(w.sum(axis=1) - 1.0) <= 1e-7)
-            )
-            w = np.clip(w[ok], 0.0, None)
-            w /= w.sum(axis=1, keepdims=True)
-            envelope = np.max(w @ current.T, axis=1)
-            found.append(w[u[ok] >= envelope - WEIGHT_MATCH_ATOL])
-        points = _append_distinct(points, np.vstack(found))
+    for j in range(max(start, 1), len(vals)):
+        dots = points @ vals[: j + 1].T
+        surface = dots[:, :j].max(axis=1)
+        lift = dots[:, j] - surface
+        lifted = lift > WEIGHT_MATCH_ATOL
+        if not lifted.any():
+            continue
+        tied = dots[:, :j] >= surface[:, None] - WEIGHT_MATCH_ATOL
+        active = np.hstack([tied, points == 0.0]).astype(float)
+        up, down = np.flatnonzero(lifted), np.flatnonzero(~lifted)
+        a, b = np.nonzero(active[up] @ active[down].T >= dim - 1)
+        a, b = up[a], down[b]
+        shared = active[a] * active[b]
+        # A pair is an edge when only its two ends hold every shared row.
+        holders = shared @ active.T == shared.sum(axis=1, keepdims=True)
+        edge = holders.sum(axis=1) == 2
+        a, b = a[edge], b[edge]
+        t = lift[a] / (lift[a] - np.minimum(lift[b], 0.0))
+        crossed = points[a] + t[:, None] * (points[b] - points[a])
+        crossed[(points[a] == 0.0) & (points[b] == 0.0)] = 0.0
+        points = _append_distinct(np.vstack([points[:dim], points[dim:][~lifted[dim:]]]), crossed)
     return points
 
 
@@ -320,7 +305,7 @@ def _fold_lower_hull(
     whose plane lies above the new point by more than WEIGHT_MATCH_ATOL go.
     Each ridge of just one of them, one shared with a kept facet or on the
     simplex boundary, joins the new point in a new facet; rank-deficient
-    joins are skipped, as in `_add_facets`.
+    joins (RANK_RTOL) are skipped.
     """
     new = len(points) - 1
     above = planes @ points[new] > heights[new] + WEIGHT_MATCH_ATOL
@@ -410,15 +395,16 @@ def aols(
 
     Starts with all simplex extrema pending at infinite gap, then
     repeatedly queries the oracle at the pending weight with the largest
-    optimistic gap, the earliest added among equal gaps. Every answer is
-    folded into the lower convex hull of the explored points (weight,
-    scalarized answer + epsilon) (`_fold_lower_hull`), whose height at a
-    weight is the optimistic bound there. An answer that duplicates no
-    member (`is_duplicate`) joins the set and is folded into the kept
-    corner weights; pending weights that are no longer corners leave the
-    pending list, and the new corners whose optimistic gap exceeds epsilon
-    join it. Stops when none is pending or the iteration cap is hit, and
-    returns the members that beat all the others at some weight (`pruned`).
+    optimistic gap, the earliest added among equal gaps. An answer that
+    duplicates no member (`is_duplicate`) joins the set and is folded into
+    the kept corner weights; pending weights that are no longer corners
+    leave the pending list, and the new corners whose optimistic gap
+    exceeds epsilon join it. Their bound is the height there of the lower
+    convex hull of the explored points (weight, scalarized answer +
+    epsilon) (`_fold_lower_hull`), into which the answers are folded, in
+    order, just before the corner fold that reads it. Stops when none is
+    pending or the iteration cap is hit, and returns the members that beat
+    all the others at some weight (`pruned`).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -437,7 +423,8 @@ def aols(
     explored: list[WeightVector] = []
     points = np.empty((0, objective_count))  # explored weights
     heights = np.empty(0)  # scalarized answers plus epsilon
-    facets = planes = None  # lower hull of (points, heights), once it holds the extrema
+    facets = planes = None  # lower hull of the first `hulled` explored points
+    hulled = 0
     history: list[AolsIteration] = []
     cap_hit = False
 
@@ -461,13 +448,18 @@ def aols(
 
         # The extrema, pending at infinite gap, are the first queries, in
         # index order. Once all are explored the hull is their one facet and
-        # the corners fold; after that every answer joins the hull, and every
-        # insertion folds the corners.
+        # the corners fold; after that every insertion folds the corners.
+        # Only a corner fold reads the hull, so the answers since the last
+        # one join it then, in the order they came: the hull is the one an
+        # eager fold would build, and answers after the last insertion
+        # never join.
         if len(explored) == objective_count:
             facets, planes = np.arange(objective_count)[None], heights[None]
-        elif len(explored) > objective_count:
-            facets, planes = _fold_lower_hull(facets, planes, points, heights)
+            hulled = objective_count
         if len(explored) == objective_count or (inserted and len(explored) > objective_count):
+            while hulled < len(points):
+                hulled += 1
+                facets, planes = _fold_lower_hull(facets, planes, points[:hulled], heights[:hulled])
             vals = np.array([v.values for v in s])
             corners = _add_facets(corners, _shifted(vals), folded)
             folded = len(s)

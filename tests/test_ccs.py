@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from itertools import product
@@ -28,11 +29,17 @@ from morlkit.envs import (
     value_iteration,
 )
 from reference_ccs import exact_ccs, finite_horizon_values, pareto_front
-from reference_corners import pairwise_corner_weights, rebuilt_corner_weights
+from reference_corners import (
+    incremental_corner_weights,
+    pairwise_corner_weights,
+    rebuilt_corner_weights,
+)
 
-# Time bound for AOLS on the 20 three-objective exactness instances. They
-# take 0.8 s together on a 2-CPU host (2 s under pytest with other load);
-# with the earlier pairwise corner enumeration they took 15 s.
+# Time bound for AOLS on each group of exactness instances. The 20
+# three-objective ones take 0.8 s together on a 2-CPU host (2 s under
+# pytest with other load); with the earlier pairwise corner enumeration they
+# took 15 s. The five-objective one takes 0.5 s; solving every facet
+# system that holds each new vector took it 15 s.
 RUNTIME_BOUND_S = 10.0
 
 
@@ -298,11 +305,17 @@ class TestCornerWeights:
             s = fold_test_set(np.random.default_rng([dim, seed]), dim)
             assert_same_corners(corner_weights(s), rebuilt_corner_weights(s), f"seed {seed}")
 
-    def test_does_not_depend_on_block_size(self, monkeypatch):
-        sets = [fold_test_set(np.random.default_rng([9, seed]), 2 + seed % 4) for seed in range(60)]
-        want = [corner_weights(s) for s in sets]
-        monkeypatch.setattr(ccs, "CORNER_BLOCK", 7)
-        assert [corner_weights(s) for s in sets] == want
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_edge_crossings_match_facet_solves_on_integer_sets(self, dim):
+        # Small integers tie often: a new vector meets the surface exactly
+        # at kept corners, and several cut edges can end at one corner.
+        # Crossing edges must find the corners that solving every facet
+        # system with the new vector's row finds.
+        for seed in range(80):
+            rng = np.random.default_rng([dim, 70, seed])
+            vals = rng.integers(0, 4, (int(rng.integers(2, 10 if dim < 5 else 8)), dim))
+            s = [vv(*row) for row in vals]
+            assert_same_corners(corner_weights(s), incremental_corner_weights(s), f"seed {seed}")
 
 
 class TestOptimisticBound:
@@ -494,8 +507,8 @@ class TestAols:
 
     @pytest.mark.parametrize(
         "instances, shape",
-        [(range(20), (5, 3, 3)), ([0], (5, 2, 4))],
-        ids=["three-objectives", "four-objectives"],
+        [(range(20), (5, 3, 3)), ([0], (5, 2, 4)), ([0], (5, 3, 5))],
+        ids=["three-objectives", "four-objectives", "five-objectives"],
     )
     def test_matches_exact_policy_enumeration(self, instances, shape):
         elapsed = 0.0
@@ -535,6 +548,60 @@ class TestAols:
                 kept = [wv(*p) for p in points]
                 assert_same_corners(kept, corner_weights(vectors[:n]), f"{i}: {n}")
                 assert_same_corners(kept, rebuilt_corner_weights(vectors[:n]), f"{i}: {n}")
+
+    def test_hull_folds_only_when_a_corner_fold_reads_it(self, monkeypatch):
+        # The explored points join the lower hull, in the order queried,
+        # just before each corner fold, so none joins after the last
+        # insertion; the hull read there bounds every corner as the LP does.
+        hull_fold, corner_fold = ccs._fold_lower_hull, ccs._add_facets
+        hulls, answers, bounded = [], [], []
+
+        def watched_hull(facets, planes, points, heights):
+            hulls.append((len(points), *hull_fold(facets, planes, points, heights)))
+            return hulls[-1][1:]
+
+        def watched_corners(points, vals, start):
+            corners = corner_fold(points, vals, start)
+            observed = [(w, scalarize(w, v)) for w, v in answers]
+            if hulls:
+                assert hulls[-1][0] == len(answers)
+                planes = hulls[-1][2]
+            else:
+                planes = np.array([[value + 1e-6 for _, value in observed]])
+            for corner in corners:
+                bound = optimistic_bound(observed, WeightVector(tuple(corner)), 1e-6)
+                assert abs(np.max(planes @ corner) - bound) <= 1e-9
+            bounded.append(len(corners))
+            return corners
+
+        monkeypatch.setattr(ccs, "_fold_lower_hull", watched_hull)
+        monkeypatch.setattr(ccs, "_add_facets", watched_corners)
+        skipped = 0
+        for i, shape in enumerate([(6, 3, 2), (5, 3, 3), (5, 3, 3), (4, 2, 4)]):
+            m = random_tabular_momdp(np.random.default_rng(40 + i), *shape, discount=0.85)
+            hulls.clear()
+            answers.clear()
+            oracle = lambda w, m=m: answers.append((w, value_iteration(m, w)[1])) or answers[-1][1]
+            result = aols(oracle, shape[2], 1e-6)
+            last = max(shape[2], max(it.index for it in result.history if it.inserted))
+            assert [n for n, *_ in hulls] == list(range(shape[2] + 1, last + 1)), i
+            skipped += len(result.history) - last
+        assert skipped > 0 and sum(bounded) > 100
+
+    def test_scaled_rewards_scale_the_set(self):
+        # Scales inside the range the ccs module docstring gives, none a
+        # power of two, so that the scaled arithmetic rounds differently.
+        for i in range(5):
+            m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
+            want = aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).ccs.vectors
+            for scale in (1e-4, 0.3, 1e3):
+                scaled = dataclasses.replace(m, rewards=scale * m.rewards)
+                got = aols(lambda w: value_iteration(scaled, w)[1], 3, 1e-6).ccs.vectors
+                assert len(got) == len(want), f"instance {i}, scale {scale}"
+                expected = [v.array * scale for v in want]
+                size = np.max(np.abs(expected))
+                assert np.max(max_norm_gaps(got, expected)) <= 1e-12 * size, f"{i}, {scale}"
+                assert np.max(max_norm_gaps(expected, got)) <= 1e-12 * size, f"{i}, {scale}"
 
     def test_monotone_surface_growth(self):
         # V_S*(w) never decreases as the set grows, for 100 random weights.
