@@ -11,9 +11,10 @@ One rule serves each coverage-set decision in the package, in `aols` and
 in training alike. Closeness: two vectors within DUPLICATE_VALUE_ATOL in
 every component are one (`is_duplicate`); no `PartialCcs` holds both.
 Membership: a vector belongs when it beats all the others at some weight
-(`pruned`), so `aols` drops a vector that only ties another, such as the
-cheaper of two treasures at the same path cost, which tie at the weight
-that counts only the cost. Relative gap:
+(`pruned`, decided at corner weights with no linear program), so `aols`
+drops a vector that only ties another, such as the cheaper of two
+treasures at the same path cost, which tie at the weight that counts only
+the cost. Relative gap:
 (bound - surface) / bound for a positive bound, and the absolute gap
 bound - surface otherwise (`relative_improvement`).
 
@@ -39,11 +40,10 @@ only over a range of scales. Scaling every reward of the 5-state, 3-action,
 that is not a power of two scales the `aols` set by c (relative error below
 1e-12, same member count) for c from 3e-5 to 3e6 with an oracle that
 picks the best of all policies. Below that, DUPLICATE_VALUE_ATOL merges
-distinct vectors, and `solve_lp` can call a dominance program unbounded;
-above, round-off in values of that size exceeds WEIGHT_MATCH_ATOL. With
-`envs.value_iteration` as the oracle the range ends at about 4e3, where
-the planner's absolute switching threshold stops policy iteration
-converging.
+distinct vectors; above, round-off in values of that size exceeds
+WEIGHT_MATCH_ATOL. With `envs.value_iteration` as the oracle the same holds
+from 3e3 to 2e6 (checked at 3e3, 4e3, 6e3, 1.1e4, 3e4, 1e5, 3e5, 1e6 and
+2e6); at 5e6 the planner's absolute 1e-8 Bellman residual check fails.
 """
 
 from __future__ import annotations
@@ -112,36 +112,23 @@ def scalarized_max(s: Sequence[ValueVector], w: WeightVector) -> float:
 def is_convex_undominated(
     v: ValueVector, s: Sequence[ValueVector], margin: float = 0.0
 ) -> bool:
-    """True when some simplex weight makes v at least margin better than
-    every member of s.
+    """True when some simplex weight makes v more than margin +
+    WEIGHT_MATCH_ATOL better than every member of s.
 
-    Decided by maximizing the worst slack min_w' w.(v - v') over the simplex;
-    exact ties (v on the convex upper boundary of s without strictly winning
-    anywhere) count as dominated.
+    The slack w.v - max_V w.V is linear on each cell of the upper surface
+    of s, so its largest value lies at a corner weight of s, where it is
+    read. Exact ties (v on the convex upper boundary of s without strictly
+    winning anywhere) count as dominated.
     """
     if not s:
         return True
-    dim = v.dim
     for other in s:
-        if other.dim != dim:
+        if other.dim != v.dim:
             raise ValueError("dimension mismatch in dominance test")
-    # Variables: w_1..w_I, t_pos, t_neg with t = t_pos - t_neg.
-    n = dim + 2
-    c = np.zeros(n)
-    c[dim] = 1.0
-    c[dim + 1] = -1.0
-    a_ub = np.zeros((len(s), n))
-    a_ub[:, :dim] = np.array([other.values for other in s]) - v.array
-    a_ub[:, dim] = 1.0
-    a_ub[:, dim + 1] = -1.0
-    b_ub = np.zeros(len(s))
-    a_eq = np.zeros((1, n))
-    a_eq[0, :dim] = 1.0
-    x, _ = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
-    # The worst slack at the weight found, evaluated directly: round-off in
-    # the simplex tableau can report a t above what that weight reaches.
-    best_slack = -float(np.max(a_ub[:, :dim] @ x[:dim]))
-    return best_slack > margin + WEIGHT_MATCH_ATOL
+    vals = np.array([other.values for other in s])
+    corners = _add_facets(np.eye(v.dim), _shifted(vals), 0)
+    slack = np.min(corners @ (v.array - vals).T, axis=1)
+    return float(slack.max()) > margin + WEIGHT_MATCH_ATOL
 
 
 def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
@@ -153,28 +140,39 @@ def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
     return bool(np.max(np.abs(vals - v.array), axis=1).min() <= DUPLICATE_VALUE_ATOL)
 
 
-def pruned(
-    vectors: Sequence[ValueVector], wins_at: Sequence[WeightVector] | None = None
-) -> list[ValueVector]:
+def pruned(vectors: Sequence[ValueVector]) -> list[ValueVector]:
     """The members, in order, that beat all the others at some weight
-    (`is_convex_undominated` against the rest of the set).
-
-    wins_at[k], when given, is a weight to try vectors[k] at first: a member
-    that beats every other there by more than WEIGHT_MATCH_ATOL is kept
-    without solving the dominance program.
-    """
+    (`is_convex_undominated` against the rest of the set), read at the
+    set's corner weights (`_members`)."""
     vectors = list(vectors)
+    if not vectors:
+        return []
     vals = np.array([v.values for v in vectors])
+    return _members(vectors, _add_facets(np.eye(vals.shape[1]), _shifted(vals), 0))
 
-    def belongs(k: int) -> bool:
-        others = vectors[:k] + vectors[k + 1 :]
-        if wins_at is not None and others:
-            dots = vals @ wins_at[k].array
-            if dots[k] > np.delete(dots, k).max() + WEIGHT_MATCH_ATOL:
-                return True
-        return is_convex_undominated(vectors[k], others)
 
-    return [v for k, v in enumerate(vectors) if belongs(k)]
+def _members(vectors: list[ValueVector], corners: np.ndarray) -> list[ValueVector]:
+    """`pruned` of a nonempty set, given the corners of its upper surface.
+
+    A member is kept when it beats every other by more than
+    WEIGHT_MATCH_ATOL at the centroid of the corners where it meets the
+    surface, a witness weight inside its cell when it wins on a full cell.
+    Any other member is decided by `is_convex_undominated`. Other simplex
+    points in place of the corners give the same answer, with more of
+    those calls.
+    """
+    vals = np.array([v.values for v in vectors])
+    dots = corners @ vals.T
+    meets = (dots >= dots.max(axis=1, keepdims=True) - WEIGHT_MATCH_ATOL).astype(float)
+    # A member that meets the surface nowhere gets the zero weight, and no win.
+    at = vals @ (corners.T @ meets / np.maximum(meets.sum(axis=0), 1.0))
+    rivals = np.where(np.eye(len(vals), dtype=bool), -np.inf, at).max(axis=0)
+    wins = np.diag(at) > rivals + WEIGHT_MATCH_ATOL
+    return [
+        v
+        for k, v in enumerate(vectors)
+        if wins[k] or is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
+    ]
 
 
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
@@ -241,8 +239,8 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
     two share at least dim - 1 active rows and no third corner has all of
     them (the combinatorial adjacency test). The edge crosses vector j's
     facet at a + g(a) / (g(a) - g(b)) (b - a), with g(b) taken as 0 where it
-    is positive, so no linear system is solved; a weight that is zero at
-    both ends stays exactly zero. A new corner joins when it is farther
+    is positive, so no linear system is solved; a weight that is +0.0 at
+    both ends stays exactly +0.0. A new corner joins when it is farther
     than WEIGHT_MATCH_ATOL from every corner kept before it.
     """
     dim = points.shape[1]
@@ -265,7 +263,6 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
         a, b = a[edge], b[edge]
         t = lift[a] / (lift[a] - np.minimum(lift[b], 0.0))
         crossed = points[a] + t[:, None] * (points[b] - points[a])
-        crossed[(points[a] == 0.0) & (points[b] == 0.0)] = 0.0
         points = _append_distinct(np.vstack([points[:dim], points[dim:][~lifted[dim:]]]), crossed)
     return points
 
@@ -338,8 +335,8 @@ def optimistic_bound(
     observation being epsilon-accurate.
 
     Solves max w.u subject to w'.u <= v' + epsilon for all (w', v').
-    The observation list must cover all simplex extrema or the program
-    is unbounded (raised as ValueError).
+    The program is bounded exactly when w lies in the convex hull of the
+    observed weights; otherwise it is unbounded (raised as ValueError).
     """
     if not wv:
         raise ValueError("optimistic_bound needs at least one observation")
@@ -355,7 +352,7 @@ def optimistic_bound(
         _, value = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
     except LpUnbounded as exc:
         raise ValueError(
-            "optimistic bound is unbounded; observations must cover all simplex extrema"
+            "optimistic bound is unbounded; w must lie in the convex hull of the observed weights"
         ) from exc
     return value
 
@@ -417,7 +414,6 @@ def aols(
     pending = [(math.inf, math.inf, e) for e in simplex_extrema(objective_count)]
 
     s: list[ValueVector] = []
-    found_at: list[WeightVector] = []  # the weight where each member was returned
     corners = np.eye(objective_count)  # corner set of s[:folded]
     folded = 0
     explored: list[WeightVector] = []
@@ -444,7 +440,6 @@ def aols(
         inserted = not is_duplicate(value, s)
         if inserted:
             s.append(value)
-            found_at.append(weight)
 
         # The extrema, pending at infinite gap, are the first queries, in
         # index order. Once all are explored the hull is their one facet and
@@ -490,9 +485,11 @@ def aols(
 
     delta_max = max((gap for gap, *_ in pending), default=0.0)
     # A vector that only ties the others leaves the surface, and so the
-    # corners and bounds above, as they are; it is dropped once, here.
+    # corners and bounds above, as they are; it is dropped once, here. A cap
+    # hit before every extremum was explored leaves members unfolded, which
+    # `_members` allows.
     return AolsResult(
-        ccs=PartialCcs(tuple(pruned(s, found_at))),
+        ccs=PartialCcs(tuple(_members(s, corners))),
         explored_weights=tuple(explored),
         delta_max=delta_max,
         history=tuple(history),

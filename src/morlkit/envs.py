@@ -470,7 +470,9 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
     policy it visits once; the last evaluation gives the start value and
     the scalarized Bellman residual, which must be at most 1e-8.
     Deterministic for fixed input (argmax ties go to the lowest action
-    index; the incumbent action is kept unless beaten by more than 1e-12).
+    index; the incumbent action is kept unless beaten by more than 1e-12,
+    or by 1e-14 of the largest |q| where that is more, so that round-off
+    in large values cannot swap two tied actions forever).
     """
     if w.dim != m.objective_count:
         raise ValueError("weight dimension does not match objective count")
@@ -482,7 +484,8 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
         values = channel_values @ w.array
         q = r_w + m.discount * (m.transitions @ values)
         best = q.max(axis=1)
-        switch = q[np.arange(m.num_states), policy] < best - 1e-12
+        threshold = max(1e-12, 1e-14 * float(np.max(np.abs(best))))
+        switch = q[np.arange(m.num_states), policy] < best - threshold
         if not switch.any():
             break
         policy = np.where(switch, q.argmax(axis=1), policy)

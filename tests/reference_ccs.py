@@ -1,8 +1,10 @@
 """Exact coverage-set references for small tabular problems.
 
 `exact_ccs` enumerates all A^S deterministic stationary policies, solves
-each exactly, and keeps the Pareto-optimal values that are strictly best
-at some simplex weight. `finite_horizon_values` solves a scalarized
+each exactly, and keeps the Pareto-optimal values that beat every other by
+more than 1e-9 at some simplex weight, each decided by one
+`scipy.optimize.linprog` program (`best_slack`), independent of the
+package's own dominance test. `finite_horizon_values` solves a scalarized
 problem over a fixed number of steps by backward induction; the treasure
 grid tests use it as an oracle at the grid's horizon.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy.optimize import linprog
 
-from morlkit.ccs import is_convex_undominated
 from morlkit.core import ValueVector, WeightVector
 
 
@@ -36,6 +38,25 @@ def pareto_front(vectors: np.ndarray) -> np.ndarray:
     return vectors[sorted(kept)]
 
 
+def best_slack(v: np.ndarray, others: np.ndarray) -> float:
+    """Largest t such that some simplex weight w has w.v >= w.v' + t for
+    every row v' of others, by HiGHS."""
+    dim = len(v)
+    # Variables (w, t): maximize t subject to w.(v' - v) + t <= 0, sum(w) = 1.
+    res = linprog(
+        c=np.append(np.zeros(dim), -1.0),
+        A_ub=np.hstack([others - v, np.ones((len(others), 1))]),
+        b_ub=np.zeros(len(others)),
+        A_eq=np.append(np.ones(dim), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * dim + [(None, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    return -res.fun
+
+
 def exact_ccs(m) -> list[ValueVector]:
     """Coverage set of a tabular problem from all A^S deterministic
     stationary policies, each evaluated exactly by a linear solve.
@@ -47,9 +68,11 @@ def exact_ccs(m) -> list[ValueVector]:
     policies = np.array(list(product(range(m.num_actions), repeat=m.num_states)))
     systems = np.eye(m.num_states) - m.discount * m.transitions[states, policies]
     values = np.linalg.solve(systems, m.rewards[states, policies])
-    front = [ValueVector(tuple(v)) for v in pareto_front(np.einsum("s,ksi->ki", m.initial, values))]
+    front = pareto_front(np.einsum("s,ksi->ki", m.initial, values))
     return [
-        v for k, v in enumerate(front) if is_convex_undominated(v, front[:k] + front[k + 1 :])
+        ValueVector(tuple(v))
+        for k, v in enumerate(front)
+        if len(front) == 1 or best_slack(v, np.delete(front, k, axis=0)) > 1e-9
     ]
 
 

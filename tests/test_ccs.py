@@ -28,7 +28,7 @@ from morlkit.envs import (
     treasure_grid_to_tabular,
     value_iteration,
 )
-from reference_ccs import exact_ccs, finite_horizon_values, pareto_front
+from reference_ccs import best_slack, exact_ccs, finite_horizon_values, pareto_front
 from reference_corners import (
     incremental_corner_weights,
     pairwise_corner_weights,
@@ -128,6 +128,23 @@ def one_state_momdp(rewards, gamma):
     )
 
 
+def assert_scaled_sets(scales):
+    """aols with the exact planner on the (5, 3, 3) problems of seeds 0-4,
+    every reward times each scale, returns the unscaled set times the
+    scale (relative error at most 1e-12, same member count)."""
+    for i in range(5):
+        m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
+        want = aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).ccs.vectors
+        for scale in scales:
+            scaled = dataclasses.replace(m, rewards=scale * m.rewards)
+            got = aols(lambda w: value_iteration(scaled, w)[1], 3, 1e-6).ccs.vectors
+            assert len(got) == len(want), f"instance {i}, scale {scale}"
+            expected = [v.array * scale for v in want]
+            size = np.max(np.abs(expected))
+            assert np.max(max_norm_gaps(got, expected)) <= 1e-12 * size, f"{i}, {scale}"
+            assert np.max(max_norm_gaps(expected, got)) <= 1e-12 * size, f"{i}, {scale}"
+
+
 def tie_grid():
     """A 4x4 treasure grid whose exact planner returns three vectors, one of
     which only ties another: (1.805, -2.8525) and (3.61, -2.8525) both take
@@ -198,6 +215,29 @@ class TestIsConvexUndominated:
         s = [vv(2, 0)]
         assert is_convex_undominated(v, s, margin=0.5)
         assert not is_convex_undominated(v, s, margin=2.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_agrees_with_linprog(self, dim):
+        # Oracle: scipy's HiGHS maximizes the worst slack over the simplex.
+        for seed in range(60):
+            rng = np.random.default_rng([dim, 23, seed])
+            n = int(rng.integers(1, 9))
+            if seed % 2:
+                vals = rng.integers(0, 4, (n + 1, dim)).astype(float)
+            else:
+                vals = rng.uniform(-2, 2, (n + 1, dim))
+            v, others = vals[0], vals[1:]
+            for margin in (0.0, 0.1):
+                want = best_slack(v, others) > margin + WEIGHT_MATCH_ATOL
+                got = is_convex_undominated(vv(*v), [vv(*o) for o in others], margin)
+                assert got == want, (seed, margin)
+
+    def test_tableau_tie_case_reads_dominated(self):
+        # The best slack is 0, at a weight where v ties (0, 0, 2); a simplex
+        # tableau that breaks ratio ties by index reported 1.4e-9 here.
+        s = [vv(1 - 1e-6, -1, -1), vv(1, 0, 0), vv(0, 0, 2)]
+        assert abs(best_slack(np.array([-2.0, -2.0, 2.0]), np.array([o.values for o in s]))) <= 1e-12
+        assert not is_convex_undominated(vv(-2, -2, 2), s)
 
 
 class TestCornerWeights:
@@ -304,6 +344,22 @@ class TestCornerWeights:
         for seed in range(110):
             s = fold_test_set(np.random.default_rng([dim, seed]), dim)
             assert_same_corners(corner_weights(s), rebuilt_corner_weights(s), f"seed {seed}")
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_boundary_corners_hold_positive_zeros(self, dim):
+        # Edges on the simplex boundary are crossed by interpolation, which
+        # must leave a weight that is +0.0 at both ends +0.0, not -0.0 or a
+        # round-off residue.
+        boundary = 0
+        for seed in range(80):
+            rng = np.random.default_rng([dim, 71, seed])
+            vals = rng.integers(0, 4, (int(rng.integers(2, 10)), dim))
+            corners = np.array([c.weights for c in corner_weights([vv(*row) for row in vals])])
+            zero = corners == 0.0
+            assert not np.any(np.signbit(corners[zero])), seed
+            assert np.all(zero | (corners > WEIGHT_MATCH_ATOL)), seed
+            boundary += int(np.sum(zero.any(axis=1) & (np.sum(~zero, axis=1) > 1)))
+        assert boundary > 100
 
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_edge_crossings_match_facet_solves_on_integer_sets(self, dim):
@@ -429,15 +485,22 @@ class TestPartialCcs:
 
 class TestPruned:
     @pytest.mark.parametrize("kind", ["random", "concave", "integer"])
-    def test_weight_hints_do_not_change_membership(self, kind):
-        # Integer sets tie often; the hint is a weight where a member may or
-        # may not win, and only where it wins by more than the tolerance is
-        # the dominance program skipped.
+    def test_keeps_what_the_dominance_test_keeps(self, kind):
+        # Integer sets tie often. A member kept on its centroid witness must
+        # be one the dominance test keeps too, and no other may go.
         rng = np.random.default_rng(5)
         for seed in range(40):
             vectors = corner_test_set(kind, seed, int(rng.integers(2, 5)))
-            hints = [wv(*rng.dirichlet(np.ones(vectors[0].dim))) for _ in vectors]
-            assert pruned(vectors, hints) == pruned(vectors), seed
+            want = [
+                v
+                for k, v in enumerate(vectors)
+                if is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
+            ]
+            assert pruned(vectors) == want, seed
+
+    def test_empty_and_single_sets(self):
+        assert pruned([]) == []
+        assert pruned([vv(1, 2)]) == [vv(1, 2)]
 
     def test_drops_a_vector_that_only_ties(self):
         assert pruned([vv(1, 0), vv(0.5, 0), vv(0, 1)]) == [vv(1, 0), vv(0, 1)]
@@ -455,7 +518,7 @@ class TestAols:
         assert sum(it.inserted for it in result.history) == 3
         got = [v.values for v in result.ccs.vectors]
         assert got == [pytest.approx((11.606714, -5.298162)), pytest.approx((3.61, -2.8525))]
-        # The other two vectors each win by a margin where they were found.
+        # The other two vectors each win at the centroid of their corners.
         assert len(programs) == 1 and programs[0][0].values == pytest.approx((1.805, -2.8525))
 
     def test_history_reports_the_gap_while_corners_are_queued(self):
@@ -591,17 +654,13 @@ class TestAols:
     def test_scaled_rewards_scale_the_set(self):
         # Scales inside the range the ccs module docstring gives, none a
         # power of two, so that the scaled arithmetic rounds differently.
-        for i in range(5):
-            m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
-            want = aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).ccs.vectors
-            for scale in (1e-4, 0.3, 1e3):
-                scaled = dataclasses.replace(m, rewards=scale * m.rewards)
-                got = aols(lambda w: value_iteration(scaled, w)[1], 3, 1e-6).ccs.vectors
-                assert len(got) == len(want), f"instance {i}, scale {scale}"
-                expected = [v.array * scale for v in want]
-                size = np.max(np.abs(expected))
-                assert np.max(max_norm_gaps(got, expected)) <= 1e-12 * size, f"{i}, {scale}"
-                assert np.max(max_norm_gaps(expected, got)) <= 1e-12 * size, f"{i}, {scale}"
+        assert_scaled_sets((1e-4, 0.3, 1e3))
+
+    def test_large_rewards_scale_the_set(self):
+        # With an absolute 1e-12 switching threshold, round-off in q values
+        # of this size made policy iteration swap tied actions forever on
+        # some of these problems at each of these scales.
+        assert_scaled_sets((6e3, 1.1e4, 3e4, 1e6))
 
     def test_monotone_surface_growth(self):
         # V_S*(w) never decreases as the set grows, for 100 random weights.
@@ -688,6 +747,14 @@ class TestAols:
         result = aols(lambda w: value_iteration(m, w)[1], 2, 1e-6, max_iterations=2)
         assert result.hit_iteration_cap
 
+    def test_cap_before_every_extremum_still_prunes(self):
+        # The corners are never folded here; the member test must still drop
+        # the third answer, which only ties the first two where w_0 = 0.
+        answers = iter([vv(2, 0, 0, 0), vv(0, 2, 0, 0), vv(1, 0, 0, 0)])
+        result = aols(lambda w: next(answers), 4, 1e-6, max_iterations=3)
+        assert result.hit_iteration_cap
+        assert result.ccs.vectors == (vv(2, 0, 0, 0), vv(0, 2, 0, 0))
+
     def test_memoizes_oracle_within_call(self):
         # A constant oracle only visits the extrema; the planners at d = 2, 3
         # and 4 also visit 5, 17 and 56 corners, each once: one call per
@@ -736,6 +803,18 @@ class TestAols:
             m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
             calls.append(len(aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).history))
         assert calls == [43, 27, 29, 20, 39]
+
+    def test_benchmark_problems_prune_without_a_dominance_test(self, monkeypatch):
+        # Every member of these sets wins at the centroid of its corners.
+        dominance = ccs.is_convex_undominated
+        programs = []
+        monkeypatch.setattr(
+            ccs, "is_convex_undominated", lambda *args: programs.append(args) or dominance(*args)
+        )
+        for i in range(5):
+            m = random_tabular_momdp(np.random.default_rng(i), 5, 3, 3, discount=0.85)
+            assert len(aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).ccs.vectors) > 1
+        assert programs == []
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

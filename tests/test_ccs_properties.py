@@ -180,7 +180,7 @@ def observation_sets(draw):
 
 def tie_program(heights):
     """Observations at the extrema and at the corner weights of the four
-    vectors whose tie the dominance program misread (see
+    vectors whose tie an LP dominance test once misread (see
     `test_beaten_vector_near_a_tie_leaves_pruned_unchanged`), with values
     heights(vectors, w), bounded at those weights and two more."""
     vectors = [
