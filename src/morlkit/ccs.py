@@ -42,8 +42,9 @@ that is not a power of two scales the `aols` set by c (relative error below
 picks the best of all policies. Below that, DUPLICATE_VALUE_ATOL merges
 distinct vectors; above, round-off in values of that size exceeds
 WEIGHT_MATCH_ATOL. With `envs.value_iteration` as the oracle the same holds
-from 3e3 to 2e6 (checked at 3e3, 4e3, 6e3, 1.1e4, 3e4, 1e5, 3e5, 1e6 and
-2e6); at 5e6 the planner's absolute 1e-8 Bellman residual check fails.
+from 2e-5 to 2.2e6 (checked at ten scales from 2e-5 to 3e3 and nine from
+4e3 to 2.2e6); from 2.5e6 up members are lost to that round-off, while the
+planner, whose Bellman residual bound scales with its values, still solves.
 """
 
 from __future__ import annotations
@@ -367,21 +368,6 @@ def relative_improvement(v_bound: float, v_star: float) -> float:
     return v_bound - v_star
 
 
-def _remaining_delta_r(pending: Sequence[tuple[float, float, WeightVector]]) -> float:
-    """Largest gap still promised by the pending (gap, bound, weight)
-    entries, by `relative_improvement`.
-
-    `aols` picks corners by the absolute gap; convergence is reported in
-    this form, maximized over every entry, since the two orders can differ.
-    """
-    best = 0.0
-    for gap, bound, _ in pending:
-        if math.isinf(gap):
-            return math.inf
-        best = max(best, relative_improvement(bound, bound - gap))
-    return best
-
-
 def aols(
     oracle: Oracle,
     objective_count: int,
@@ -396,12 +382,17 @@ def aols(
     duplicates no member (`is_duplicate`) joins the set and is folded into
     the kept corner weights; pending weights that are no longer corners
     leave the pending list, and the new corners whose optimistic gap
-    exceeds epsilon join it. Their bound is the height there of the lower
-    convex hull of the explored points (weight, scalarized answer +
-    epsilon) (`_fold_lower_hull`), into which the answers are folded, in
-    order, just before the corner fold that reads it. Stops when none is
-    pending or the iteration cap is hit, and returns the members that beat
-    all the others at some weight (`pruned`).
+    exceeds epsilon join it with that gap and its relative form
+    (`relative_improvement`), computed once. Their bound is the height
+    there of the lower convex hull of the explored points (weight,
+    scalarized answer + epsilon) (`_fold_lower_hull`), into which the
+    answers are folded, in order, just before the corner fold that reads
+    it. Each iteration records the largest relative gap still pending,
+    since the two gaps can order corners differently. Stops when none is
+    pending or the iteration cap is hit, the cap counting as hit when
+    corners are still pending, and returns the members that beat all the
+    others at some weight (`pruned`); the explored weights are those of
+    the history.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -410,31 +401,23 @@ def aols(
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    # (gap, bound, weight) of every weight still to query, in the order added.
+    # (gap, relative gap, weight) of every weight still to query, in the order added.
     pending = [(math.inf, math.inf, e) for e in simplex_extrema(objective_count)]
 
     s: list[ValueVector] = []
-    corners = np.eye(objective_count)  # corner set of s[:folded]
-    folded = 0
-    explored: list[WeightVector] = []
+    corners, folded = np.eye(objective_count), 0  # corner set of s[:folded]
     points = np.empty((0, objective_count))  # explored weights
     heights = np.empty(0)  # scalarized answers plus epsilon
-    facets = planes = None  # lower hull of the first `hulled` explored points
-    hulled = 0
+    facets, planes, hulled = None, None, 0  # lower hull of the first `hulled` points
     history: list[AolsIteration] = []
-    cap_hit = False
 
-    while pending:
-        if len(explored) >= max_iterations:
-            cap_hit = True
-            break
+    while pending and len(history) < max_iterations:
         # No weight is queried twice: each added corner is farther than
         # WEIGHT_MATCH_ATOL from every weight explored or pending.
         *_, weight = pending.pop(max(range(len(pending)), key=lambda k: pending[k][0]))
         value = oracle(weight)
         if value.dim != objective_count:
             raise ValueError(f"oracle returned dimension {value.dim}, expected {objective_count}")
-        explored.append(weight)
         points = np.vstack([points, weight.array])
         heights = np.append(heights, scalarize(weight, value) + epsilon)
         inserted = not is_duplicate(value, s)
@@ -448,10 +431,9 @@ def aols(
         # one join it then, in the order they came: the hull is the one an
         # eager fold would build, and answers after the last insertion
         # never join.
-        if len(explored) == objective_count:
-            facets, planes = np.arange(objective_count)[None], heights[None]
-            hulled = objective_count
-        if len(explored) == objective_count or (inserted and len(explored) > objective_count):
+        if len(points) == objective_count:
+            facets, planes, hulled = np.arange(len(points))[None], heights[None], len(points)
+        if len(points) == objective_count or (inserted and len(points) > objective_count):
             while hulled < len(points):
                 hulled += 1
                 facets, planes = _fold_lower_hull(facets, planes, points[:hulled], heights[:hulled])
@@ -472,28 +454,22 @@ def aols(
             gaps = bounds - np.max(fresh @ vals.T, axis=1)
             for row, bound, gap in zip(fresh.tolist(), bounds.tolist(), gaps.tolist()):
                 if gap > epsilon:
-                    pending.append((gap, bound, WeightVector(tuple(row))))
+                    r = relative_improvement(bound, bound - gap)
+                    pending.append((gap, r, WeightVector(tuple(row))))
 
-        history.append(
-            AolsIteration(
-                index=len(explored),
-                weight=weight,
-                inserted=inserted,
-                remaining_delta_r=_remaining_delta_r(pending),
-            )
-        )
+        remaining_delta_r = max((r for _, r, _ in pending), default=0.0)
+        history.append(AolsIteration(len(points), weight, inserted, remaining_delta_r))
 
-    delta_max = max((gap for gap, *_ in pending), default=0.0)
     # A vector that only ties the others leaves the surface, and so the
     # corners and bounds above, as they are; it is dropped once, here. A cap
     # hit before every extremum was explored leaves members unfolded, which
     # `_members` allows.
     return AolsResult(
         ccs=PartialCcs(tuple(_members(s, corners))),
-        explored_weights=tuple(explored),
-        delta_max=delta_max,
+        explored_weights=tuple(it.weight for it in history),
+        delta_max=max((gap for gap, *_ in pending), default=0.0),
         history=tuple(history),
-        hit_iteration_cap=cap_hit,
+        hit_iteration_cap=bool(pending),
     )
 
 

@@ -468,7 +468,8 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
 
     Uses policy iteration with exact policy evaluation, evaluating each
     policy it visits once; the last evaluation gives the start value and
-    the scalarized Bellman residual, which must be at most 1e-8.
+    the scalarized Bellman residual, which must be at most 1e-8, or 1e-14
+    of the largest |q| where that is more.
     Deterministic for fixed input (argmax ties go to the lowest action
     index; the incumbent action is kept unless beaten by more than 1e-12,
     or by 1e-14 of the largest |q| where that is more, so that round-off
@@ -492,7 +493,8 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
     else:
         raise RuntimeError("policy iteration failed to converge")
     residual = float(np.max(np.abs(best - values)))
-    if residual > 1e-8:
-        raise RuntimeError(f"Bellman residual {residual:.3e} exceeds 1e-8")
+    tolerance = max(1e-8, 1e-14 * float(np.max(np.abs(best))))
+    if residual > tolerance:
+        raise RuntimeError(f"Bellman residual {residual:.3e} exceeds {tolerance:.3e}")
     start_value = m.initial @ channel_values
     return policy, ValueVector(tuple(start_value))

@@ -29,7 +29,6 @@ import numpy as np
 from .ccs import (
     AolsResult,
     PartialCcs,
-    is_convex_undominated,
     is_duplicate,
     pruned,
     relative_improvement,
@@ -606,8 +605,10 @@ def run_sequence(
         vbar = ValueVector(tuple(_critic_values(state.bank, obs).mean(axis=0)))
         running = state.running_vectors
         delta_abs, delta_r = _delta_probe(vbar, running)
-        if not is_duplicate(vbar, running) and is_convex_undominated(vbar, running):
-            state.running_vectors = pruned(running + [vbar])
+        if not is_duplicate(vbar, running):
+            kept = pruned(running + [vbar])
+            if kept and kept[-1] is vbar:
+                state.running_vectors = kept
 
         state.actor, state.actor_opt, diag = ppo_actor_update(
             state.actor, state.actor_opt, obs, _rows(batch.actions), _rows(batch.log_probs),

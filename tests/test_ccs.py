@@ -747,6 +747,24 @@ class TestAols:
         result = aols(lambda w: value_iteration(m, w)[1], 2, 1e-6, max_iterations=2)
         assert result.hit_iteration_cap
 
+    def test_cap_flag_and_explored_weights_follow_the_history(self):
+        # The cap counts as hit exactly when corners are still pending: a run
+        # capped at its own length is not cut short, and a shorter cap keeps
+        # the uncapped run's history up to the cap.
+        m = random_tabular_momdp(np.random.default_rng(0), 5, 3, 3, discount=0.85)
+        full = aols(lambda w: value_iteration(m, w)[1], 3, 1e-6)
+        assert not full.hit_iteration_cap
+        assert full.history[-1].remaining_delta_r == 0.0 and full.delta_max == 0.0
+        n = len(full.history)
+        for cap in (1, 3, 7, n - 1, n, n + 1, None):
+            capped = {} if cap is None else {"max_iterations": cap}
+            result = aols(lambda w: value_iteration(m, w)[1], 3, 1e-6, **capped)
+            assert result.history == full.history[:cap]
+            assert result.explored_weights == tuple(it.weight for it in result.history)
+            assert result.hit_iteration_cap == (cap is not None and cap < n)
+            pending = result.history[-1].remaining_delta_r > 0.0 and result.delta_max > 0.0
+            assert result.hit_iteration_cap == pending
+
     def test_cap_before_every_extremum_still_prunes(self):
         # The corners are never folded here; the member test must still drop
         # the third answer, which only ties the first two where w_0 = 0.
