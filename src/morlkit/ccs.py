@@ -110,11 +110,10 @@ def scalarized_max(s: Sequence[ValueVector], w: WeightVector) -> float:
     return max(scalarize(w, v) for v in s)
 
 
-def is_convex_undominated(
-    v: ValueVector, s: Sequence[ValueVector], margin: float = 0.0
-) -> bool:
-    """True when some simplex weight makes v more than margin +
-    WEIGHT_MATCH_ATOL better than every member of s.
+def is_convex_undominated(v: ValueVector, s: Sequence[ValueVector]) -> bool:
+    """True when some simplex weight makes v more than WEIGHT_MATCH_ATOL
+    better than every member of s. For a margin m, test v - m*1: simplex
+    weights sum to one, so w.(v - m*1) = w.v - m.
 
     The slack w.v - max_V w.V is linear on each cell of the upper surface
     of s, so its largest value lies at a corner weight of s, where it is
@@ -129,7 +128,7 @@ def is_convex_undominated(
     vals = np.array([other.values for other in s])
     corners = _add_facets(np.eye(v.dim), _shifted(vals), 0)
     slack = np.min(corners @ (v.array - vals).T, axis=1)
-    return float(slack.max()) > margin + WEIGHT_MATCH_ATOL
+    return float(slack.max()) > WEIGHT_MATCH_ATOL
 
 
 def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:

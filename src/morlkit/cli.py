@@ -47,8 +47,8 @@ class UsageError(Exception):
 
 
 class VectorFileError(ValueError):
-    """A value-vector file line that is not a row of numbers as long as the
-    file's first row."""
+    """A value-vector file line that is not a row of numbers of the
+    expected width."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,10 +121,10 @@ def write_vectors(vectors, path: Path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n" if lines else "")
 
 
-def read_vectors(path: Path, dim: int | None = None) -> list[ValueVector]:
-    """Inverse of write_vectors; raises VectorFileError naming the file and
-    line for a non-number, a non-finite value or a row whose length differs
-    from dim, when given, or else from the first row's."""
+def read_vectors(path: Path, dim: int) -> list[ValueVector]:
+    """Inverse of write_vectors for dim-wide rows; raises VectorFileError
+    naming the file and line for a non-number, a non-finite value or a row
+    of another width."""
     out: list[ValueVector] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -133,11 +133,7 @@ def read_vectors(path: Path, dim: int | None = None) -> list[ValueVector]:
             vector = ValueVector(tuple(float(tok) for tok in line.split()))
         except ValueError as exc:
             raise VectorFileError(f"{path}:{lineno}: {exc}") from None
-        if out and vector.dim != out[0].dim:
-            raise VectorFileError(
-                f"{path}:{lineno}: row has {vector.dim} values, the first row has {out[0].dim}"
-            )
-        if dim is not None and vector.dim != dim:
+        if vector.dim != dim:
             raise VectorFileError(f"{path}:{lineno}: row has {vector.dim} values, expected {dim}")
         out.append(vector)
     return out
@@ -168,13 +164,23 @@ def load_run(run_dir: Path, overlay: dict[str, str] | None = None) -> RunConfig:
     return RunConfig.from_dict({**load_config(config_path), **(overlay or {})})
 
 
-def load_actor(run_dir: Path):
+def load_actor(run_dir: Path, run: RunConfig):
+    """The run's actor, checked to fit the run's environment: its input
+    and action widths are the environment's observation and action widths."""
     path = run_dir / "actor.ckpt"
     arrays = read_arrays(path)
     try:
-        return policy_from_arrays(arrays)
+        actor = policy_from_arrays(arrays)
     except CheckpointFormatError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from None
+    env = run.env_factory()
+    if (actor.mean_net.input_dim, actor.action_dim) != (env.observation_dim, env.action_dim):
+        raise CheckpointFormatError(
+            f"{path}: actor takes {actor.mean_net.input_dim} inputs and gives {actor.action_dim} "
+            f"actions, the run's environment has {env.observation_dim} observations and "
+            f"{env.action_dim} actions"
+        )
+    return actor
 
 
 def _eval_table(qa, mean: ValueVector, std: ValueVector) -> str:
@@ -247,7 +253,7 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     run = load_run(run_dir)
     require_episode_end(run.raw)
-    mean, std, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
+    mean, std, _ = _evaluate(run, load_actor(run_dir, run), args.episodes, args.seed)
     table = _eval_table(run.qa, mean, std)
     print(table)
     if args.out:
@@ -265,7 +271,7 @@ def cmd_explain(args) -> int:
         )
     run = load_run(run_dir, overlay)
     require_episode_end(run.raw)
-    current, _, _ = _evaluate(run, load_actor(run_dir), args.episodes, args.seed)
+    current, _, _ = _evaluate(run, load_actor(run_dir, run), args.episodes, args.seed)
     library = run_dir / "ccs.txt"
     pool = read_vectors(library, run.trainer.objective_count) if library.exists() else []
     if all(float(np.max(np.abs(current.array - v.array))) > 1e-9 for v in pool):

@@ -15,6 +15,13 @@ into the ones it was given, and rollout workers can hold references
 without copying. Parameters are validated once, where they enter from
 outside: the checkpoint readers and loaders reject a malformed file or
 array with a CheckpointFormatError that names the line or array.
+
+Network inputs are float64 batches, (n, d) or (I, n, d) for a stack, and
+the forward, backward and log-density functions do plain arithmetic on
+them, with no conversion or width check per call. A wrong width still
+fails in matmul; the one place where a network meets inputs it was not
+built for, an actor checkpoint loaded for a run, checks the actor's
+widths against the run's environment (morlkit.cli.load_actor).
 """
 
 from __future__ import annotations
@@ -122,46 +129,35 @@ def mlp_init(
     return MlpParams(tuple(weights), tuple(biases), tuple(activations))
 
 
-def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Affine + activation composition; cache carries what backward needs.
+def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine + activation composition over a float64 batch x (n, d).
 
-    x is one input (d,) or a batch (n, d). A stack of I networks takes
-    either of these, shared by every lane, or one batch per lane (I, n, d),
-    and returns its outputs lane first.
+    A stack of I networks takes one batch shared by every lane, or one
+    batch per lane (I, n, d), and returns its outputs lane first. The cache
+    is the list of layer activations, input first, which mlp_backward reads.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    h = x.reshape(1, -1) if squeeze else x
-    if h.shape[-1] != p.input_dim:
-        raise ValueError(f"input has {h.shape[-1]} features, expected {p.input_dim}")
-    stacked = p.weights[0].ndim == 3
-    biases = [b[:, None, :] for b in p.biases] if stacked else p.biases
-    inputs = [h]
-    posts = []
+    biases = [b[:, None, :] for b in p.biases] if p.weights[0].ndim == 3 else p.biases
+    acts = [x]
     for w, b, act in zip(p.weights, biases, p.activations):
-        z = h @ w + b
-        h = np.tanh(z) if act == "tanh" else z
-        posts.append(h)
-        inputs.append(h)
-    out = (h[:, 0] if stacked else h[0]) if squeeze else h
-    return out, (inputs[:-1], posts, squeeze)
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if act == "tanh" else z)
+    return acts[-1], acts
 
 
-def mlp_backward(p: MlpParams, cache: tuple, grad_out: np.ndarray) -> list[np.ndarray]:
+def mlp_backward(p: MlpParams, acts: list[np.ndarray], grad_out: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of all parameters, flat as [dW0, db0, dW1, db1, ...],
-    each shaped like its parameter (lane first for a stack). The cache must
-    come from a matching mlp_forward call.
+    each shaped like its parameter (lane first for a stack). acts is the
+    cache of a matching mlp_forward call, and grad_out is shaped like its
+    output.
     """
-    inputs, posts, squeeze = cache
-    grad_out = np.asarray(grad_out, dtype=float)
-    g = grad_out[..., None, :] if squeeze else grad_out
-    if g.shape != posts[-1].shape:
-        raise ValueError(f"grad_out shape {g.shape} != output shape {posts[-1].shape}")
+    if grad_out.shape != acts[-1].shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} != output shape {acts[-1].shape}")
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(p.weights))
+    g = grad_out
     for k in range(len(p.weights) - 1, -1, -1):
         if p.activations[k] == "tanh":
-            g = g * (1.0 - posts[k] ** 2)
-        grads[2 * k] = inputs[k].swapaxes(-1, -2) @ g
+            g = g * (1.0 - acts[k + 1] ** 2)
+        grads[2 * k] = acts[k].swapaxes(-1, -2) @ g
         grads[2 * k + 1] = g.sum(axis=-2)
         if k > 0:
             g = g @ p.weights[k].swapaxes(-1, -2)
@@ -236,7 +232,6 @@ def gaussian_log_prob_with_cache(
 ) -> tuple[np.ndarray, tuple]:
     """Batched log probabilities plus the cache needed for the backward pass."""
     mean, mcache = mlp_forward(pol.mean_net, states)
-    actions = np.asarray(actions, dtype=float)
     std = np.exp(pol.log_std)
     z = (actions - mean) / std
     logp = -0.5 * (z**2).sum(axis=-1) - pol.log_std.sum() - 0.5 * pol.action_dim * LOG_2PI
@@ -251,7 +246,6 @@ def gaussian_log_prob_backward(
     Returns a flat list aligned with policy_param_list.
     """
     mcache, z, std = cache
-    grad_logp = np.asarray(grad_logp, dtype=float)
     dmean = (z / std) * grad_logp[:, None]
     dlog_std = ((z**2 - 1.0) * grad_logp[:, None]).sum(axis=0)
     return mlp_backward(pol.mean_net, mcache, dmean) + [dlog_std]

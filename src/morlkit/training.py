@@ -158,9 +158,6 @@ def td_residuals(
     """One-step temporal-difference errors along axis 0; values carries one
     extra entry for the bootstrap and terminal steps bootstrap with zero.
     Trailing axes are independent streams."""
-    rewards = np.asarray(rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=bool)
     if values.shape[0] != rewards.shape[0] + 1:
         raise ValueError("values must have one more entry than rewards")
     if dones.shape[0] != rewards.shape[0]:
@@ -180,12 +177,9 @@ def gae(
     so each channel can have its own lam (at lam=1 on raw rewards the
     result is the discounted reward-to-go).
     """
-    out = np.array(deltas, dtype=float)
-    dones = np.asarray(dones, dtype=bool)
-    if out.shape[0] < 1:
-        raise ValueError("deltas must be nonempty")
+    out = deltas.copy()
     dones = dones.reshape(dones.shape + (1,) * (out.ndim - dones.ndim))
-    keep = np.where(dones, 0.0, gamma * np.asarray(lam, dtype=float))
+    keep = np.where(dones, 0.0, gamma * lam)
     for t in range(out.shape[0] - 2, -1, -1):
         out[t] += keep[t] * out[t + 1]
     return out
@@ -215,7 +209,6 @@ def clipped_surrogate(
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     """Zero mean and unit standard deviation, the deviation floored at 1e-8."""
-    advantages = np.asarray(advantages, dtype=float)
     centered = advantages - advantages.mean()
     return centered / max(float(advantages.std()), 1e-8)
 

@@ -183,13 +183,13 @@ def test_criterion_4_gradient_fidelity():
             analytic = gaussian_log_prob_backward(pol, cache, coeff)
         else:
             net = mlp_init(sizes, rng)
-            x = rng.standard_normal(sizes[0])
-            probe = rng.standard_normal(sizes[-1])
+            x = rng.standard_normal((1, sizes[0]))
+            probe = rng.standard_normal((1, sizes[-1]))
             params = mlp_param_list(net)
 
             def scalar(plist):
                 out, _ = mlp_forward(mlp_from_param_list(net, plist), x)
-                return float(out @ probe)
+                return float(out[0] @ probe[0])
 
             _, cache = mlp_forward(net, x)
             analytic = mlp_backward(net, cache, probe)

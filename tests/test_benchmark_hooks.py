@@ -4,16 +4,20 @@ workloads (perfbench/workload.py) import names inside functions, both
 read attributes of the results of train and aols, and the explain unit
 unpacks evaluate_policy's result and calls the explain API. Changing one
 of them would otherwise only show as an AttributeError or ImportError in
-the middle of a benchmark run."""
+the middle of a benchmark run, and so would a traced function whose
+arguments no longer fit the tracer's hooks."""
 
 import ast
 import importlib
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morlkit import ccs, training
 from morlkit.ccs import aols
 from morlkit.config import RunConfig
 from morlkit.envs import random_tabular_momdp, value_iteration
@@ -145,3 +149,39 @@ def test_explain_once_runs(tiny_run):
     blocks, alternatives = workload.explain_once(run, art.actor, art.ccs.vectors, rng)
     assert blocks[0].startswith("I aim to")
     assert len(blocks) == 1 + alternatives
+
+
+def wrapped_morlkit_attributes() -> set[str]:
+    """Names of morlkit module attributes, and of methods of morlkit
+    classes, that carry a __wrapped__ (as tracer wrappers do; so do
+    dataclass reprs and class methods)."""
+    found = set()
+    for key, module in list(sys.modules.items()):
+        if key != "morlkit" and not key.startswith("morlkit."):
+            continue
+        for name, value in vars(module).items():
+            if hasattr(value, "__wrapped__"):
+                found.add(f"{key}.{name}")
+            if isinstance(value, type) and value.__module__ == key:
+                found |= {f"{key}.{name}.{m}" for m, fn in vars(value).items() if hasattr(fn, "__wrapped__")}
+    return found
+
+
+def test_traced_run_reports_finite_metrics(tiny_run):
+    # What a `--trace 1` benchmark run does: the tracer's hooks read the
+    # traced calls' arguments and results (nets.mlp_forward's batch, aols's
+    # history), then every wrapper is removed.
+    run, _ = tiny_run
+    tracing = load_by_path(TRACING, "perfbench_tracing")
+    m = random_tabular_momdp(np.random.default_rng(0), 3, 2, 2, discount=0.8)
+    untraced = wrapped_morlkit_attributes()
+    with tracing.Tracer() as tracer:
+        assert "morlkit.nets.mlp_forward" in wrapped_morlkit_attributes() - untraced
+        training.train(run.env_factory, run.trainer)
+        ccs.aols(lambda w: value_iteration(m, w)[1], m.objective_count, 1e-6)
+    metrics = tracer.layer_metrics(1, 1.0, 1.0, 0)
+    assert not [name for name, value in metrics.items() if not math.isfinite(value)]
+    assert metrics["nets.mlp_forward.calls"] > 0
+    assert metrics["nets.mlp_forward.rows_per_call"] > 0
+    assert metrics["ccs.aols.calls"] == 1
+    assert wrapped_morlkit_attributes() == untraced

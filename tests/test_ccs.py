@@ -210,11 +210,11 @@ class TestIsConvexUndominated:
             assert is_convex_undominated(v, s) == grid_undominated_oracle(v, s)
 
     def test_margin_variant(self):
-        # v beats the set by at least 0.5 at e1 but not by 2.
-        v = vv(3, 0)
+        # v = (3, 0) beats the set by at least 0.5 at e1 but not by 2: a
+        # margin m is tested on v - m*1.
         s = [vv(2, 0)]
-        assert is_convex_undominated(v, s, margin=0.5)
-        assert not is_convex_undominated(v, s, margin=2.0)
+        assert is_convex_undominated(vv(2.5, -0.5), s)
+        assert not is_convex_undominated(vv(1, -2), s)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_agrees_with_linprog(self, dim):
@@ -229,7 +229,7 @@ class TestIsConvexUndominated:
             v, others = vals[0], vals[1:]
             for margin in (0.0, 0.1):
                 want = best_slack(v, others) > margin + WEIGHT_MATCH_ATOL
-                got = is_convex_undominated(vv(*v), [vv(*o) for o in others], margin)
+                got = is_convex_undominated(vv(*(v - margin)), [vv(*o) for o in others])
                 assert got == want, (seed, margin)
 
     def test_tableau_tie_case_reads_dominated(self):

@@ -353,7 +353,7 @@ class TestCmdEvalExplain:
         # evaluate_policy on a fresh env, seeded with the given seed or else
         # the run's.
         run = cli.load_run(run_dir)
-        actor = cli.load_actor(run_dir)
+        actor = cli.load_actor(run_dir, run)
         mean, std, returns = cli._evaluate(run, actor, 3, 7)
         rng = np.random.default_rng(np.random.SeedSequence(7))
         direct = evaluate_policy(run.env_factory(), actor, 3, run.trainer.discount, rng)
@@ -411,7 +411,7 @@ class TestCmdEvalExplain:
         blocks = text.strip().split("\n\n")
         from morlkit.cli import read_vectors as rv
 
-        pool = rv(run_dir / "ccs.txt")
+        pool = rv(run_dir / "ccs.txt", 2)
         if len(pool) >= 2:
             # A multi-point value library yields at least one contrastive block.
             assert len(blocks) >= 2
@@ -421,7 +421,7 @@ class TestCmdEvalExplain:
         "text, message",
         [
             ("1.0 2.0\n1.0 abc\n", ":2: could not convert string to float: 'abc'"),
-            ("1.0 2.0\n\n3.0\n", ":3: row has 1 values, the first row has 2"),
+            ("1.0 2.0\n\n3.0\n", ":3: row has 1 values, expected 2"),
             ("1.0 nan\n", ":1: ValueVector entries must be finite"),
         ],
         ids=["non-number", "short-row", "nan"],
@@ -430,7 +430,7 @@ class TestCmdEvalExplain:
         path = run_dir / "ccs.txt"
         path.write_text(text)
         with pytest.raises(VectorFileError, match=message):
-            read_vectors(path)
+            read_vectors(path, 2)
         assert main(["explain", str(run_dir), "--episodes", "1"]) == 1
         err = capsys.readouterr().err
         assert f"{path}{message}" in err
@@ -483,6 +483,33 @@ class TestCmdEvalExplain:
         assert main(["eval", str(run_dir), "--episodes", "1"]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+
+    @staticmethod
+    def replace_actor(run_dir, sizes):
+        """Overwrite the run's actor with a valid checkpoint of the given
+        layer sizes."""
+        actor = nets.GaussianPolicyParams(nets.mlp_init(sizes, np.random.default_rng(0)), np.zeros(sizes[-1]))
+        nets.write_arrays(run_dir / "actor.ckpt", nets.policy_to_arrays(actor))
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("sizes", [[3, 8, 4], [9, 8, 3]], ids=["3-inputs", "3-actions"])
+    def test_actor_that_does_not_fit_the_env_exits_1(self, run_dir, tmp_path, capsys, command, sizes):
+        # The run's 3x3 treasure grid has 9 observations and 4 actions.
+        self.replace_actor(run_dir, sizes)
+        out = tmp_path / "out.txt"
+        assert main([command, str(run_dir), "--episodes", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'actor.ckpt'}: ")
+        assert f"{sizes[0]} inputs and gives {sizes[-1]} actions" in err
+        assert "9 observations and 4 actions" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_actor_that_fits_the_env_exits_0(self, run_dir, tmp_path, command):
+        self.replace_actor(run_dir, [9, 5, 4])
+        out = tmp_path / "out.txt"
+        assert main([command, str(run_dir), "--episodes", "1", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_eval_run_dir_without_config(self, tmp_path):
         empty = tmp_path / "empty"
@@ -830,4 +857,4 @@ class TestUsage:
         vs = [ValueVector((1.25, -3.5)), ValueVector((0.1, 0.2))]
         path = tmp_path / "vectors.txt"
         write_vectors(vs, path)
-        assert [v.values for v in read_vectors(path)] == [v.values for v in vs]
+        assert [v.values for v in read_vectors(path, 2)] == [v.values for v in vs]

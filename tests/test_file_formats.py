@@ -147,7 +147,7 @@ def test_vector_file_round_trip(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.txt"
         write_vectors(rows, path)
-        loaded = read_vectors(path)
+        loaded = read_vectors(path, len(rows[0]) if rows else 1)
     assert [reprs(v.values) for v in loaded] == [reprs(row) for row in rows]
 
 

@@ -86,10 +86,10 @@ def lp_lines(h) -> None:
         pool = rng.uniform(0, 3, (int(rng.integers(1, 7)), dim))
         if rng.random() < 0.5:
             pool = np.round(pool)
-        v = ValueVector(tuple(pool[0]))
         s = [ValueVector(tuple(row)) for row in pool[1:]]
         margin = float(rng.choice([0.0, 0.1]))
-        h.update(f"dom {k} {is_convex_undominated(v, s, margin)}\n".encode())
+        v = ValueVector(tuple(pool[0] - margin))  # a margin m is tested on v - m*1
+        h.update(f"dom {k} {is_convex_undominated(v, s)}\n".encode())
 
 
 def digest() -> str:

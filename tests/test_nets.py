@@ -65,12 +65,12 @@ class TestMlpForward:
             biases=(np.zeros(4), np.zeros(2)),
             activations=("tanh", "linear"),
         )
-        out, _ = mlp_forward(p, np.ones(3))
-        assert np.array_equal(out, np.zeros(2))
+        out, _ = mlp_forward(p, np.ones((1, 3)))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_linear_layer(self):
         p = MlpParams((np.eye(3),), (np.zeros(3),), ("linear",))
-        x = np.array([0.3, -1.2, 7.0])
+        x = np.array([[0.3, -1.2, 7.0]])
         out, _ = mlp_forward(p, x)
         assert np.array_equal(out, x)
 
@@ -80,7 +80,7 @@ class TestMlpForward:
         b0 = np.array([0.1, -0.2])
         w1 = np.array([[2.0], [-3.0]])
         b1 = np.array([0.5])
-        x = np.array([1.0, 1.0])
+        x = np.array([[1.0, 1.0]])
         hidden = np.tanh(x @ w0 + b0)
         expected = hidden @ w1 + b1
         p = MlpParams((w0, w1), (b0, b1), ("tanh", "linear"))
@@ -93,8 +93,8 @@ class TestMlpForward:
         xs = rng.standard_normal((5, 3))
         batch_out, _ = mlp_forward(p, xs)
         for k in range(5):
-            single, _ = mlp_forward(p, xs[k])
-            assert np.allclose(single, batch_out[k], atol=1e-12)
+            single, _ = mlp_forward(p, xs[k : k + 1])
+            assert np.allclose(single[0], batch_out[k], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = mlp_init([3, 4, 2], np.random.default_rng(0))
@@ -105,17 +105,17 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_linear_layer_unit_grad_is_input_outer(self):
         p = MlpParams((np.array([[0.7], [0.3]]),), (np.zeros(1),), ("linear",))
-        x = np.array([2.0, -1.0])
+        x = np.array([[2.0, -1.0]])
         _, cache = mlp_forward(p, x)
-        grads = mlp_backward(p, cache, np.ones(1))
+        grads = mlp_backward(p, cache, np.ones((1, 1)))
         assert np.allclose(grads[0], np.outer(x, np.ones(1)))
         assert np.allclose(grads[1], np.ones(1))
 
     def test_zero_output_gradient(self):
         p = mlp_init([3, 6, 2], np.random.default_rng(1))
-        x = np.random.default_rng(2).standard_normal(3)
+        x = np.random.default_rng(2).standard_normal((1, 3))
         _, cache = mlp_forward(p, x)
-        grads = mlp_backward(p, cache, np.zeros(2))
+        grads = mlp_backward(p, cache, np.zeros((1, 2)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
     def test_matches_central_finite_differences(self):
@@ -124,13 +124,13 @@ class TestMlpBackward:
         for _ in range(10):
             sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 5)))]
             p = mlp_init(sizes, rng)
-            x = rng.standard_normal(sizes[0])
-            probe = rng.standard_normal(sizes[-1])
+            x = rng.standard_normal((1, sizes[0]))
+            probe = rng.standard_normal((1, sizes[-1]))
 
             def scalar(params):
                 net = mlp_from_param_list(p, params)
                 out, _ = mlp_forward(net, x)
-                return float(out @ probe)
+                return float(out[0] @ probe[0])
 
             _, cache = mlp_forward(p, x)
             analytic = mlp_backward(p, cache, probe)
@@ -154,7 +154,7 @@ class TestGaussianPolicy:
         rng = np.random.default_rng(0)
         pol = self.make_policy(rng, action_dim=3)
         s = rng.standard_normal(3)
-        mean, _ = mlp_forward(pol.mean_net, s)
+        (mean,), _ = mlp_forward(pol.mean_net, s[None])
         assert self.log_prob(pol, s, mean) == pytest.approx(
             -1.5 * math.log(2 * math.pi), abs=1e-12
         )
@@ -164,7 +164,7 @@ class TestGaussianPolicy:
         pol = self.make_policy(rng, action_dim=2, log_std=0.0)
         wide = GaussianPolicyParams(pol.mean_net, pol.log_std + math.log(2.0))
         s = rng.standard_normal(3)
-        mean, _ = mlp_forward(pol.mean_net, s)
+        (mean,), _ = mlp_forward(pol.mean_net, s[None])
         drop = self.log_prob(pol, s, mean) - self.log_prob(wide, s, mean)
         assert drop == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestGaussianPolicy:
         pol = self.make_policy(rng, action_dim=2, log_std=-0.25)
         s = rng.standard_normal(3)
         a = rng.standard_normal(2)
-        mean, _ = mlp_forward(pol.mean_net, s)
+        (mean,), _ = mlp_forward(pol.mean_net, s[None])
         std = np.exp(pol.log_std)
         expected = 0.0
         for k in range(2):
@@ -242,14 +242,14 @@ class TestStackedNetworks:
 
     def test_single_input(self):
         nets = self.nets(3)
-        x = np.array([0.5, -1.0, 2.0])
+        x = np.array([[0.5, -1.0, 2.0]])
         out, cache = mlp_forward(mlp_stack(nets), x)
-        grads = mlp_backward(mlp_stack(nets), cache, np.ones((3, 1)))
-        assert out.shape == (3, 1)
+        grads = mlp_backward(mlp_stack(nets), cache, np.ones((3, 1, 1)))
+        assert out.shape == (3, 1, 1)
         for i, net in enumerate(nets):
             lone, lone_cache = mlp_forward(net, x)
             assert np.array_equal(out[i], lone)
-            lone_grads = mlp_backward(net, lone_cache, np.ones(1))
+            lone_grads = mlp_backward(net, lone_cache, np.ones((1, 1)))
             assert all(np.array_equal(g[i], h) for g, h in zip(grads, lone_grads))
 
     def test_stack_round_trip(self):

@@ -10,13 +10,17 @@ from morlkit import training
 from morlkit.ccs import AolsResult, PartialCcs
 from morlkit.core import ValueVector, WeightVector
 from morlkit.envs import (
+    DiscreteToBox,
     SingleObjectiveView,
     ToyLocomotion,
     TreasureGrid,
     boxed_treasure,
+    treasure_grid_to_tabular,
+    value_iteration,
 )
 from morlkit.nets import (
     GaussianPolicyParams,
+    MlpParams,
     adam_init,
     gaussian_log_prob_with_cache,
     mlp_forward,
@@ -149,23 +153,25 @@ def fake_aols_result(weights):
 
 class TestTdResiduals:
     def test_zero_case(self):
-        assert td_residuals([0.0], [0.0, 0.0], [False], 0.9).tolist() == [0.0]
+        assert td_residuals(np.array([0.0]), np.array([0.0, 0.0]), np.array([False]), 0.9).tolist() == [0.0]
 
     def test_unit_reward(self):
-        assert td_residuals([1.0], [0.0, 0.0], [False], 0.42).tolist() == [1.0]
+        assert td_residuals(np.array([1.0]), np.array([0.0, 0.0]), np.array([False]), 0.42).tolist() == [1.0]
 
     def test_hand_arithmetic(self):
         # delta_1 = 1 + 0.99*0.4 - 0.5, delta_2 = 1 + 0.99*0.3 - 0.4
-        deltas = td_residuals([1.0, 1.0], [0.5, 0.4, 0.3], [False, False], 0.99)
+        deltas = td_residuals(
+            np.array([1.0, 1.0]), np.array([0.5, 0.4, 0.3]), np.array([False, False]), 0.99
+        )
         assert deltas == pytest.approx([0.896, 0.897], abs=1e-12)
 
     def test_terminal_bootstraps_zero(self):
-        deltas = td_residuals([1.0], [0.5, 9.0], [True], 0.99)
+        deltas = td_residuals(np.array([1.0]), np.array([0.5, 9.0]), np.array([True]), 0.99)
         assert deltas == pytest.approx([0.5])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            td_residuals([1.0, 2.0], [0.0, 0.0], [False, False], 0.9)
+            td_residuals(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([False, False]), 0.9)
 
     def test_time_major_columns_are_independent_streams(self):
         rng = np.random.default_rng(6)
@@ -182,11 +188,11 @@ class TestTdResiduals:
 class TestGae:
     def test_lambda_zero_returns_deltas(self):
         deltas = np.array([0.3, -0.7, 1.1])
-        out = gae(deltas, [False, False, False], 0.99, 0.0)
+        out = gae(deltas, np.array([False, False, False]), 0.99, 0.0)
         assert np.array_equal(out, deltas)
 
     def test_single_delta(self):
-        assert gae([2.5], [False], 0.9, 0.95).tolist() == [2.5]
+        assert gae(np.array([2.5]), np.array([False]), 0.9, 0.95).tolist() == [2.5]
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(0)
@@ -242,14 +248,14 @@ class TestRewardsToGo:
 
     def test_gamma_zero(self):
         r = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(gae(r, [False] * 3, 0.0, 1.0), r)
+        assert np.array_equal(gae(r, np.zeros(3, dtype=bool), 0.0, 1.0), r)
 
     def test_hand_sum(self):
-        out = gae([1.0, 1.0, 1.0], [False, False, False], 0.5, 1.0)
+        out = gae(np.array([1.0, 1.0, 1.0]), np.array([False, False, False]), 0.5, 1.0)
         assert out == pytest.approx([1.75, 1.5, 1.0], abs=1e-15)
 
     def test_episode_cut(self):
-        out = gae([5.0, 100.0], [True, True], 0.9, 1.0)
+        out = gae(np.array([5.0, 100.0]), np.array([True, True]), 0.9, 1.0)
         assert out == pytest.approx([5.0, 100.0])
 
 
@@ -1005,6 +1011,23 @@ class TestEvaluatePolicy:
             assert len(lengths) > 1  # episodes end at different steps
         assert returns.shape == (episodes, env.objective_count)
         assert np.max(np.abs(returns - np.array(want))) <= 1e-12
+
+    def test_horizon_cuts_the_planners_policy_short(self):
+        # The planner values the untruncated discounted problem; an episode
+        # stops at the env's horizon. The richest policy walks four cells
+        # to the treasure, so three steps reach nothing and four match.
+        grid = TreasureGrid(width=5, height=1, treasures=((0, 4, 10.0),), horizon=3)
+        m = treasure_grid_to_tabular(grid, discount=0.9)
+        policy, value = value_iteration(m, WeightVector((1.0, 0.0)))
+        assert policy.tolist() == [1, 1, 1, 1, 0]
+        assert value.values == pytest.approx((7.29, -3.439), abs=1e-12)
+        # Linear one-layer actor: state s's mean action is policy[s]'s one-hot row.
+        onehot = np.eye(m.num_actions)[policy]
+        actor = GaussianPolicyParams(MlpParams((onehot,), (np.zeros(m.num_actions),), ("linear",)), np.zeros(4))
+        cut, _, _ = training.evaluate_policy(DiscreteToBox(m, horizon=3), actor, 1, 0.9, np.random.default_rng(0))
+        assert cut.values == pytest.approx((0.0, -2.71), abs=1e-12)
+        full, _, _ = training.evaluate_policy(DiscreteToBox(m, horizon=4), actor, 1, 0.9, np.random.default_rng(0))
+        assert np.max(np.abs(full.array - value.array)) <= 1e-12
 
     def test_returns_rows_are_episode_sums(self):
         episodes = ([[1.0, 2.0]], [[1.0, 0.0], [1.0, 4.0]], [[0.5, 1.0], [2.0, 0.0], [3.0, 1.0]])
