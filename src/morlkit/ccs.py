@@ -26,13 +26,15 @@ by the double-description step (Fukuda & Prodon, 1996): each lies on an
 edge of the old surface from a removed corner to a kept one, where the new
 vector crosses it, so no linear system is solved (`_add_facets`). `aols`
 keeps its corner set between insertions and folds in each new vector; the
-corners it has yet to query wait in one list, in the order they were found,
-and a corner that a new vector lifts off the surface leaves the list. The
-optimistic bound at a corner is the lower convex hull of the explored
-points (weight, scalarized answer + epsilon) there, the dual of the LP in
-`optimistic_bound`; `aols` folds the points into that hull, in the order
-they were queried, only when a corner fold is about to read it, and bounds
-each fold's new corners with one matrix product, solving no LP.
+corners it has yet to query wait in one list, in the order they were found.
+`_add_facets` copies the corners it keeps bit for bit, so `aols` tells
+corners apart by their exact rows, with no distance search: a pending
+corner stays while its row does, and only the corners a fold creates are
+bounded. The optimistic bound at a corner is the lower convex hull of the
+explored points (weight, scalarized answer + epsilon) there, the dual of
+the LP in `optimistic_bound`; `aols` folds the points into that hull, in
+the order they were queried, only when a corner fold is about to read it,
+and bounds each fold's new corners with one matrix product, solving no LP.
 
 The closeness rules are absolute, so the results scale with the rewards
 only over a range of scales. Scaling every reward of the 5-state, 3-action,
@@ -122,10 +124,7 @@ def is_convex_undominated(v: ValueVector, s: Sequence[ValueVector]) -> bool:
     """
     if not s:
         return True
-    for other in s:
-        if other.dim != v.dim:
-            raise ValueError("dimension mismatch in dominance test")
-    vals = np.array([other.values for other in s])
+    vals = _stacked(v, s)
     corners = _add_facets(np.eye(v.dim), _shifted(vals), 0)
     slack = np.min(corners @ (v.array - vals).T, axis=1)
     return float(slack.max()) > WEIGHT_MATCH_ATOL
@@ -136,14 +135,23 @@ def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
     every component."""
     if not s:
         return False
-    vals = np.array([other.values for other in s])
+    vals = _stacked(v, s)
     return bool(np.max(np.abs(vals - v.array), axis=1).min() <= DUPLICATE_VALUE_ATOL)
+
+
+def _stacked(v: ValueVector, s: Sequence[ValueVector]) -> np.ndarray:
+    """The members of a nonempty s as rows, which must have v's dimension
+    (numpy would broadcast a length-1 v against any of them)."""
+    vals = np.array([other.values for other in s])
+    if vals.shape[1] != v.dim:
+        raise ValueError(f"dimension mismatch: {v.dim} against {vals.shape[1]}")
+    return vals
 
 
 def pruned(vectors: Sequence[ValueVector]) -> list[ValueVector]:
     """The members, in order, that beat all the others at some weight
     (`is_convex_undominated` against the rest of the set), read at the
-    set's corner weights (`_members`)."""
+    set's corner weights (`_members`). A nonempty set keeps at least one."""
     vectors = list(vectors)
     if not vectors:
         return []
@@ -159,7 +167,9 @@ def _members(vectors: list[ValueVector], corners: np.ndarray) -> list[ValueVecto
     surface, a witness weight inside its cell when it wins on a full cell.
     Any other member is decided by `is_convex_undominated`. Other simplex
     points in place of the corners give the same answer, with more of
-    those calls.
+    those calls. When no member is kept, the best member at each simplex
+    extremum e_k is: the largest k-th value, ties broken by the other
+    values in index order.
     """
     vals = np.array([v.values for v in vectors])
     dots = corners @ vals.T
@@ -168,11 +178,21 @@ def _members(vectors: list[ValueVector], corners: np.ndarray) -> list[ValueVecto
     at = vals @ (corners.T @ meets / np.maximum(meets.sum(axis=0), 1.0))
     rivals = np.where(np.eye(len(vals), dtype=bool), -np.inf, at).max(axis=0)
     wins = np.diag(at) > rivals + WEIGHT_MATCH_ATOL
-    return [
+    kept = [
         v
         for k, v in enumerate(vectors)
         if wins[k] or is_convex_undominated(v, vectors[:k] + vectors[k + 1 :])
     ]
+    if kept:
+        return kept
+    # No member wins by more than WEIGHT_MATCH_ATOL anywhere, as on a dense
+    # arc of small vectors.
+    values = [v.values for v in vectors]
+    best = {
+        max(range(len(values)), key=lambda i: (values[i][k],) + values[i][:k] + values[i][k + 1 :])
+        for k in range(len(values[0]))
+    }
+    return [v for i, v in enumerate(vectors) if i in best]
 
 
 def corner_weights(s: Sequence[ValueVector]) -> list[WeightVector]:
@@ -379,18 +399,23 @@ def aols(
     repeatedly queries the oracle at the pending weight with the largest
     optimistic gap, the earliest added among equal gaps. An answer that
     duplicates no member (`is_duplicate`) joins the set and is folded into
-    the kept corner weights; pending weights that are no longer corners
-    leave the pending list, and the new corners whose optimistic gap
-    exceeds epsilon join it with that gap and its relative form
-    (`relative_improvement`), computed once. Their bound is the height
-    there of the lower convex hull of the explored points (weight,
-    scalarized answer + epsilon) (`_fold_lower_hull`), into which the
-    answers are folded, in order, just before the corner fold that reads
-    it. Each iteration records the largest relative gap still pending,
-    since the two gaps can order corners differently. Stops when none is
-    pending or the iteration cap is hit, the cap counting as hit when
-    corners are still pending, and returns the members that beat all the
-    others at some weight (`pruned`); the explored weights are those of
+    the kept corner weights. A pending weight is a corner's exact row, and
+    `_add_facets` copies the rows it keeps, so a pending weight stays
+    exactly while its row does. Only the corners born in the fold are
+    bounded: every other corner is explored, pending, or had a gap of at
+    most epsilon when born, which only shrinks as the bound falls and the
+    surface rises. A born corner whose optimistic gap exceeds epsilon, and
+    which lies farther than WEIGHT_MATCH_ATOL from every explored weight,
+    joins the pending list with that gap and its relative form
+    (`relative_improvement`), computed once. Its bound is the height there
+    of the lower convex hull of the explored points (weight, scalarized
+    answer + epsilon) (`_fold_lower_hull`), into which the answers are
+    folded, in order, just before the corner fold that reads it. Each
+    iteration records the largest relative gap still pending, since the
+    two gaps can order corners differently. Stops when none is pending or
+    the iteration cap is hit, the cap counting as hit when corners are
+    still pending, and returns the members that beat all the others at
+    some weight (`pruned`); the explored weights are those of
     the history.
     """
     if epsilon <= 0.0:
@@ -412,7 +437,8 @@ def aols(
 
     while pending and len(history) < max_iterations:
         # No weight is queried twice: each added corner is farther than
-        # WEIGHT_MATCH_ATOL from every weight explored or pending.
+        # WEIGHT_MATCH_ATOL from every explored weight (checked below) and
+        # every corner `_add_facets` kept, pending ones among them.
         *_, weight = pending.pop(max(range(len(pending)), key=lambda k: pending[k][0]))
         value = oracle(weight)
         if value.dim != objective_count:
@@ -437,18 +463,19 @@ def aols(
                 hulled += 1
                 facets, planes = _fold_lower_hull(facets, planes, points[:hulled], heights[:hulled])
             vals = np.array([v.values for v in s])
+            old = set(map(tuple, corners.tolist()))
             corners = _add_facets(corners, _shifted(vals), folded)
             folded = len(s)
-            # A pending weight that a new vector lifted off the surface is no
-            # longer a corner, and is not worth a query.
-            waiting = np.array([w.weights for *_, w in pending]).reshape(-1, objective_count)
-            still = _nearest_gap(waiting, corners) <= WEIGHT_MATCH_ATOL
-            pending = [p for p, keep in zip(pending, still) if keep]
-            candidates = _sorted_rows(corners)
-            # Corners lie more than WEIGHT_MATCH_ATOL apart, so no corner added
-            # here hides a later one.
-            seen = np.vstack([points, waiting[still]])
-            fresh = candidates[_nearest_gap(candidates, seen) > WEIGHT_MATCH_ATOL]
+            # `_add_facets` copies the corners it keeps bit for bit, and a
+            # pending weight is a corner's exact row: it stays while that row
+            # does. A corner lifted off the surface is not worth a query.
+            rows = set(map(tuple, corners.tolist()))
+            pending = [p for p in pending if p[2].weights in rows]
+            # Only corners born here can be worth a query: any other was
+            # bounded when born, and its gap only shrinks since. They go in
+            # `_sorted_rows` order, which is how tuples sort.
+            born = np.array(sorted(rows - old)).reshape(-1, objective_count)
+            fresh = born[_nearest_gap(born, points) > WEIGHT_MATCH_ATOL]
             bounds = np.max(fresh @ planes.T, axis=1)
             gaps = bounds - np.max(fresh @ vals.T, axis=1)
             for row, bound, gap in zip(fresh.tolist(), bounds.tolist(), gaps.tolist()):

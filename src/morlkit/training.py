@@ -600,7 +600,7 @@ def run_sequence(
         delta_abs, delta_r = _delta_probe(vbar, running)
         if not is_duplicate(vbar, running):
             kept = pruned(running + [vbar])
-            if kept and kept[-1] is vbar:
+            if kept[-1] is vbar:
                 state.running_vectors = kept
 
         state.actor, state.actor_opt, diag = ppo_actor_update(

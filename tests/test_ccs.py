@@ -39,7 +39,9 @@ from reference_corners import (
 # three-objective ones take 0.8 s together on a 2-CPU host (2 s under
 # pytest with other load); with the earlier pairwise corner enumeration they
 # took 15 s. The five-objective one takes 0.5 s; solving every facet
-# system that holds each new vector took it 15 s.
+# system that holds each new vector took it 15 s. The six-objective one
+# takes 1 s; it took 2.2 s when pending and new corners were found by
+# distance searches.
 RUNTIME_BOUND_S = 10.0
 
 
@@ -505,6 +507,30 @@ class TestPruned:
     def test_drops_a_vector_that_only_ties(self):
         assert pruned([vv(1, 0), vv(0.5, 0), vv(0, 1)]) == [vv(1, 0), vv(0, 1)]
 
+    def test_keeps_the_best_at_each_extremum_when_none_wins(self):
+        # On this small arc each member beats its neighbours by less than
+        # WEIGHT_MATCH_ATOL, so the rule keeps none of them; the ends are
+        # the best at the extrema, and they stay in input order.
+        angles = [k * math.pi / 8 for k in range(5)]
+        arc = [vv(1e-8 * math.cos(t), 1e-8 * math.sin(t)) for t in angles]
+        assert pruned(arc) == [arc[0], arc[4]]
+        assert pruned(arc[::-1]) == [arc[4], arc[0]]
+
+    def test_best_at_an_extremum_breaks_ties_in_index_order(self):
+        # None wins by more than WEIGHT_MATCH_ATOL anywhere. All three read 0
+        # at e_0, and the next component gives that tie to (0, 1e-10, 0).
+        tied = [vv(0, 0, 0), vv(0, 1e-10, 0), vv(0, 0, 1e-10)]
+        assert pruned(tied) == [vv(0, 1e-10, 0), vv(0, 0, 1e-10)]
+
+
+class TestIsDuplicate:
+    def test_rejects_a_dimension_mismatch(self):
+        # numpy would broadcast the length-1 vector against each member.
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ccs.is_duplicate(vv(1.0), [vv(1.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_convex_undominated(vv(1.0), [vv(1.0, 1.0, 1.0)])
+
 
 class TestAols:
     def test_drops_vectors_that_only_tie(self, monkeypatch):
@@ -570,8 +596,8 @@ class TestAols:
 
     @pytest.mark.parametrize(
         "instances, shape",
-        [(range(20), (5, 3, 3)), ([0], (5, 2, 4)), ([0], (5, 3, 5))],
-        ids=["three-objectives", "four-objectives", "five-objectives"],
+        [(range(20), (5, 3, 3)), ([0], (5, 2, 4)), ([0], (5, 3, 5)), ([0], (5, 3, 6))],
+        ids=["three-objectives", "four-objectives", "five-objectives", "six-objectives"],
     )
     def test_matches_exact_policy_enumeration(self, instances, shape):
         elapsed = 0.0
@@ -600,10 +626,10 @@ class TestAols:
         for i, shape in enumerate([(6, 3, 2), (5, 3, 3), (5, 3, 3), (4, 2, 4)]):
             m = random_tabular_momdp(np.random.default_rng(40 + i), *shape, discount=0.85)
             result = aols(lambda w: value_iteration(m, w)[1], shape[2], 1e-6)
-            runs.append((shape[2], result.ccs.vectors, folds[:]))
+            runs.append((shape[2], result.ccs.vectors, folds[:], result.history))
             folds.clear()
         monkeypatch.undo()
-        for i, (dim, vectors, kept_sets) in enumerate(runs):
+        for i, (dim, vectors, kept_sets, history) in enumerate(runs):
             # One fold once the extrema are explored, then one per insertion.
             first = len(vectors) - len(kept_sets) + 1
             assert 1 <= first <= dim and len(kept_sets) > 1
@@ -611,6 +637,19 @@ class TestAols:
                 kept = [wv(*p) for p in points]
                 assert_same_corners(kept, corner_weights(vectors[:n]), f"{i}: {n}")
                 assert_same_corners(kept, rebuilt_corner_weights(vectors[:n]), f"{i}: {n}")
+            # aols tells pending corners by their exact rows, so every weight
+            # queried after the extrema is, bit for bit, a row of a fold made
+            # before the query.
+            folded_at = [dim] + [it.index for it in history if it.inserted and it.index > dim]
+            assert len(folded_at) == len(kept_sets)
+            for it in history[dim:]:
+                rows = {
+                    row.tobytes()
+                    for at, points in zip(folded_at, kept_sets)
+                    if at < it.index
+                    for row in points
+                }
+                assert np.array(it.weight.weights).tobytes() in rows, (i, it.index)
 
     def test_hull_folds_only_when_a_corner_fold_reads_it(self, monkeypatch):
         # The explored points join the lower hull, in the order queried,
