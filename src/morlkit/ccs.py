@@ -418,8 +418,8 @@ def aols(
     some weight (`pruned`); the explored weights are those of
     the history.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if objective_count < 1:
         raise ValueError("objective_count must be >= 1")
     if max_iterations < 1:

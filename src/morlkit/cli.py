@@ -36,6 +36,7 @@ from .nets import (
     policy_from_arrays,
     policy_to_arrays,
     read_arrays,
+    read_text,
     write_arrays,
     write_text_atomic,
 )
@@ -126,7 +127,7 @@ def read_vectors(path: Path, dim: int) -> list[ValueVector]:
     naming the file and line for a non-number, a non-finite value or a row
     of another width."""
     out: list[ValueVector] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, VectorFileError).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -8,16 +8,20 @@ Example:
     env.kind=treasure
     env.width=3
 
-Values are kept as strings in a plain dict; typed accessors convert on
-demand and report the offending key on failure. `RunConfig.from_dict`
-records the keys its readers look up and rejects every other key but the
-retired ones. Parse-then-serialize round-trips the parsed content
-losslessly.
+Values are kept as strings in a plain dict. The trainer.*, treasure and
+locomotion env.* and qa.<k>.* keys are the fields of the object they
+build (`TrainerConfig`, `TreasureGrid`, `ToyLocomotion`, `QaObjective`),
+parsed by field annotation; that object holds the defaults and checks
+the values, and a value it rejects is reported by its key.
+`RunConfig.from_dict` records the keys its readers look up and rejects
+every other key but the retired ones. Parse-then-serialize round-trips
+the parsed content losslessly.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
@@ -31,6 +35,7 @@ from .envs import (
     treasure_grid_to_tabular,
 )
 from .explain import MAXIMIZE, MINIMIZE, ExplainConfig, QaObjective, QaSpec
+from .nets import read_text
 from .training import TrainerConfig
 
 
@@ -85,12 +90,7 @@ def serialize_config(cfg: dict[str, str]) -> str:
 
 
 def load_config(path) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(read_text(path, ConfigError), source=str(path))
 
 
 def _get(cfg: dict[str, str], key: str, cast: Callable, default=None):
@@ -122,10 +122,6 @@ def _get_positive_float(cfg, key, default=None) -> float:
     return value
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
 def _get_positive_int(cfg, key, default=None) -> int:
     value = _get_int(cfg, key, default)
     if value < 1:
@@ -133,7 +129,67 @@ def _get_positive_int(cfg, key, default=None) -> int:
     return value
 
 
-_FIELD_CASTS = {"int": int, "float": float, "tuple[int, ...]": _parse_int_tuple}
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_treasures(text: str) -> tuple[tuple[int, int, float], ...]:
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"treasure spec {chunk!r} must be row,col,value")
+        out.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    if not out:
+        raise ValueError("no treasures specified")
+    return tuple(out)
+
+
+def _parse_cell(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"cell spec {text!r} must be row,col")
+    return int(parts[0]), int(parts[1])
+
+
+# Parsers by field annotation, as `from __future__ import annotations` leaves it.
+_FIELD_CASTS = {
+    "int": int, "float": float, "str": str, "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, int]": _parse_cell, "tuple[tuple[int, int, float], ...]": _parse_treasures,
+}
+
+
+def _fields(cfg: dict[str, str], prefix: str, cls, **defaults) -> dict:
+    """Keyword arguments of dataclass cls from its prefix + field keys, each
+    parsed by the field's annotation. A field with no key takes the given
+    default, or else the class's own; one with neither is a missing key."""
+    kwargs = {}
+    for f in fields(cls):
+        if not f.init:
+            continue
+        key = prefix + f.name
+        if key in cfg:
+            kwargs[f.name] = _get(cfg, key, _FIELD_CASTS[f.type])
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required config key {key!r}")
+    return kwargs
+
+
+@contextmanager
+def _keyed(prefix: str):
+    """Report a ValueError, whose message starts with the rejected field, as
+    a ConfigError naming that field's key; a ConfigError passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config key '{prefix}{str(exc).split()[0]}': {exc}") from exc
 
 
 def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> TrainerConfig:
@@ -141,11 +197,7 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
     the dataclass holds the other defaults. seed overrides the seed key."""
     if "trainer.seed" in cfg:
         raise ConfigError("config key 'trainer.seed' is not read; set the top-level key 'seed'")
-    kwargs = {
-        f.name: _get(cfg, f"trainer.{f.name}", _FIELD_CASTS[f.type])
-        for f in fields(TrainerConfig)
-        if f.name != "seed" and (f"trainer.{f.name}" in cfg or f.default is MISSING)
-    }
+    kwargs = _fields(cfg, "trainer.", TrainerConfig)
     # Membership first, so that the key counts as read under an override.
     if "seed" in cfg and seed is None:
         seed = _get_int(cfg, "seed")
@@ -159,88 +211,41 @@ def build_trainer_config(cfg: dict[str, str], seed: int | None = None) -> Traine
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _parse_treasures(text: str) -> tuple[tuple[int, int, float], ...]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"treasure spec {chunk!r} must be row,col,value")
-        value = float(parts[2])
-        if not math.isfinite(value):
-            raise ValueError(f"treasure value {value} is not finite")
-        out.append((int(parts[0]), int(parts[1]), value))
-    if not out:
-        raise ValueError("no treasures specified")
-    return tuple(out)
-
-
-def _parse_cell(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"cell spec {text!r} must be row,col")
-    return int(parts[0]), int(parts[1])
-
-
 def build_env_factory(cfg: dict[str, str]) -> Callable[[], object]:
     """Environment factory from the env.* section; env.objective_index
-    optionally projects the reward vector onto one channel."""
+    optionally projects the reward vector onto one channel. The environment
+    classes hold the defaults and check the settings; one environment is
+    built here, so that a rejected setting is reported by its key."""
     kind = _get(cfg, "env.kind", str)
     if kind == "treasure":
-        width = _get_positive_int(cfg, "env.width", 3)
-        height = _get_positive_int(cfg, "env.height", 3)
-        treasures = _get(cfg, "env.treasures", _parse_treasures, ((0, 2, 3.0), (2, 2, 12.0)))
-        step_penalty = _get_finite_float(cfg, "env.step_penalty", -1.0)
-        horizon = _get_positive_int(cfg, "env.horizon", 10)
-        start = _get(cfg, "env.start", _parse_cell, (0, 0))
-        if not (0 <= start[0] < height and 0 <= start[1] < width):
-            raise ConfigError(f"config key 'env.start': cell {start} outside the {height}x{width} grid")
-        try:
-            grid = TreasureGrid(
-                width=width, height=height, treasures=treasures,
-                step_penalty=step_penalty, horizon=horizon, start=start,
-            )
-        except ValueError as exc:  # a treasure off the grid, twice or on the start
-            raise ConfigError(f"config key 'env.treasures': {exc}") from exc
+        with _keyed("env."):
+            grid = TreasureGrid(**_fields(cfg, "env.", TreasureGrid))
         # The table is built once, not per env: eval and explain ask for a
         # fresh env on every call, and the build costs about 0.1 ms.
         momdp = treasure_grid_to_tabular(grid, discount=0.0)
-        base_factory = lambda: DiscreteToBox(momdp, horizon=grid.horizon)
+        factory = lambda: DiscreteToBox(momdp, horizon=grid.horizon)
     elif kind == "locomotion":
-        horizon = _get_positive_int(cfg, "env.horizon", 200)
-        bonus = _get_finite_float(cfg, "env.survive_bonus", 1.0)
-        half_width = _get_positive_float(cfg, "env.half_width", 5.0)
-        contact_limit = _get_positive_int(cfg, "env.contact_limit", 10)
-        start_noise = _get_finite_float(cfg, "env.start_noise", 0.1)
-        base_factory = lambda: ToyLocomotion(
-            horizon=horizon,
-            survive_bonus=bonus,
-            half_width=half_width,
-            contact_limit=contact_limit,
-            start_noise=start_noise,
-        )
+        settings = _fields(cfg, "env.", ToyLocomotion)
+        factory = lambda: ToyLocomotion(**settings)
     elif kind == "tabular":
         momdp = _load_momdp(cfg)
-        horizon = _get_positive_int(cfg, "env.horizon") if "env.horizon" in cfg else None
-        base_factory = lambda: DiscreteToBox(momdp, horizon=horizon)
+        horizon = _get_int(cfg, "env.horizon") if "env.horizon" in cfg else None
+        factory = lambda: DiscreteToBox(momdp, horizon=horizon)
     else:
         raise ConfigError(f"config key 'env.kind': unknown environment {kind!r}")
     if "env.objective_index" in cfg:
-        index = _get_int(cfg, "env.objective_index")
-        count = base_factory().objective_count
-        if not 0 <= index < count:
-            raise ConfigError(f"config key 'env.objective_index': {index} is not in 0..{count - 1}")
-        return lambda: SingleObjectiveView(base_factory(), index)
-    return base_factory
+        index, base_factory = _get_int(cfg, "env.objective_index"), factory
+        factory = lambda: SingleObjectiveView(base_factory(), index)
+    with _keyed("env."):
+        factory()
+    return factory
 
 
 def _load_momdp(cfg: dict[str, str]) -> TabularMomdp:
     path = _get(cfg, "env.path", str)
     try:
         return load_tabular(path)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config key 'env.path': {exc}") from exc
 
 
@@ -260,10 +265,10 @@ def require_episode_end(cfg: dict[str, str]) -> None:
 
 _LOCOMOTION_QA = QaSpec(
     (
-        QaObjective("Rctrl", "Standard measurement", MINIMIZE, "the reward control"),
-        QaObjective("Rcont", "Standard measurement", MINIMIZE, "the reward contact"),
-        QaObjective("Rsurv", "Standard measurement", MAXIMIZE, "the reward survive"),
-        QaObjective("Rfor", "Standard measurement", MAXIMIZE, "the reward forward"),
+        QaObjective("Rctrl", MINIMIZE, "the reward control"),
+        QaObjective("Rcont", MINIMIZE, "the reward contact"),
+        QaObjective("Rsurv", MAXIMIZE, "the reward survive"),
+        QaObjective("Rfor", MAXIMIZE, "the reward forward"),
     )
 )
 
@@ -272,35 +277,19 @@ def build_qa_spec(cfg: dict[str, str], objective_count: int) -> QaSpec:
     if "qa.0.name" not in cfg:
         if cfg.get("env.kind") == "locomotion" and objective_count == 4:
             return _LOCOMOTION_QA
-        return QaSpec(
-            tuple(
-                QaObjective(
-                    name=f"objective_{k}",
-                    qa_type="Standard measurement",
-                    direction=MAXIMIZE,
-                    phrase=f"objective {k}",
-                )
-                for k in range(objective_count)
-            )
-        )
+        objectives = range(objective_count)
+        return QaSpec(tuple(QaObjective(f"objective_{k}", MAXIMIZE, f"objective {k}") for k in objectives))
     entries: list[QaObjective] = []
     for k in range(objective_count):
-        try:
+        prefix = f"qa.{k}."
+        with _keyed(prefix):
             entry = QaObjective(
-                name=_get(cfg, f"qa.{k}.name", str),
-                qa_type=_get(cfg, f"qa.{k}.type", str, "Standard measurement"),
-                direction=_get(cfg, f"qa.{k}.direction", str, MAXIMIZE),
-                phrase=_get(cfg, f"qa.{k}.phrase", str, f"objective {k}"),
-                precision=_get_int(cfg, f"qa.{k}.precision", 3),
+                **_fields(cfg, prefix, QaObjective, direction=MAXIMIZE, phrase=f"objective {k}")
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:  # the message starts with the rejected field
-            raise ConfigError(f"config key 'qa.{k}.{str(exc).split()[0]}': {exc}") from exc
         names = [e.name for e in entries]
         if entry.name in names:
             raise ConfigError(
-                f"config key 'qa.{k}.name': {entry.name!r} is already qa.{names.index(entry.name)}.name"
+                f"config key '{prefix}name': {entry.name!r} is already qa.{names.index(entry.name)}.name"
             )
         entries.append(entry)
     return QaSpec(tuple(entries))

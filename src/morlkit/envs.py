@@ -16,13 +16,14 @@ returns (C, observation_dim) observations, (C, objectives) rewards and
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import ValueVector, WeightVector
-from .nets import write_text_atomic
+from .nets import read_text, write_text_atomic
 
 TABULAR_FORMAT_VERSION = "morlkit-momdp v1"
 
@@ -117,12 +118,12 @@ class TabularFormatError(ValueError):
 def load_tabular(path) -> TabularMomdp:
     """Read a file written by save_tabular; raise TabularFormatError on
     any line with the wrong number of values or on an invalid problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (number, text)
-            for number, text in enumerate(fh.read().splitlines(), start=1)
-            if text.strip() and not text.startswith("#")
-        ]
+    content = read_text(path, TabularFormatError)
+    lines = [
+        (number, text)
+        for number, text in enumerate(content.splitlines(), start=1)
+        if text.strip() and not text.startswith("#")
+    ]
     if not lines or lines[0][1] != TABULAR_FORMAT_VERSION:
         raise TabularFormatError(f"{path}: not a recognized tabular problem file")
     if len(lines) < 4:
@@ -195,31 +196,36 @@ class TreasureGrid:
     """Deterministic grid with weighted treasure cells and a per-step time
     penalty; two objectives: (treasure value, negative time)."""
 
-    width: int
-    height: int
-    treasures: tuple[tuple[int, int, float], ...]
+    width: int = 3
+    height: int = 3
+    treasures: tuple[tuple[int, int, float], ...] = ((0, 2, 3.0), (2, 2, 12.0))
     step_penalty: float = -1.0
-    horizon: int = 20
+    horizon: int = 10
     start: tuple[int, int] = (0, 0)
 
     NUM_ACTIONS = 4  # up, right, down, left
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid must be at least 1x1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        # Each message starts with the field it rejects.
+        for name in ("width", "height", "horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.step_penalty):
+            raise ValueError(f"step_penalty must be finite, got {self.step_penalty}")
+        size = f"{self.height}x{self.width}"
         if not self.contains(*self.start):
-            raise ValueError(f"start cell {tuple(self.start)} outside grid")
+            raise ValueError(f"start cell {tuple(self.start)} outside the {size} grid")
         cells = set()
         for row, col, value in self.treasures:
             if not self.contains(row, col):
-                raise ValueError(f"treasure at ({row}, {col}) outside grid")
+                raise ValueError(f"treasures entry at ({row}, {col}) outside the {size} grid")
             if (row, col) in cells:
-                raise ValueError(f"duplicate treasure cell ({row}, {col})")
+                raise ValueError(f"treasures entry at ({row}, {col}) repeats a cell")
+            if not math.isfinite(value):
+                raise ValueError(f"treasures entry at ({row}, {col}) has non-finite value {value}")
             cells.add((row, col))
         if tuple(self.start) in cells:
-            raise ValueError("start cell cannot hold a treasure")
+            raise ValueError(f"treasures entry at {tuple(self.start)} is on the start cell")
         object.__setattr__(
             self,
             "treasures",
@@ -299,14 +305,25 @@ class ToyLocomotion:
     contact_limit: int = 10
     start_noise: float = 0.1
 
-    _pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), repr=False)
-    _vel: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), repr=False)
-    _steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
-    _contact_streak: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
+    _pos: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), init=False, repr=False)
+    _vel: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)), init=False, repr=False)
+    _steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), init=False, repr=False)
+    _contact_streak: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), init=False, repr=False)
 
     observation_dim = 4
     action_dim = 2
     objective_count = 4
+
+    def __post_init__(self) -> None:
+        # Each message starts with the field it rejects.
+        for name in ("horizon", "contact_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        for name in ("survive_bonus", "start_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def observation(self) -> np.ndarray:
         return np.concatenate([self._pos, self._vel], axis=1)
@@ -380,6 +397,8 @@ class DiscreteToBox:
     """
 
     def __init__(self, m: TabularMomdp, horizon: int | None = None):
+        if horizon is not None and horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         # Tables indexed by state * num_actions + action.
         cells = m.num_states * m.num_actions
         self._rewards = m.rewards.reshape(cells, -1)
@@ -434,7 +453,7 @@ class SingleObjectiveView:
 
     def __init__(self, base, objective_index: int):
         if not 0 <= objective_index < base.objective_count:
-            raise ValueError(f"objective index {objective_index} out of range")
+            raise ValueError(f"objective_index {objective_index} is not in 0..{base.objective_count - 1}")
         self._base = base
         self._index = objective_index
         self.observation_dim = base.observation_dim

@@ -32,7 +32,6 @@ class QaObjective:
     """Vocabulary entry for one objective."""
 
     name: str
-    qa_type: str
     direction: str
     phrase: str
     precision: int = 3

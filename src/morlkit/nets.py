@@ -333,6 +333,16 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of path; a file that cannot be opened, read or
+    decoded raises error with a message that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     """Versioned text checkpoint, written atomically; floats round-trip
     exactly via repr."""
@@ -354,8 +364,7 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     def error(line: int, problem: str) -> CheckpointFormatError:
         return CheckpointFormatError(f"{path}:{line}: {problem}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, CheckpointFormatError).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: not a recognized checkpoint file")
     arrays: dict[str, np.ndarray] = {}

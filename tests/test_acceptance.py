@@ -287,8 +287,8 @@ def test_criterion_7_alternative_generation_fidelity():
     rules hold over 200 random pools."""
     qa = QaSpec(
         (
-            QaObjective("A", "t", MAXIMIZE, "the first score"),
-            QaObjective("B", "t", MAXIMIZE, "the second score"),
+            QaObjective("A", MAXIMIZE, "the first score"),
+            QaObjective("B", MAXIMIZE, "the second score"),
         )
     )
     cfg = ExplainConfig((1.0, 1.0), (4.0, 4.0), (2, 2))
@@ -308,7 +308,7 @@ def test_criterion_7_alternative_generation_fidelity():
         dim = int(rng.integers(2, 4))
         directions = [MAXIMIZE if rng.random() < 0.5 else MINIMIZE for _ in range(dim)]
         spec = QaSpec(
-            tuple(QaObjective(f"q{k}", "t", directions[k], f"o{k}") for k in range(dim))
+            tuple(QaObjective(f"q{k}", directions[k], f"o{k}") for k in range(dim))
         )
         orient = spec.orientation()
         increments = tuple(float(x) for x in rng.uniform(0.2, 1.5, dim))
@@ -350,10 +350,10 @@ def test_criterion_8_explanation_rendering():
     committed golden files byte for byte."""
     qa = QaSpec(
         (
-            QaObjective("Rctrl", "Standard measurement", MINIMIZE, "the reward control"),
-            QaObjective("Rcont", "Standard measurement", MINIMIZE, "the reward contact"),
-            QaObjective("Rsurv", "Standard measurement", MAXIMIZE, "the reward survive"),
-            QaObjective("Rfor", "Standard measurement", MAXIMIZE, "the reward forward"),
+            QaObjective("Rctrl", MINIMIZE, "the reward control"),
+            QaObjective("Rcont", MINIMIZE, "the reward contact"),
+            QaObjective("Rsurv", MAXIMIZE, "the reward survive"),
+            QaObjective("Rfor", MAXIMIZE, "the reward forward"),
         )
     )
     current = ValueVector((-5.025, -4.0, 92.546, 0.818))

@@ -877,6 +877,17 @@ class TestAols:
         with pytest.raises(ValueError):
             aols(lambda w: vv(1, 1), 2, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_must_be_finite(self, epsilon):
+        # A NaN epsilon used to pass the check: no optimistic gap compares
+        # above it, so a search stopped after the extrema with delta_max 0.
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            aols(lambda w: vv(1, 1), 2, epsilon)
+
+    def test_oracle_dimension_checked(self):
+        with pytest.raises(ValueError, match="oracle returned dimension 2, expected 3"):
+            aols(lambda w: vv(1, 1), 3, 1e-6)
+
     def test_history_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         m = random_tabular_momdp(rng, 6, 2, 2, discount=0.9)

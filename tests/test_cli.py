@@ -1,3 +1,4 @@
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,6 +126,13 @@ class TestConfigParsing:
         cfg["env.kind"] = "mars"
         with pytest.raises(ConfigError, match="env.kind"):
             build_env_factory(cfg)
+
+    def test_qa_type_key_is_not_read(self):
+        # No renderer reads a quality-attribute type, so the key is unread.
+        qa = {"qa.0.name": "treasure", "qa.1.name": "time", "qa.0.type": "Standard measurement"}
+        cfg = dict(parse_config_text(TREASURE_CFG), **qa)
+        with pytest.raises(ConfigError, match=r"^config key 'qa\.0\.type': not read"):
+            RunConfig.from_dict(cfg)
 
     def test_default_qa_for_locomotion(self):
         qa = build_qa_spec({"env.kind": "locomotion"}, 4)
@@ -826,6 +834,52 @@ class TestRejectedInputExits1:
     def test_trainer_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             TrainerConfig(objective_count=1, updates_per_objective=1, seed=-1)
+
+
+class TestUnreadableInputExits1:
+    """Each input format, given as a directory or as bytes that are not
+    UTF-8, is rejected with exit code 1 and a message naming the file."""
+
+    @pytest.fixture(scope="class")
+    def trained_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        assert main(["train", "--config", str(write_cfg(root)), "--out", str(root / "run")]) == 0
+        return root / "run"
+
+    @pytest.mark.parametrize("spoil", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("ccs", "m.momdp"),
+            ("train", "run.cfg"),
+            ("eval", "config.txt"),
+            ("eval", "actor.ckpt"),
+            ("explain", "ccs.txt"),
+        ],
+        ids=["problem-file", "config", "run-config", "checkpoint", "vector-file"],
+    )
+    def test_exits_1_naming_the_file(self, trained_run, tmp_path, capsys, command, name, spoil):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_run, run_dir)
+        path = (run_dir if command in ("eval", "explain") else tmp_path) / name
+        path.unlink(missing_ok=True)
+        if spoil == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\n")
+        argv = {
+            "ccs": ["ccs", "--momdp", str(path)],
+            "train": ["train", "--config", str(path)],
+        }.get(command, [command, str(run_dir), "--episodes", "1"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_missing_problem_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.momdp"
+        assert main(["ccs", "--momdp", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestUsage:

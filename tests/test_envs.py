@@ -404,6 +404,43 @@ class TestToyLocomotion:
         assert done
 
 
+class TestSettingsChecked:
+    """Each environment checks its own settings, for config and library
+    callers alike; the message starts with the rejected field."""
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: ToyLocomotion(start_noise=float("nan")), "start_noise"),
+            (lambda: ToyLocomotion(survive_bonus=float("inf")), "survive_bonus"),
+            (lambda: ToyLocomotion(half_width=-1.0), "half_width"),
+            (lambda: ToyLocomotion(half_width=float("inf")), "half_width"),
+            (lambda: ToyLocomotion(horizon=0), "horizon"),
+            (lambda: ToyLocomotion(contact_limit=0), "contact_limit"),
+            (lambda: DiscreteToBox(two_arm_bandit(), horizon=0), "horizon"),
+            (lambda: TreasureGrid(3, 3, ((0, 2, 1.0),), step_penalty=float("nan")), "step_penalty"),
+            (lambda: TreasureGrid(3, 3, ((0, 2, float("nan")),)), "treasures"),
+            (lambda: TreasureGrid(3, 3, ((0, 3, 1.0),)), "treasures"),
+            (lambda: TreasureGrid(3, 3, ((0, 2, 1.0), (0, 2, 2.0))), "treasures"),
+            (lambda: TreasureGrid(3, 3, ((0, 0, 1.0),)), "treasures"),
+            (lambda: TreasureGrid(width=0), "width"),
+            (lambda: TreasureGrid(height=0), "height"),
+            (lambda: TreasureGrid(horizon=0), "horizon"),
+            (lambda: SingleObjectiveView(ToyLocomotion(), 4), "objective_index"),
+        ],
+        ids=[
+            "nan-start-noise", "infinite-survive-bonus", "negative-half-width",
+            "infinite-half-width", "locomotion-zero-horizon", "zero-contact-limit",
+            "boxed-zero-horizon", "nan-step-penalty", "nan-treasure-value", "treasure-off-grid",
+            "treasure-cell-twice", "treasure-on-start", "zero-width", "zero-height",
+            "grid-zero-horizon", "objective-index-out-of-range",
+        ],
+    )
+    def test_rejected_setting_named_first(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            make()
+
+
 class TestAdapters:
     def test_boxed_tabular_one_hot_and_argmax(self):
         m = two_arm_bandit(gamma=0.0)

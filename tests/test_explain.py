@@ -31,7 +31,7 @@ def vv(*xs):
 def qa_max2(names=("A", "B"), phrases=("the first score", "the second score")):
     return QaSpec(
         tuple(
-            QaObjective(n, "Standard measurement", MAXIMIZE, p)
+            QaObjective(n, MAXIMIZE, p)
             for n, p in zip(names, phrases)
         )
     )
@@ -40,10 +40,10 @@ def qa_max2(names=("A", "B"), phrases=("the first score", "the second score")):
 def qa_locomotion():
     return QaSpec(
         (
-            QaObjective("Rctrl", "Standard measurement", MINIMIZE, "the reward control"),
-            QaObjective("Rcont", "Standard measurement", MINIMIZE, "the reward contact"),
-            QaObjective("Rsurv", "Standard measurement", MAXIMIZE, "the reward survive"),
-            QaObjective("Rfor", "Standard measurement", MAXIMIZE, "the reward forward"),
+            QaObjective("Rctrl", MINIMIZE, "the reward control"),
+            QaObjective("Rcont", MINIMIZE, "the reward contact"),
+            QaObjective("Rsurv", MAXIMIZE, "the reward survive"),
+            QaObjective("Rfor", MAXIMIZE, "the reward forward"),
         )
     )
 
@@ -53,8 +53,8 @@ class TestQaSpec:
         with pytest.raises(ValueError):
             QaSpec(
                 (
-                    QaObjective("X", "t", MAXIMIZE, "x"),
-                    QaObjective("X", "t", MINIMIZE, "y"),
+                    QaObjective("X", MAXIMIZE, "x"),
+                    QaObjective("X", MINIMIZE, "y"),
                 )
             )
 
@@ -64,7 +64,7 @@ class TestQaSpec:
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
-            QaObjective("X", "t", "sideways", "x")
+            QaObjective("X", "sideways", "x")
 
 
 class TestExplainConfig:
@@ -110,8 +110,8 @@ class TestConstrainedBest:
         # For a minimize attribute the target is on the negated scale.
         qa = QaSpec(
             (
-                QaObjective("cost", "t", MINIMIZE, "the cost"),
-                QaObjective("gain", "t", MAXIMIZE, "the gain"),
+                QaObjective("cost", MINIMIZE, "the cost"),
+                QaObjective("gain", MAXIMIZE, "the gain"),
             )
         )
         pool = [vv(-3.0, 1.0), vv(-1.0, 5.0)]
@@ -166,7 +166,7 @@ class TestGenerateAlternatives:
         directions = [MAXIMIZE if rng.random() < 0.5 else MINIMIZE for _ in range(dim)]
         qa = QaSpec(
             tuple(
-                QaObjective(f"q{k}", "t", directions[k], f"objective {k}")
+                QaObjective(f"q{k}", directions[k], f"objective {k}")
                 for k in range(dim)
             )
         )
@@ -206,7 +206,7 @@ class TestGenerateAlternatives:
             qa = QaSpec(
                 tuple(
                     QaObjective(
-                        f"q{k}", "t", MAXIMIZE if rng.random() < 0.5 else MINIMIZE, f"o{k}"
+                        f"q{k}", MAXIMIZE if rng.random() < 0.5 else MINIMIZE, f"o{k}"
                     )
                     for k in range(dim)
                 )
@@ -251,12 +251,12 @@ class TestRenderPolicyStatement:
         assert "The Rctrl is -5.025, Rcont is -4, Rsurv is 92.546, and Rfor is 0.818." in text
 
     def test_single_objective_no_conjunction(self):
-        qa = QaSpec((QaObjective("score", "t", MAXIMIZE, "the score"),))
+        qa = QaSpec((QaObjective("score", MAXIMIZE, "the score"),))
         text = render_policy_statement(qa, vv(2.5))
         assert text == "I aim to maximize the score. The score is 2.5."
 
     def test_precision_zero(self):
-        qa = QaSpec((QaObjective("bonus", "t", MAXIMIZE, "the bonus", precision=0),))
+        qa = QaSpec((QaObjective("bonus", MAXIMIZE, "the bonus", precision=0),))
         assert render_policy_statement(qa, vv(150.0)).endswith("The bonus is 150.")
 
     def test_pure_renderer(self):

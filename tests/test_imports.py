@@ -1,7 +1,7 @@
 """Every name a source or test file imports is used in that file, every
 private module-level helper of the package is used somewhere in it, and
 every public module-level function and class of the package has a caller
-in it or a reason on `UNCALLED_PUBLIC`.
+in it or a reason on `UNCALLED_PUBLIC`. The README's library block runs.
 
 A name counts as used when the file loads it (`name` or `name.attr`) or
 lists it in `__all__`. `from __future__` imports are exempt. A private
@@ -148,3 +148,10 @@ def test_detects_an_unused_private_helper():
     modules = {"a": ast.parse(source), "b": ast.parse(other)}
     assert unused_private_helpers(modules) == ["a._improve", "a._LIMIT"]
     assert unused_private_helpers({"a": ast.parse(source)}) == ["a._improve", "a._State", "a._LIMIT"]
+
+
+def test_readme_library_block_runs():
+    # Removing or renaming a documented name fails here instead of leaving the README wrong.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library entry points\n")[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -502,6 +502,21 @@ class TestAbortPaths:
         assert new_actor is actor and new_opt is opt and diag.aborted
         assert caplog.messages == ["non-finite gradient; aborting actor update"]
 
+    def test_non_finite_surrogate_aborts(self, monkeypatch, caplog):
+        # Old log-probabilities of -1e308 overflow every ratio to inf, so a
+        # sample with a negative advantage makes the surrogate -inf.
+        actor, obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
+        assert (adv > 0).any() and (adv < 0).any()
+        opt = adam_init(param_vector(policy_param_list(actor)), self.CFG.learning_rate)
+        self.no_adam_step(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="morlkit.training"), np.errstate(over="ignore"):
+            new_actor, new_opt, diag = ppo_actor_update(
+                actor, opt, obs, actions, np.full_like(logp, -1e308), adv, self.CFG,
+                np.random.default_rng(0),
+            )
+        assert new_actor is actor and new_opt is opt and diag.aborted
+        assert caplog.messages == ["non-finite surrogate; aborting actor update"]
+
     def test_updates_leave_incoming_arrays_unchanged(self):
         net, obs, targets = self.critic_problem()
         net_opt = adam_init(mlp_vector(net), self.CFG.learning_rate)
