@@ -9,10 +9,11 @@ Example:
     env.width=3
 
 Values are kept as strings in a plain dict. The trainer.*, treasure and
-locomotion env.* and qa.<k>.* keys are the fields of the object they
-build (`TrainerConfig`, `TreasureGrid`, `ToyLocomotion`, `QaObjective`),
-parsed by field annotation; that object holds the defaults and checks
-the values, and a value it rejects is reported by its key.
+locomotion env.*, qa.<k>.* and explain.<k>.* keys are the fields of the
+object they build (`TrainerConfig`, `TreasureGrid`, `ToyLocomotion`,
+`QaObjective`, `ExplainSweep`), parsed by field annotation; that object
+holds the defaults and checks the values, and a value it rejects is
+reported by its key.
 `RunConfig.from_dict` records the keys its readers look up and rejects
 every other key but the retired ones. Parse-then-serialize round-trips
 the parsed content losslessly.
@@ -20,7 +21,6 @@ the parsed content losslessly.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
@@ -34,7 +34,7 @@ from .envs import (
     load_tabular,
     treasure_grid_to_tabular,
 )
-from .explain import MAXIMIZE, MINIMIZE, ExplainConfig, QaObjective, QaSpec
+from .explain import MAXIMIZE, MINIMIZE, ExplainSweep, QaObjective, QaSpec
 from .nets import read_text
 from .training import TrainerConfig
 
@@ -106,27 +106,6 @@ def _get(cfg: dict[str, str], key: str, cast: Callable, default=None):
 
 def _get_int(cfg, key, default=None) -> int:
     return _get(cfg, key, int, default)
-
-
-def _get_finite_float(cfg, key, default=None) -> float:
-    value = _get(cfg, key, float, default)
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r}: must be finite, got {value}")
-    return value
-
-
-def _get_positive_float(cfg, key, default=None) -> float:
-    value = _get_finite_float(cfg, key, default)
-    if value <= 0.0:
-        raise ConfigError(f"config key {key!r}: must be positive, got {value}")
-    return value
-
-
-def _get_positive_int(cfg, key, default=None) -> int:
-    value = _get_int(cfg, key, default)
-    if value < 1:
-        raise ConfigError(f"config key {key!r}: must be >= 1, got {value}")
-    return value
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -300,16 +279,21 @@ def build_bench_settings(cfg: dict[str, str], objective_count: int) -> tuple[int
     index = _get_int(cfg, "bench.objective_index", objective_count - 1)
     if not 0 <= index < objective_count:
         raise ConfigError(f"config key 'bench.objective_index': {index} is not in 0..{objective_count - 1}")
-    return index, _get_positive_int(cfg, "bench.episodes", 20)
+    episodes = _get_int(cfg, "bench.episodes", 20)
+    if episodes < 1:
+        raise ConfigError(f"config key 'bench.episodes': must be >= 1, got {episodes}")
+    return index, episodes
 
 
-def build_explain_config(cfg: dict[str, str], objective_count: int) -> ExplainConfig:
-    prefixes = [f"explain.{k}." for k in range(objective_count)]
-    return ExplainConfig(
-        increments=tuple(_get_positive_float(cfg, f"{p}increment", 1.0) for p in prefixes),
-        max_values=tuple(_get_finite_float(cfg, f"{p}max_value", 100.0) for p in prefixes),
-        max_alternatives=tuple(_get_positive_int(cfg, f"{p}max_alternatives", 2) for p in prefixes),
-    )
+def build_explain_config(cfg: dict[str, str], objective_count: int) -> tuple[ExplainSweep, ...]:
+    """One ExplainSweep per objective from its explain.<k>.* keys; the
+    record holds the defaults and checks the values."""
+    sweeps = []
+    for k in range(objective_count):
+        prefix = f"explain.{k}."
+        with _keyed(prefix):
+            sweeps.append(ExplainSweep(**_fields(cfg, prefix, ExplainSweep)))
+    return tuple(sweeps)
 
 
 @dataclass(frozen=True)
@@ -321,7 +305,7 @@ class RunConfig:
     trainer: TrainerConfig
     env_factory: Callable[[], object]
     qa: QaSpec
-    explain: ExplainConfig
+    explain: tuple[ExplainSweep, ...]
     bench: tuple[int, int]
 
     @classmethod

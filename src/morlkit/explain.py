@@ -41,8 +41,10 @@ class QaObjective:
             raise ValueError(f"direction must be {MAXIMIZE!r} or {MINIMIZE!r}")
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
-        if not self.name:
-            raise ValueError("name must be nonempty")
+        if not self.name.strip():
+            raise ValueError(f"name must not be empty or blank, got {self.name!r}")
+        if not self.phrase.strip():
+            raise ValueError(f"phrase must not be empty or blank, got {self.phrase!r}")
 
 
 @dataclass(frozen=True)
@@ -71,28 +73,25 @@ class QaSpec:
 
 
 @dataclass(frozen=True)
-class ExplainConfig:
-    """Search settings per objective, in utility orientation.
+class ExplainSweep:
+    """Target sweep settings for one objective, in utility orientation.
 
-    increments: step size for tightening each attribute's target (> 0, finite).
-    max_values: cap on the utility-oriented target sweep (finite).
-    max_alternatives: cap on alternatives anchored at each attribute (>= 1).
+    increment: step by which the attribute's target rises (> 0, finite).
+    max_value: cap on the target (finite).
+    max_alternatives: cap on alternatives anchored at the attribute (>= 1).
     """
 
-    increments: tuple[float, ...]
-    max_values: tuple[float, ...]
-    max_alternatives: tuple[int, ...]
+    increment: float = 1.0
+    max_value: float = 100.0
+    max_alternatives: int = 2
 
     def __post_init__(self) -> None:
-        n = len(self.increments)
-        if n < 1 or len(self.max_values) != n or len(self.max_alternatives) != n:
-            raise ValueError("per-objective settings must have equal nonzero length")
-        if not all(0.0 < dv < math.inf for dv in self.increments):
-            raise ValueError("increments must be positive and finite")
-        if not all(math.isfinite(m) for m in self.max_values):
-            raise ValueError("max_values must be finite")
-        if any(m < 1 for m in self.max_alternatives):
-            raise ValueError("max_alternatives entries must be >= 1")
+        if not 0.0 < self.increment < math.inf:
+            raise ValueError(f"increment must be positive and finite, got {self.increment}")
+        if not math.isfinite(self.max_value):
+            raise ValueError(f"max_value must be finite, got {self.max_value}")
+        if self.max_alternatives < 1:
+            raise ValueError(f"max_alternatives must be >= 1, got {self.max_alternatives}")
 
 
 @dataclass(frozen=True)
@@ -154,30 +153,36 @@ def generate_alternatives(
     pool: Sequence[ValueVector],
     current: ValueVector,
     qa: QaSpec,
-    cfg: ExplainConfig,
+    sweeps: Sequence[ExplainSweep],
 ) -> list[Alternative]:
     """Sweep improvement targets attribute by attribute over the library.
 
     For each still-open attribute, raise the target by its increment while
     it stays under the cap and the per-attribute alternative budget holds,
-    and stop at the first target no library member meets; each constrained
+    and stop at the first target no library member meets or once adding
+    the increment leaves the target where it is; each constrained
     selection that succeeds is recorded, and any other attribute the
     selection already improves by a full increment is dropped from further
     exploration. Alternatives are deduplicated by achieved
     vector and never include the current vector itself.
     """
-    if qa.dim != current.dim or len(cfg.increments) != qa.dim:
-        raise ValueError("vocabulary, config, and value dimensions must agree")
+    if qa.dim != current.dim or len(sweeps) != qa.dim:
+        raise ValueError("vocabulary, sweep settings, and value dimensions must agree")
     current_u = _oriented(qa, current)
     open_attrs = list(range(qa.dim))
     found: list[Alternative] = []
     seen: list[ValueVector] = []
     while open_attrs:
         i = open_attrs.pop(0)
+        sweep = sweeps[i]
         count = 0
         target = float(current_u[i])
-        while target <= cfg.max_values[i] - cfg.increments[i] and count < cfg.max_alternatives[i]:
-            target += cfg.increments[i]
+        while target <= sweep.max_value - sweep.increment and count < sweep.max_alternatives:
+            if count and target + sweep.increment == target:
+                # The target no longer rises, so every further query would
+                # return the last choice again.
+                break
+            target += sweep.increment
             choice = constrained_best(pool, i, target, qa)
             if choice is None:
                 # The feasible set only shrinks as the target rises.
@@ -186,7 +191,7 @@ def generate_alternatives(
             choice_u = _oriented(qa, choice)
             deltas = choice_u - current_u
             for j in list(open_attrs):
-                if j != i and deltas[j] >= cfg.increments[j]:
+                if j != i and deltas[j] >= sweeps[j].increment:
                     open_attrs.remove(j)
             gains = {j: float(d) for j, d in enumerate(deltas) if d > ANCHOR_ATOL}
             losses = {j: float(d) for j, d in enumerate(deltas) if d < -ANCHOR_ATOL}

@@ -17,7 +17,7 @@ from morlkit.core import ValueVector
 from morlkit.explain import (
     ANCHOR_ATOL,
     Alternative,
-    ExplainConfig,
+    ExplainSweep,
     QaSpec,
     _oriented,
     constrained_best,
@@ -28,7 +28,7 @@ def full_sweep_alternatives(
     pool: Sequence[ValueVector],
     current: ValueVector,
     qa: QaSpec,
-    cfg: ExplainConfig,
+    sweeps: Sequence[ExplainSweep],
 ) -> list[Alternative]:
     """Alternatives from a sweep that skips infeasible targets and goes on."""
     current_u = _oriented(qa, current)
@@ -37,10 +37,11 @@ def full_sweep_alternatives(
     seen: list[ValueVector] = []
     while open_attrs:
         i = open_attrs.pop(0)
+        sweep = sweeps[i]
         count = 0
         target = float(current_u[i])
-        while target <= cfg.max_values[i] - cfg.increments[i] and count < cfg.max_alternatives[i]:
-            target += cfg.increments[i]
+        while target <= sweep.max_value - sweep.increment and count < sweep.max_alternatives:
+            target += sweep.increment
             choice = constrained_best(pool, i, target, qa)
             if choice is None:
                 continue
@@ -48,7 +49,7 @@ def full_sweep_alternatives(
             choice_u = _oriented(qa, choice)
             deltas = choice_u - current_u
             for j in list(open_attrs):
-                if j != i and deltas[j] >= cfg.increments[j]:
+                if j != i and deltas[j] >= sweeps[j].increment:
                     open_attrs.remove(j)
             gains = {j: float(d) for j, d in enumerate(deltas) if d > ANCHOR_ATOL}
             losses = {j: float(d) for j, d in enumerate(deltas) if d < -ANCHOR_ATOL}

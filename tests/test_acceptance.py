@@ -23,7 +23,7 @@ from morlkit.envs import (
 from morlkit.explain import (
     MAXIMIZE,
     MINIMIZE,
-    ExplainConfig,
+    ExplainSweep,
     QaObjective,
     QaSpec,
     generate_alternatives,
@@ -291,7 +291,7 @@ def test_criterion_7_alternative_generation_fidelity():
             QaObjective("B", MAXIMIZE, "the second score"),
         )
     )
-    cfg = ExplainConfig((1.0, 1.0), (4.0, 4.0), (2, 2))
+    cfg = (ExplainSweep(1.0, 4.0, 2),) * 2
     current = ValueVector((1.0, 1.0))
     pool = [current, ValueVector((2.0, 0.5)), ValueVector((1.2, 3.0))]
     alts = generate_alternatives(pool, current, qa, cfg)
@@ -314,7 +314,7 @@ def test_criterion_7_alternative_generation_fidelity():
         increments = tuple(float(x) for x in rng.uniform(0.2, 1.5, dim))
         caps = tuple(float(x) for x in rng.uniform(2.0, 6.0, dim))
         budgets = tuple(int(b) for b in rng.integers(1, 4, dim))
-        ecfg = ExplainConfig(increments, caps, budgets)
+        ecfg = tuple(map(ExplainSweep, increments, caps, budgets))
         cur = ValueVector(tuple(rng.uniform(-2, 2, dim)))
         lib = [cur] + [
             ValueVector(tuple(rng.uniform(-3, 3, dim)))

@@ -13,6 +13,7 @@ from morlkit.config import (
     RunConfig,
     build_bench_settings,
     build_env_factory,
+    build_explain_config,
     build_qa_spec,
     build_trainer_config,
     load_config,
@@ -27,6 +28,7 @@ from morlkit.envs import (
     save_tabular,
     treasure_grid_to_tabular,
 )
+from morlkit.explain import ExplainSweep
 from morlkit.training import TrainerConfig, evaluate_policy
 
 TREASURE_CFG = """\
@@ -91,6 +93,14 @@ class TestConfigParsing:
     def test_trainer_defaults_come_from_trainer_config(self):
         cfg = {"trainer.objective_count": "2", "trainer.updates_per_objective": "3"}
         assert build_trainer_config(cfg) == TrainerConfig(objective_count=2, updates_per_objective=3)
+
+    def test_explain_defaults_come_from_explain_sweep(self):
+        assert build_explain_config({}, 3) == (ExplainSweep(),) * 3
+        assert RunConfig.from_dict(parse_config_text(TREASURE_CFG)).explain == (ExplainSweep(),) * 2
+
+    def test_explain_keys_set_their_objective_only(self):
+        cfg = {"explain.1.increment": "0.25", "explain.1.max_alternatives": "4"}
+        assert build_explain_config(cfg, 2) == (ExplainSweep(), ExplainSweep(0.25, 100.0, 4))
 
     def test_unknown_trainer_key_still_loads(self):
         cfg = parse_config_text(TREASURE_CFG)
@@ -680,6 +690,9 @@ class TestRejectedInputExits1:
             ("train", {"trainer.hidden_sizes": "0,8"}, "trainer.hidden_sizes"),
             ("train", {"explain.0.increment": "nan"}, "explain.0.increment"),
             ("train", {"explain.1.max_value": "nan"}, "explain.1.max_value"),
+            ("train", {"explain.0.max_value": "inf"}, "explain.0.max_value"),
+            ("train", {"explain.1.increment": "0"}, "explain.1.increment"),
+            ("train", {"explain.0.max_alternatives": "1.5"}, "explain.0.max_alternatives"),
             ("train", {**LOCOMOTION, "env.horizon": "0"}, "env.horizon"),
             ("train", {**LOCOMOTION, "env.contact_limit": "0"}, "env.contact_limit"),
             ("train", {**LOCOMOTION, "env.half_width": "0"}, "env.half_width"),
@@ -689,6 +702,7 @@ class TestRejectedInputExits1:
             ("train", {**QA_NAMES, "qa.1.direction": "up"}, "qa.1.direction"),
             ("train", {**QA_NAMES, "qa.1.precision": "-2"}, "qa.1.precision"),
             ("train", {"qa.0.name": ""}, "qa.0.name"),
+            ("train", {**QA_NAMES, "qa.0.phrase": ""}, "qa.0.phrase"),
             ("bench", {"qa.0.name": "cost", "qa.1.name": "cost"}, "qa.1.name"),
             ("train", {"explain.0.increment": "-1"}, "explain.0.increment"),
             ("train", {"explain.1.max_alternatives": "0"}, "explain.1.max_alternatives"),
@@ -709,11 +723,12 @@ class TestRejectedInputExits1:
             "infinite-survive-bonus", "nan-learning-rate", "infinite-learning-rate",
             "nan-clip-epsilon", "bench-infinite-clip-epsilon", "nan-termination-epsilon",
             "infinite-termination-epsilon", "negative-hidden-size", "zero-width-hidden-layer",
-            "nan-explain-increment", "nan-explain-max-value", "locomotion-zero-horizon",
+            "nan-explain-increment", "nan-explain-max-value", "infinite-explain-max-value",
+            "zero-explain-increment", "fractional-explain-max-alternatives", "locomotion-zero-horizon",
             "locomotion-zero-contact-limit", "locomotion-zero-half-width",
             "bench-locomotion-negative-half-width", "bench-sets-objective-index",
             "bench-sets-objective-index-single-channel", "qa-unknown-direction",
-            "qa-negative-precision", "qa-empty-name", "bench-qa-duplicate-name",
+            "qa-negative-precision", "qa-empty-name", "qa-empty-phrase", "bench-qa-duplicate-name",
             "negative-explain-increment", "zero-explain-max-alternatives",
             "trainer-seed-key", "misspelt-trainer-key", "misspelt-env-key", "misspelt-top-level-key",
             "qa-name-without-qa-0", "explain-past-objective-count", "key-of-another-env-kind",

@@ -1,3 +1,5 @@
+import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from morlkit.explain import (
     MAXIMIZE,
     MINIMIZE,
     Alternative,
-    ExplainConfig,
+    ExplainSweep,
     QaObjective,
     QaSpec,
     constrained_best,
@@ -66,15 +68,34 @@ class TestQaSpec:
         with pytest.raises(ValueError):
             QaObjective("X", "sideways", "x")
 
+    @pytest.mark.parametrize("phrase", ["", "  ", "\t"], ids=["empty", "spaces", "tab"])
+    def test_blank_phrase_rejected(self, phrase):
+        with pytest.raises(ValueError, match=r"^phrase must not be empty or blank"):
+            QaObjective("X", MAXIMIZE, phrase)
 
-class TestExplainConfig:
+    @pytest.mark.parametrize("name", ["", " "], ids=["empty", "space"])
+    def test_blank_name_rejected(self, name):
+        with pytest.raises(ValueError, match=r"^name must not be empty or blank"):
+            QaObjective(name, MAXIMIZE, "x")
+
+
+class TestExplainSweep:
+    def test_defaults(self):
+        assert ExplainSweep() == ExplainSweep(increment=1.0, max_value=100.0, max_alternatives=2)
+
+    @pytest.mark.parametrize("increment", [0.0, -1.0, math.inf, math.nan])
+    def test_increment_positive_and_finite(self, increment):
+        with pytest.raises(ValueError, match=r"^increment must be positive and finite, got "):
+            ExplainSweep(increment=increment)
+
+    @pytest.mark.parametrize("max_value", [math.inf, -math.inf, math.nan])
+    def test_max_value_finite(self, max_value):
+        with pytest.raises(ValueError, match=r"^max_value must be finite, got "):
+            ExplainSweep(max_value=max_value)
+
     def test_budget_at_least_one(self):
-        with pytest.raises(ValueError):
-            ExplainConfig((1.0,), (5.0,), (0,))
-
-    def test_positive_increments(self):
-        with pytest.raises(ValueError):
-            ExplainConfig((0.0,), (5.0,), (1,))
+        with pytest.raises(ValueError, match=r"^max_alternatives must be >= 1, got 0$"):
+            ExplainSweep(max_alternatives=0)
 
 
 class TestAlternative:
@@ -123,7 +144,7 @@ class TestConstrainedBest:
 class TestGenerateAlternatives:
     def trace_setup(self):
         qa = qa_max2()
-        cfg = ExplainConfig((1.0, 1.0), (4.0, 4.0), (2, 2))
+        cfg = (ExplainSweep(1.0, 4.0, 2),) * 2
         current = vv(1.0, 1.0)
         pool = [current, vv(2.0, 0.5), vv(1.2, 3.0)]
         return qa, cfg, current, pool
@@ -151,12 +172,23 @@ class TestGenerateAlternatives:
         # A single member improving both attributes by a full increment stops
         # the second attribute from being explored separately.
         qa = qa_max2()
-        cfg = ExplainConfig((1.0, 1.0), (5.0, 5.0), (3, 3))
+        cfg = (ExplainSweep(1.0, 5.0, 3),) * 2
         current = vv(0.0, 0.0)
         pool = [current, vv(2.0, 2.0)]
         alts = generate_alternatives(pool, current, qa, cfg)
         assert len(alts) == 1
         assert alts[0].anchor_index == 0
+
+    def test_sweep_stops_when_the_target_stops_rising(self):
+        # Below half an ulp of the target, adding the increment leaves the
+        # target where it is, so every further query repeats the last one.
+        qa = QaSpec((QaObjective("A", MAXIMIZE, "a"), QaObjective("B", MAXIMIZE, "b")))
+        pool = [vv(5, -1), vv(12, -4)]
+        one = generate_alternatives(pool, vv(5, -1), qa, (ExplainSweep(1e-300, 100.0, 1),) * 2)
+        start = time.perf_counter()
+        many = generate_alternatives(pool, vv(5, -1), qa, (ExplainSweep(1e-300, 100.0, 10**9),) * 2)
+        assert time.perf_counter() - start < 0.5
+        assert many == one
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
@@ -174,7 +206,7 @@ class TestGenerateAlternatives:
         increments = tuple(float(x) for x in rng.uniform(0.2, 1.5, dim))
         caps = tuple(float(x) for x in rng.uniform(2.0, 6.0, dim))
         budgets = tuple(int(b) for b in rng.integers(1, 4, dim))
-        cfg = ExplainConfig(increments, caps, budgets)
+        cfg = tuple(map(ExplainSweep, increments, caps, budgets))
         current = vv(*rng.uniform(-2, 2, dim))
         pool = [current] + [vv(*rng.uniform(-3, 3, dim)) for _ in range(int(rng.integers(1, 7)))]
         alts = generate_alternatives(pool, current, qa, cfg)
@@ -211,10 +243,11 @@ class TestGenerateAlternatives:
                     for k in range(dim)
                 )
             )
-            cfg = ExplainConfig(
-                tuple(float(x) for x in rng.uniform(0.1, 2.0, dim)),
-                tuple(float(x) for x in rng.uniform(-1.0, 8.0, dim)),
-                tuple(int(b) for b in rng.integers(1, 5, dim)),
+            cfg = tuple(
+                ExplainSweep(float(dv), float(cap), int(b))
+                for dv, cap, b in zip(
+                    rng.uniform(0.1, 2.0, dim), rng.uniform(-1.0, 8.0, dim), rng.integers(1, 5, dim)
+                )
             )
             rows = rng.uniform(-4, 4, (int(rng.integers(1, 12)), dim))
             if seed % 2:
@@ -311,7 +344,7 @@ class TestRenderContrastive:
 class TestExplainBlocksGolden:
     def test_statement_plus_alternatives(self):
         qa = qa_max2()
-        cfg = ExplainConfig((1.0, 1.0), (4.0, 4.0), (2, 2))
+        cfg = (ExplainSweep(1.0, 4.0, 2),) * 2
         current = vv(1.0, 1.0)
         pool = [current, vv(2.0, 0.5), vv(1.2, 3.0)]
         blocks = [render_policy_statement(qa, current)]

@@ -207,8 +207,8 @@ CONFIG_KEYS = (
     "trainer.learning_rate", "trainer.hidden_sizes", "trainer.seed", "trainer.aols_epsilon",
     "env.kind", "env.width", "env.start", "env.treasures", "env.step_penalty", "env.path",
     "env.objective_index", "qa.0.name", "qa.1.name", "qa.0.direction", "qa.0.precision",
-    "explain.0.increment", "explain.1.max_alternatives", "bench.objective_index",
-    "bench.episodes", "env.widht",
+    "qa.0.phrase", "explain.0.increment", "explain.1.max_value", "explain.0.max_alternatives",
+    "explain.1.max_alternatives", "bench.objective_index", "bench.episodes", "env.widht",
 )
 # Values for edited lines: small numbers at and past every range boundary
 # (no grid large enough to cost memory), non-numbers, lists and kinds.

@@ -537,6 +537,18 @@ class TestAbortPaths:
         assert not np.array_equal(new_actor.log_std, actor.log_std)
 
 
+class TestDeltaProbe:
+    def test_non_positive_bound_logs_absolute_improvement(self, caplog):
+        # Bound at the uniform probe: -1.5; running surface: -3. A ratio
+        # would flip sign, so both entries hold the absolute gap.
+        with caplog.at_level(logging.WARNING, logger="morlkit.training"):
+            got = training._delta_probe(ValueVector((-1.0, -2.0)), [ValueVector((-3.0, -3.0))])
+        assert got == (1.5, 1.5)
+        assert caplog.messages == [
+            "probe bound -1.5 is not positive; logging absolute improvement instead"
+        ]
+
+
 class TestCriticBank:
     """critic_update trains I critics as one stacked bank; oracle: the
     per-network update of tests/reference_critic.py, run on each critic in
