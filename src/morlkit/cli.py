@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -141,6 +142,8 @@ def read_vectors(path: Path, dim: int) -> list[ValueVector]:
 
 
 def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str], elapsed: float) -> None:
+    """Write the run's files into out_dir, deleting the critic checkpoints
+    an earlier run with more objectives left there."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out_dir / "config.txt", serialize_config(raw_config))
     write_metrics_csv(artifacts, out_dir / "metrics.csv")
@@ -150,6 +153,10 @@ def save_run(artifacts: RunArtifacts, out_dir: Path, raw_config: dict[str, str],
     write_arrays(out_dir / "actor.ckpt", policy_to_arrays(artifacts.actor))
     for k, net in enumerate(artifacts.critics.nets):
         write_arrays(out_dir / f"critic_{k}.ckpt", mlp_to_arrays(net, "critic"))
+    for path in out_dir.glob("critic_*.ckpt"):
+        match = re.fullmatch(r"critic_(0|[1-9][0-9]*)\.ckpt", path.name)
+        if match and int(match[1]) >= len(artifacts.critics.nets):
+            path.unlink()
     write_text_atomic(
         out_dir / "log.txt",
         f"finished_unix_time={time.time()!r}\nelapsed_seconds={elapsed!r}\n"

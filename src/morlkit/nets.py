@@ -89,12 +89,12 @@ class GaussianPolicyParams:
 @dataclass(frozen=True)
 class AdamState:
     """First/second moments shaped like a flat parameter vector, (P,) or
-    (I, P) for a stack, and the steps taken: an int, or an int array with
-    one count per lane for a stack."""
+    (I, P) for a stack, and the steps taken: an int array shaped like the
+    lanes, () for one network and (I,) for a stack, one count per lane."""
 
     m: np.ndarray
     v: np.ndarray
-    step: int | np.ndarray
+    step: np.ndarray
     learning_rate: float
 
 
@@ -150,8 +150,6 @@ def mlp_backward(p: MlpParams, acts: list[np.ndarray], grad_out: np.ndarray) -> 
     cache of a matching mlp_forward call, and grad_out is shaped like its
     output.
     """
-    if grad_out.shape != acts[-1].shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != output shape {acts[-1].shape}")
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(p.weights))
     g = grad_out
     for k in range(len(p.weights) - 1, -1, -1):
@@ -270,15 +268,14 @@ def policy_views(template: GaussianPolicyParams, flat: np.ndarray) -> GaussianPo
 
 def adam_init(params: np.ndarray, learning_rate: float) -> AdamState:
     """Zero moments for a flat parameter vector (P,) or a stack's (I, P)."""
-    step = 0 if params.ndim == 1 else np.zeros(params.shape[:-1], dtype=np.int64)
+    step = np.zeros(params.shape[:-1], dtype=np.int64)
     return AdamState(np.zeros_like(params), np.zeros_like(params), step, learning_rate)
 
 
-def _bias_correction(beta: float, t: int | np.ndarray) -> float | np.ndarray:
-    # Python float powers, one per lane as an (I, 1) column for a stack.
-    if isinstance(t, int):
-        return 1.0 - beta**t
-    return np.array([[1.0 - beta**k] for k in t.tolist()])
+def _bias_correction(beta: float, t: np.ndarray) -> np.ndarray:
+    # Python float powers, one per lane: (1,) for one network, an (I, 1)
+    # column for a stack.
+    return np.array([1.0 - beta**k for k in t.reshape(-1).tolist()]).reshape(t.shape + (1,))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> AdamState:

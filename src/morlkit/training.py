@@ -213,9 +213,50 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return centered / max(float(advantages.std()), 1e-8)
 
 
-def _working_copy(opt: AdamState) -> AdamState:
-    # adam_step writes into the moments; an update must not touch its input.
-    return AdamState(opt.m.copy(), opt.v.copy(), opt.step, opt.learning_rate)
+def _descend(
+    params: np.ndarray, opt: AdamState, perms: np.ndarray, minibatch_size: int,
+    grad_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+    problems: tuple[str, str], name: str,
+) -> AdamState | None:
+    """Epochs of minibatch Adam descent on params, lanes + (P,) with lanes
+    opt.step.shape: () for one network, (I,) for a bank.
+
+    perms holds each lane's row permutations, lanes + (epochs, n), drawn by
+    the caller before anything can abort, so that an abort leaves its
+    generator where a full update leaves it. grad_of(idx) takes one
+    minibatch's rows, lanes + (b,), and returns which lanes have a finite
+    loss and the gradient, lanes + (P,), or None in its place when no
+    lane's loss is finite. A lane whose loss or gradient is not finite
+    logs "non-finite <problems[0] or problems[1]>; aborting <name> update"
+    and aborts alone: its parameters and moments return to their incoming
+    values and the other lanes carry on. params is stepped in place, the
+    moments in a copy. Returns the new state, or None if every lane
+    aborted.
+    """
+    incoming = params.copy()
+    state = AdamState(opt.m.copy(), opt.v.copy(), opt.step, opt.learning_rate)
+    # dead stays None until a lane aborts: a test per minibatch on live
+    # would cost a reduction.
+    live, dead = np.ones(opt.step.shape, dtype=bool), None
+    for epoch in range(perms.shape[-2]):
+        for start in range(0, perms.shape[-1], minibatch_size):
+            loss_ok, grad = grad_of(perms[..., epoch, start : start + minibatch_size])
+            ok = loss_ok if grad is None else loss_ok & np.isfinite(grad).all(axis=-1)
+            if not ok.all():
+                for loss_was_ok in loss_ok[live & ~ok]:
+                    log.warning("non-finite %s; aborting %s update", problems[int(loss_was_ok)], name)
+                live &= ok
+                if not live.any():
+                    return None
+                dead = ~live
+            if dead is not None:
+                grad[dead] = 0.0
+            state = adam_step(state, params, grad)
+    if dead is not None:
+        for now, before in ((params, incoming), (state.m, opt.m), (state.v, opt.v)):
+            now[dead] = before[dead]
+        state = AdamState(state.m, state.v, np.where(live, state.step, opt.step), state.learning_rate)
+    return state
 
 
 def ppo_actor_update(
@@ -230,43 +271,36 @@ def ppo_actor_update(
 ) -> tuple[GaussianPolicyParams, AdamState, PpoDiagnostics]:
     """Epochs of minibatch ascent on the clipped surrogate.
 
-    Advantages are normalized here, once per update. The actor and its
-    moments are copied once into a flat working vector that Adam updates
-    in place. A non-finite objective or gradient aborts the update and
-    returns the incoming actor and optimizer state.
+    All epochs' permutations are drawn first, so an update that aborts
+    leaves rng where a full one does. Advantages are normalized here, once
+    per update. The actor and its moments are copied once into a flat
+    working vector that Adam updates in place. A non-finite advantage,
+    objective or gradient aborts the update and returns the incoming actor
+    and optimizer state.
     """
+    perms = np.array([rng.permutation(obs.shape[0]) for _ in range(cfg.epochs_per_update)])
     aborted = (actor, opt, PpoDiagnostics(0.0, 0.0, aborted=True))
     if not np.all(np.isfinite(advantages)):
         log.warning("non-finite advantages; aborting actor update")
         return aborted
     adv = normalize_advantages(advantages)
     params = param_vector(policy_param_list(actor))
-    work, state = policy_views(actor, params), _working_copy(opt)
-    n = obs.shape[0]
-    clip_fractions: list[float] = []
-    kls: list[float] = []
-    for _ in range(cfg.epochs_per_update):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch_size):
-            idx = perm[start : start + cfg.minibatch_size]
-            logp, cache = gaussian_log_prob_with_cache(work, obs[idx], actions[idx])
-            objective, dlogp, clip_mask = clipped_surrogate(
-                logp, old_log_probs[idx], adv[idx], cfg.clip_epsilon
-            )
-            if not math.isfinite(objective):
-                log.warning("non-finite surrogate; aborting actor update")
-                return aborted
-            grad = param_vector(gaussian_log_prob_backward(work, cache, -dlogp))
-            if not np.isfinite(grad).all():
-                log.warning("non-finite gradient; aborting actor update")
-                return aborted
-            state = adam_step(state, params, grad)
-            clip_fractions.append(float(clip_mask.mean()))
-            kls.append(float((old_log_probs[idx] - logp).mean()))
-    return work, state, PpoDiagnostics(
-        clip_fraction=float(np.mean(clip_fractions)),
-        approx_kl=float(np.mean(kls)),
-    )
+    work = policy_views(actor, params)
+    clip_fractions, kls = [], []
+
+    def grad_of(idx: np.ndarray) -> tuple[np.bool_, np.ndarray | None]:
+        logp, cache = gaussian_log_prob_with_cache(work, obs[idx], actions[idx])
+        objective, dlogp, clip_mask = clipped_surrogate(logp, old_log_probs[idx], adv[idx], cfg.clip_epsilon)
+        if not math.isfinite(objective):
+            return np.False_, None
+        clip_fractions.append(float(clip_mask.mean()))
+        kls.append(float((old_log_probs[idx] - logp).mean()))
+        return np.True_, param_vector(gaussian_log_prob_backward(work, cache, -dlogp))
+
+    state = _descend(params, opt, perms, cfg.minibatch_size, grad_of, ("surrogate", "gradient"), "actor")
+    if state is None:
+        return aborted
+    return work, state, PpoDiagnostics(float(np.mean(clip_fractions)), float(np.mean(kls)))
 
 
 def critic_update(
@@ -296,33 +330,17 @@ def critic_update(
     )
     rows = np.arange(lanes[0])[:, None]
     params = mlp_vector(bank)
-    net, state = mlp_views(bank, params), _working_copy(opt)
-    live = np.ones(lanes, dtype=bool)
-    for epoch in range(cfg.epochs_per_update):
-        for start in range(0, n, cfg.minibatch_size):
-            idx = perms[:, epoch, start : start + cfg.minibatch_size]
-            pred, cache = mlp_forward(net, obs[idx])
-            err = pred[..., 0] - targets[rows, idx]
-            loss_ok = np.isfinite((err**2).mean(axis=-1))
-            dout = (2.0 * err / err.shape[-1])[..., None]
-            grad = param_vector(mlp_backward(net, cache, dout), lanes)
-            ok = loss_ok & np.isfinite(grad).all(axis=-1)
-            if not ok.all():
-                for lane in np.flatnonzero(live & ~ok):
-                    what = "gradient" if loss_ok[lane] else "loss"
-                    log.warning("non-finite critic %s; aborting critic update", what)
-                live &= ok
-                if not live.any():
-                    return bank, opt
-            if not live.all():
-                grad[~live] = 0.0
-            state = adam_step(state, params, grad)
-    if not live.all():
-        params[~live] = mlp_vector(bank)[~live]
-        state.m[~live] = opt.m[~live]
-        state.v[~live] = opt.v[~live]
-        state = AdamState(state.m, state.v, np.where(live, state.step, opt.step), state.learning_rate)
-    return net, state
+    net = mlp_views(bank, params)
+
+    def grad_of(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pred, cache = mlp_forward(net, obs[idx])
+        err = pred[..., 0] - targets[rows, idx]
+        dout = (2.0 * err / err.shape[-1])[..., None]
+        return np.isfinite((err**2).mean(axis=-1)), param_vector(mlp_backward(net, cache, dout), lanes)
+
+    problems = ("critic loss", "critic gradient")
+    state = _descend(params, opt, perms, cfg.minibatch_size, grad_of, problems, "critic")
+    return (bank, opt) if state is None else (net, state)
 
 
 def _weight_entropy(w: WeightVector) -> float:

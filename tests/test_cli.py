@@ -196,6 +196,19 @@ class TestCmdTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out_b), "--seed", "2"]) == 0
         assert (out_a / "metrics.csv").read_bytes() != (out_b / "metrics.csv").read_bytes()
 
+    def test_retrain_into_a_run_with_more_objectives(self, tmp_path):
+        # A 4-objective run, then a 2-objective run into the same directory:
+        # the two extra critic checkpoints go, and nothing else does.
+        out = tmp_path / "run"
+        loco = write_cfg(tmp_path, "seed=1\ntrainer.objective_count=4\ntrainer.updates_per_objective=1\n"
+                         "trainer.steps_per_update=8\ntrainer.env_copies=1\ntrainer.epochs_per_update=1\n"
+                         "trainer.minibatch_size=8\nenv.kind=locomotion\n", "loco.cfg")
+        assert main(["train", "--config", str(loco), "--out", str(out)]) == 0
+        (out / "critic_x.ckpt").write_text("kept")
+        assert main(["train", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("critic_[0-9]*.ckpt")) == ["critic_0.ckpt", "critic_1.ckpt"]
+        assert (out / "critic_x.ckpt").read_text() == "kept"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out_a = tmp_path / "a"

@@ -293,6 +293,7 @@ class TestAdam:
         state = adam_init(params, 1e-3)
         new_state = adam_step(state, params, np.zeros(3))
         assert np.array_equal(params, [1.0, 2.0, 3.0])
+        assert state.step.shape == new_state.step.shape == ()  # one network has no lanes
         assert new_state.step == 1
 
     def test_first_step_magnitude_is_learning_rate(self):

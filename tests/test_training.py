@@ -173,6 +173,11 @@ class TestTdResiduals:
         with pytest.raises(ValueError):
             td_residuals(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([False, False]), 0.9)
 
+    def test_dones_length_mismatch(self):
+        # One done flag against two rewards would broadcast.
+        with pytest.raises(ValueError, match="dones"):
+            td_residuals(np.array([1.0, 2.0]), np.array([0.0, 0.0, 0.0]), np.array([False]), 0.9)
+
     def test_time_major_columns_are_independent_streams(self):
         rng = np.random.default_rng(6)
         rewards = rng.standard_normal((12, 3))
@@ -516,6 +521,34 @@ class TestAbortPaths:
             )
         assert new_actor is actor and new_opt is opt and diag.aborted
         assert caplog.messages == ["non-finite surrogate; aborting actor update"]
+
+    @pytest.mark.parametrize("cause", ["advantages", "surrogate", "gradient"])
+    def test_actor_abort_leaves_the_generator_where_a_full_update_does(self, monkeypatch, cause):
+        # Both epochs' permutations are drawn before anything can abort.
+        actor, obs, actions, logp, adv = TestPpoActorUpdate().make_problem()
+        opt = adam_init(param_vector(policy_param_list(actor)), self.CFG.learning_rate)
+        full, faulted = np.random.default_rng(4), np.random.default_rng(4)
+        assert not ppo_actor_update(actor, opt, obs, actions, logp, adv, self.CFG, full)[2].aborted
+        if cause == "advantages":
+            adv = np.where(np.arange(len(adv)) == 0, np.nan, adv)
+        elif cause == "surrogate":
+            logp = np.full_like(logp, -1e308)
+        else:
+            backward = training.gaussian_log_prob_backward
+            calls = []
+
+            def nan_on_third_minibatch(*args):
+                grads = backward(*args)
+                calls.append(None)
+                if len(calls) == 3:
+                    grads[-1] = np.full_like(grads[-1], np.nan)
+                return grads
+
+            monkeypatch.setattr(training, "gaussian_log_prob_backward", nan_on_third_minibatch)
+        with np.errstate(over="ignore"):
+            diag = ppo_actor_update(actor, opt, obs, actions, logp, adv, self.CFG, faulted)[2]
+        assert diag.aborted
+        assert faulted.bit_generator.state == full.bit_generator.state
 
     def test_updates_leave_incoming_arrays_unchanged(self):
         net, obs, targets = self.critic_problem()
