@@ -35,6 +35,11 @@ explored points (weight, scalarized answer + epsilon) there, the dual of
 the LP in `optimistic_bound`; `aols` folds the points into that hull, in
 the order they were queried, only when a corner fold is about to read it,
 and bounds each fold's new corners with one matrix product, solving no LP.
+Its per-query bookkeeping builds no array anew: the explored points and
+their heights fill buffers that double when full, the members' values are
+one array that grows on each insertion (the duplicate test reads it with
+the rule of `is_duplicate`), and the set of corner rows carries over from
+one fold to the next, so the corners a fold creates are its new rows.
 
 The closeness rules are absolute, so the results scale with the rewards
 only over a range of scales. Scaling every reward of the 5-state, 3-action,
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,10 +139,13 @@ def is_convex_undominated(v: ValueVector, s: Sequence[ValueVector]) -> bool:
 def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
     """True when some member of s is within DUPLICATE_VALUE_ATOL of v in
     every component."""
-    if not s:
-        return False
-    vals = _stacked(v, s)
-    return bool(np.max(np.abs(vals - v.array), axis=1).min() <= DUPLICATE_VALUE_ATOL)
+    return bool(s) and _duplicates_row(v.array, _stacked(v, s))
+
+
+def _duplicates_row(row: np.ndarray, vals: np.ndarray) -> bool:
+    """`is_duplicate` on arrays: some row of vals lies within
+    DUPLICATE_VALUE_ATOL of row in every component."""
+    return len(vals) > 0 and bool(np.max(np.abs(vals - row), axis=1).min() <= DUPLICATE_VALUE_ATOL)
 
 
 def _stacked(v: ValueVector, s: Sequence[ValueVector]) -> np.ndarray:
@@ -329,23 +338,34 @@ def _fold_lower_hull(
     if not above.any():
         return facets, planes
     dim = points.shape[1]
-    # Row k of drop_one lists the facet slots other than k, so each ridge
-    # keeps its indices in increasing order.
-    slots = np.arange(dim - 1)
-    drop_one = slots + (slots >= np.arange(dim)[:, None])
-    ridges = facets[above][:, drop_one].reshape(-1, dim - 1)
+    ridges = facets[above][:, _drop_one(dim)].reshape(-1, dim - 1)
     # Two facets share a ridge at most, and equal ridges are neighbours once
     # the rows sort lexicographically (no index key, which could overflow).
     ridges = ridges[np.lexsort(ridges.T[::-1])]
     repeat = np.all(ridges[1:] == ridges[:-1], axis=1)
-    horizon = ridges[~(np.append(repeat, False) | np.append(False, repeat))]
+    horizon = np.ones(len(ridges), dtype=bool)
+    horizon[1:] &= ~repeat
+    horizon[:-1] &= ~repeat
     # The new point has the largest index, so it comes last.
-    joined = np.column_stack([horizon, np.full(len(horizon), new)])
+    joined = np.empty((int(horizon.sum()), dim), dtype=ridges.dtype)
+    joined[:, :-1] = ridges[horizon]
+    joined[:, -1] = new
     systems = points[joined]
-    scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+    # The row norms, as np.linalg.norm computes them, without its overhead.
+    scale = np.prod(np.sqrt(np.add.reduce(systems * systems, axis=2)), axis=1)
     joined = joined[np.abs(np.linalg.det(systems)) > RANK_RTOL * scale]
     fresh = np.linalg.solve(points[joined], heights[joined][..., None])[..., 0]
     return np.concatenate([facets[~above], joined]), np.concatenate([planes[~above], fresh])
+
+
+@cache
+def _drop_one(dim: int) -> np.ndarray:
+    """Row k lists the facet slots other than k, in increasing order, so
+    each ridge keeps its indices in increasing order. Read-only."""
+    slots = np.arange(dim - 1)
+    table = slots + (slots >= np.arange(dim)[:, None])
+    table.flags.writeable = False
+    return table
 
 
 def optimistic_bound(
@@ -429,9 +449,12 @@ def aols(
     pending = [(math.inf, math.inf, e) for e in simplex_extrema(objective_count)]
 
     s: list[ValueVector] = []
+    vals = np.empty((0, objective_count))  # the members' values, as rows
     corners, folded = np.eye(objective_count), 0  # corner set of s[:folded]
-    points = np.empty((0, objective_count))  # explored weights
-    heights = np.empty(0)  # scalarized answers plus epsilon
+    rows = set(map(tuple, corners.tolist()))  # the corners' exact rows
+    # The explored weights and their scalarized answers plus epsilon are the
+    # first n rows of buffers that double when full.
+    points, heights, n = np.empty((objective_count, objective_count)), np.empty(objective_count), 0
     facets, planes, hulled = None, None, 0  # lower hull of the first `hulled` points
     history: list[AolsIteration] = []
 
@@ -443,11 +466,17 @@ def aols(
         value = oracle(weight)
         if value.dim != objective_count:
             raise ValueError(f"oracle returned dimension {value.dim}, expected {objective_count}")
-        points = np.vstack([points, weight.array])
-        heights = np.append(heights, scalarize(weight, value) + epsilon)
-        inserted = not is_duplicate(value, s)
+        if n == len(heights):
+            points = np.concatenate([points, np.empty_like(points)])
+            heights = np.concatenate([heights, np.empty_like(heights)])
+        points[n] = weight.array
+        heights[n] = scalarize(weight, value) + epsilon
+        n += 1
+        answer = value.array
+        inserted = not _duplicates_row(answer, vals)
         if inserted:
             s.append(value)
+            vals = np.vstack([vals, answer])
 
         # The extrema, pending at infinite gap, are the first queries, in
         # index order. Once all are explored the hull is their one facet and
@@ -456,26 +485,24 @@ def aols(
         # one join it then, in the order they came: the hull is the one an
         # eager fold would build, and answers after the last insertion
         # never join.
-        if len(points) == objective_count:
-            facets, planes, hulled = np.arange(len(points))[None], heights[None], len(points)
-        if len(points) == objective_count or (inserted and len(points) > objective_count):
-            while hulled < len(points):
+        if n == objective_count:
+            facets, planes, hulled = np.arange(n)[None], heights[None, :n].copy(), n
+        if n == objective_count or (inserted and n > objective_count):
+            while hulled < n:
                 hulled += 1
                 facets, planes = _fold_lower_hull(facets, planes, points[:hulled], heights[:hulled])
-            vals = np.array([v.values for v in s])
-            old = set(map(tuple, corners.tolist()))
             corners = _add_facets(corners, _shifted(vals), folded)
             folded = len(s)
             # `_add_facets` copies the corners it keeps bit for bit, and a
             # pending weight is a corner's exact row: it stays while that row
             # does. A corner lifted off the surface is not worth a query.
-            rows = set(map(tuple, corners.tolist()))
+            old, rows = rows, set(map(tuple, corners.tolist()))
             pending = [p for p in pending if p[2].weights in rows]
             # Only corners born here can be worth a query: any other was
             # bounded when born, and its gap only shrinks since. They go in
             # `_sorted_rows` order, which is how tuples sort.
             born = np.array(sorted(rows - old)).reshape(-1, objective_count)
-            fresh = born[_nearest_gap(born, points) > WEIGHT_MATCH_ATOL]
+            fresh = born[_nearest_gap(born, points[:n]) > WEIGHT_MATCH_ATOL]
             bounds = np.max(fresh @ planes.T, axis=1)
             gaps = bounds - np.max(fresh @ vals.T, axis=1)
             for row, bound, gap in zip(fresh.tolist(), bounds.tolist(), gaps.tolist()):
@@ -484,7 +511,7 @@ def aols(
                     pending.append((gap, r, WeightVector(tuple(row))))
 
         remaining_delta_r = max((r for _, r, _ in pending), default=0.0)
-        history.append(AolsIteration(len(points), weight, inserted, remaining_delta_r))
+        history.append(AolsIteration(n, weight, inserted, remaining_delta_r))
 
     # A vector that only ties the others leaves the surface, and so the
     # corners and bounds above, as they are; it is dropped once, here. A cap

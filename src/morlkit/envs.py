@@ -1,9 +1,11 @@
 """Desk-scale vector-reward environments and exact planning oracles.
 
 The tabular problems double as ground truth for the coverage-set solver:
-`value_iteration` solves a scalarized problem exactly by policy iteration,
-evaluating each policy it visits once, and reports the per-objective value
-of its greedy policy.
+`value_iteration` solves a scalarized problem exactly by policy iteration
+and reports the per-objective value of its greedy policy. A policy's
+per-objective values do not depend on the weight, so each `TabularMomdp`
+solves each policy once over all the weights it is asked about (its memo
+is described there).
 
 An environment object holds C copies that step together. reset(rngs)
 starts C = len(rngs) episodes, copy c drawing from rngs[c] in copy order;
@@ -37,6 +39,11 @@ class TabularMomdp:
     initial: (S,) distribution over start states.
     terminal: (S,) bool; terminal rows are rewritten to absorbing
     self-loops with zero reward at construction.
+
+    The object memoizes the exact per-objective values of each policy it
+    has evaluated (`_evaluate_policy_channels`): one read-only (S, I)
+    array per distinct policy, kept for the object's lifetime.
+    `dataclasses.replace` builds a new object with an empty memo.
     """
 
     transitions: np.ndarray
@@ -44,6 +51,8 @@ class TabularMomdp:
     initial: np.ndarray
     discount: float
     terminal: np.ndarray
+
+    _policy_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # C-ordered copies, frozen below; the caller's arrays stay writeable.
@@ -474,21 +483,32 @@ def boxed_treasure(grid: TreasureGrid) -> DiscreteToBox:
 
 
 def _evaluate_policy_channels(m: TabularMomdp, policy: np.ndarray) -> np.ndarray:
-    """Exact per-objective values of a stationary policy: (S, I)."""
-    ns = m.num_states
-    p_pi = m.transitions[np.arange(ns), policy]
-    r_pi = m.rewards[np.arange(ns), policy]
-    return np.linalg.solve(np.eye(ns) - m.discount * p_pi, r_pi)
+    """Exact per-objective values of a stationary policy: (S, I), read-only.
+
+    Solved once per problem object and policy; later calls return the
+    memoized array. The values do not depend on any scalarization weight.
+    """
+    key = np.asarray(policy, dtype=np.intp).tobytes()
+    values = m._policy_values.get(key)
+    if values is None:
+        ns = m.num_states
+        p_pi = m.transitions[np.arange(ns), policy]
+        r_pi = m.rewards[np.arange(ns), policy]
+        values = np.linalg.solve(np.eye(ns) - m.discount * p_pi, r_pi)
+        values.flags.writeable = False
+        m._policy_values[key] = values
+    return values
 
 
 def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, ValueVector]:
     """Solve the w-scalarized problem exactly and report the greedy policy's
     per-objective value at the initial distribution.
 
-    Uses policy iteration with exact policy evaluation, evaluating each
-    policy it visits once; the last evaluation gives the start value and
-    the scalarized Bellman residual, which must be at most 1e-8, or 1e-14
-    of the largest |q| where that is more.
+    Uses policy iteration with exact policy evaluation. Each policy is
+    solved once per problem object, whatever the weight: the memo of
+    `_evaluate_policy_channels` lives with m. The last evaluation gives the
+    start value and the scalarized Bellman residual, which must be at most
+    1e-8, or 1e-14 of the largest |q| where that is more.
     Deterministic for fixed input (argmax ties go to the lowest action
     index; the incumbent action is kept unless beaten by more than 1e-12,
     or by 1e-14 of the largest |q| where that is more, so that round-off
@@ -496,23 +516,26 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
     """
     if w.dim != m.objective_count:
         raise ValueError("weight dimension does not match objective count")
-    r_w = m.rewards @ w.array
-    policy = np.zeros(m.num_states, dtype=int)
+    weights = w.array
+    r_w = m.rewards @ weights
+    states = np.arange(m.num_states)
+    policy = np.zeros(m.num_states, dtype=np.intp)
     # Strict-improvement switching cannot revisit a policy; the cap is safety.
     for _ in range(10_000):
         channel_values = _evaluate_policy_channels(m, policy)
-        values = channel_values @ w.array
+        values = channel_values @ weights
         q = r_w + m.discount * (m.transitions @ values)
         best = q.max(axis=1)
-        threshold = max(1e-12, 1e-14 * float(np.max(np.abs(best))))
-        switch = q[np.arange(m.num_states), policy] < best - threshold
+        largest = float(np.max(np.abs(best)))
+        threshold = max(1e-12, 1e-14 * largest)
+        switch = q[states, policy] < best - threshold
         if not switch.any():
             break
         policy = np.where(switch, q.argmax(axis=1), policy)
     else:
         raise RuntimeError("policy iteration failed to converge")
     residual = float(np.max(np.abs(best - values)))
-    tolerance = max(1e-8, 1e-14 * float(np.max(np.abs(best))))
+    tolerance = max(1e-8, 1e-14 * largest)
     if residual > tolerance:
         raise RuntimeError(f"Bellman residual {residual:.3e} exceeds {tolerance:.3e}")
     start_value = m.initial @ channel_values

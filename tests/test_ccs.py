@@ -861,6 +861,41 @@ class TestAols:
             calls.append(len(aols(lambda w: value_iteration(m, w)[1], 3, 1e-6).history))
         assert calls == [43, 27, 29, 20, 39]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_policy_memo_leaves_the_result_unchanged(self, seed):
+        # The second run on one problem object reads every policy's values
+        # from the memo the first run filled, and solves nothing new.
+        m = random_tabular_momdp(np.random.default_rng(seed), 5, 3, 3, discount=0.85)
+        oracle = lambda w: value_iteration(m, w)[1]
+        cold = aols(oracle, 3, 1e-6)
+        solved = len(m._policy_values)
+        warm = aols(oracle, 3, 1e-6)
+        assert len(m._policy_values) == solved > 0
+        assert warm.explored_weights == cold.explored_weights
+        assert warm.history == cold.history
+        assert warm.ccs.vectors == cold.ccs.vectors
+
+    def test_explored_points_lie_on_or_above_the_lower_hull(self):
+        # The hull `aols` bounds corners with is the largest convex function
+        # at or below every explored point (weight, answer + epsilon). At
+        # three objectives it holds to round-off: the worst point lay
+        # 5.5e-13 below it.
+        epsilon, worst = 1e-6, 0.0
+        for seed in range(20):
+            m = random_tabular_momdp(np.random.default_rng(seed), 5, 3, 3, discount=0.85)
+            answers = []
+            oracle = lambda w, m=m: answers.append(value_iteration(m, w)[1]) or answers[-1]
+            result = aols(oracle, 3, epsilon)
+            points = np.array([w.weights for w in result.explored_weights])
+            heights = np.array([scalarize(w, v) for w, v in zip(result.explored_weights, answers)])
+            heights += epsilon
+            facets, planes = np.arange(3)[None], heights[None, :3]
+            for n in range(4, len(points) + 1):
+                facets, planes = ccs._fold_lower_hull(facets, planes, points[:n], heights[:n])
+                below = np.max(points[:n] @ planes.T, axis=1) - heights[:n]
+                worst = max(worst, float(below.max()))
+        assert worst <= 1e-9
+
     def test_benchmark_problems_prune_without_a_dominance_test(self, monkeypatch):
         # Every member of these sets wins at the centroid of its corners.
         dominance = ccs.is_convex_undominated

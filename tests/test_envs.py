@@ -180,6 +180,22 @@ class TestTabularMomdp:
             load_tabular(path)
 
 
+def policy_iteration_problem(objectives):
+    """A problem with the given objective count, or a treasure grid with
+    tied paths, and weights to solve it at: the simplex extrema, then 8
+    Dirichlet draws."""
+    if objectives == "tie-grid":
+        treasures = ((0, 3, 2.0), (2, 3, 6.0), (3, 3, 15.0), (3, 0, 4.0))
+        grid = TreasureGrid(width=4, height=4, treasures=treasures, horizon=12)
+        m = treasure_grid_to_tabular(grid, 0.95)
+    else:
+        m = random_tabular_momdp(np.random.default_rng(objectives), 6, 3, objectives, 0.9)
+    rng = np.random.default_rng(7)
+    weights = [np.eye(m.objective_count)[k] for k in range(m.objective_count)]
+    weights += list(rng.dirichlet(np.ones(m.objective_count), size=8))
+    return m, [WeightVector(tuple(w)) for w in weights]
+
+
 class TestValueIteration:
     def test_geometric_series(self):
         m = single_state_momdp([1.0, 2.0], gamma=0.5)
@@ -247,12 +263,7 @@ class TestValueIteration:
     def test_each_policy_evaluated_once(self, monkeypatch, objectives):
         # Policy iteration evaluates the start policy, then one policy per
         # improvement step; the last evaluation gives the returned value.
-        if objectives == "tie-grid":
-            treasures = ((0, 3, 2.0), (2, 3, 6.0), (3, 3, 15.0), (3, 0, 4.0))
-            grid = TreasureGrid(width=4, height=4, treasures=treasures, horizon=12)
-            m = treasure_grid_to_tabular(grid, 0.95)
-        else:
-            m = random_tabular_momdp(np.random.default_rng(objectives), 6, 3, objectives, 0.9)
+        m, weights = policy_iteration_problem(objectives)
         evaluate = envs._evaluate_policy_channels
         seen = []
 
@@ -261,18 +272,50 @@ class TestValueIteration:
             return evaluate(m, policy)
 
         monkeypatch.setattr(envs, "_evaluate_policy_channels", recording)
-        rng = np.random.default_rng(7)
-        weights = [np.eye(m.objective_count)[k] for k in range(m.objective_count)]
-        weights += list(rng.dirichlet(np.ones(m.objective_count), size=8))
         for w in weights:
             seen.clear()
-            policy, value = value_iteration(m, WeightVector(tuple(w)))
+            policy, value = value_iteration(m, w)
             distinct = {p.tobytes() for p in seen}
             assert len(distinct) == len(seen)
             steps = sum(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
             assert len(seen) == steps + 1
             assert np.array_equal(seen[-1], policy)
             assert value.values == tuple(m.initial @ evaluate(m, policy))
+
+    @pytest.mark.parametrize("objectives", [2, 3, 4, "tie-grid"])
+    def test_each_policy_solved_once_per_problem(self, monkeypatch, objectives):
+        # A policy's values do not depend on the weight, so the problem
+        # object solves each policy once over all the weights it is asked.
+        m, weights = policy_iteration_problem(objectives)
+        evaluate, solve = envs._evaluate_policy_channels, np.linalg.solve
+        seen, solved = [], []
+
+        def recording(m, policy):
+            seen.append(policy.tobytes())
+            return evaluate(m, policy)
+
+        monkeypatch.setattr(envs, "_evaluate_policy_channels", recording)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(1) or solve(a, b))
+        results = [value_iteration(m, w) for w in weights]
+        assert len(solved) == len(set(seen)) < len(seen)
+        solved.clear()
+        policy, value = value_iteration(m, weights[-1])
+        assert solved == []
+        assert np.array_equal(policy, results[-1][0]) and value == results[-1][1]
+        # A fresh problem from the same arrays gives the same bits.
+        fresh = TabularMomdp(m.transitions, m.rewards, m.initial, m.discount, m.terminal)
+        for w, (policy, value) in zip(weights, results):
+            again, again_value = value_iteration(fresh, w)
+            assert np.array_equal(again, policy) and again_value.values == value.values
+        memo = evaluate(m, policy)
+        assert memo is evaluate(m, policy)
+        with pytest.raises(ValueError):
+            memo[0, 0] = 1.0
+        # replace builds a new problem with an empty memo.
+        scaled = dataclasses.replace(m, rewards=3.0 * m.rewards)
+        for w, (_, value) in zip(weights, results):
+            got = value_iteration(scaled, w)[1].values
+            assert got == pytest.approx(tuple(3.0 * x for x in value.values), rel=1e-12, abs=1e-12)
 
 
 class TestTreasureGrid:
