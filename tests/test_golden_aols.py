@@ -1,11 +1,13 @@
 """Fixed-seed AOLS and LP outputs pinned across commits.
 
-The digest in tests/golden/ covers, for fixed random tabular problems with
-2, 3 and 4 objectives, every AOLS iteration (queried weight, insert flag,
-remaining relative gap) and the coverage-set vectors in insertion order;
-and, for seeded random linear programs, the solution and objective of
-`solve_lp` (or the exception it raised) and the verdict of
-`is_convex_undominated`. AOLS picks its next corner by comparing gaps
+The first digest in tests/golden/ covers, for fixed random tabular problems
+with 2, 3 and 4 objectives, every AOLS iteration (queried weight, insert
+flag, remaining relative gap) and the coverage-set vectors in insertion
+order; and, for seeded random linear programs, the solution and objective
+of `solve_lp` (or the exception it raised) and the verdict of
+`is_convex_undominated`. The second covers the same AOLS outputs for one
+problem with 5 and with 6 objectives, whose corner folds cross many more
+edges. AOLS picks its next corner by comparing gaps
 exactly, so a change in the last bit of a corner weight or an LP value can
 reorder its queries;
 this test catches such a change where the tolerance-based tests would not.
@@ -26,6 +28,7 @@ from morlkit.envs import random_tabular_momdp, value_iteration
 from morlkit.lp import LpError, solve_lp
 
 GOLDEN = Path(__file__).parent / "golden" / "aols_lp.sha256"
+HIGH_D_GOLDEN = Path(__file__).parent / "golden" / "aols_high_d.sha256"
 
 # (seed, states, actions, objectives) of the AOLS instances.
 AOLS_CASES = (
@@ -36,24 +39,32 @@ AOLS_CASES = (
     (4, 4, 2, 4),
     (5, 5, 3, 4),
 )
+# Objective counts of random_tabular_momdp(default_rng(0), 5, 3, d).
+HIGH_D_OBJECTIVES = (5, 6)
 AOLS_EPSILON = 1e-6
 LP_CASES = 500
 
 
 def aols_lines(h) -> None:
     for seed, states, actions, objectives in AOLS_CASES:
-        m = random_tabular_momdp(
-            np.random.default_rng(seed), states, actions, objectives, discount=0.85
-        )
-        result = aols(lambda w, m=m: value_iteration(m, w)[1], objectives, AOLS_EPSILON)
-        h.update(f"aols {seed} {len(result.history)}\n".encode())
-        for it in result.history:
-            h.update(
-                f"{it.index} {it.weight.weights!r} {it.inserted} {it.remaining_delta_r!r}\n".encode()
-            )
-        for v in result.ccs.vectors:
-            h.update((repr(v.values) + "\n").encode())
-        h.update(f"{result.delta_max!r} {result.hit_iteration_cap}\n".encode())
+        solved_lines(h, f"aols {seed}", seed, states, actions, objectives)
+
+
+def high_d_lines(h) -> None:
+    for objectives in HIGH_D_OBJECTIVES:
+        solved_lines(h, f"aols d={objectives}", 0, 5, 3, objectives)
+
+
+def solved_lines(h, label: str, seed: int, states: int, actions: int, objectives: int) -> None:
+    """Hash one AOLS solve, with the exact planner as its oracle."""
+    m = random_tabular_momdp(np.random.default_rng(seed), states, actions, objectives, discount=0.85)
+    result = aols(lambda w: value_iteration(m, w)[1], objectives, AOLS_EPSILON)
+    h.update(f"{label} {len(result.history)}\n".encode())
+    for it in result.history:
+        h.update(f"{it.index} {it.weight.weights!r} {it.inserted} {it.remaining_delta_r!r}\n".encode())
+    for v in result.ccs.vectors:
+        h.update((repr(v.values) + "\n").encode())
+    h.update(f"{result.delta_max!r} {result.hit_iteration_cap}\n".encode())
 
 
 def random_lp(rng: np.random.Generator):
@@ -101,3 +112,9 @@ def digest() -> str:
 
 def test_aols_and_lp_outputs_match_golden_digest():
     assert digest() == GOLDEN.read_text().split()[0]
+
+
+def test_high_d_aols_outputs_match_golden_digest():
+    h = hashlib.sha256()
+    high_d_lines(h)
+    assert h.hexdigest() == HIGH_D_GOLDEN.read_text().split()[0]
