@@ -24,9 +24,13 @@ Oliehoek, JAIR 2015): a new vector removes the corners where it lies
 above the surface, and the new corners all lie on its facet. They are found
 by the double-description step (Fukuda & Prodon, 1996): each lies on an
 edge of the old surface from a removed corner to a kept one, where the new
-vector crosses it, so no linear system is solved (`_add_facets`). `aols`
-keeps its corner set between insertions and folds in each new vector; the
-corners it has yet to query wait in one list, in the order they were found.
+vector crosses it, so no linear system is solved (`_add_facets`). A
+crossing joins unless it lies within WEIGHT_MATCH_ATOL of a kept corner.
+Only kept corners that lie almost on the new facet can be that close,
+mostly the crossed edges' kept ends, so each crossing is compared with
+those few corners, not with every kept corner. `aols` keeps its corner set
+between insertions and folds in each new vector; the corners it has yet to
+query wait in one list, in the order they were found.
 `_add_facets` copies the corners it keeps bit for bit, so `aols` tells
 corners apart by their exact rows, with no distance search: a pending
 corner stays while its row does, and only the corners a fold creates are
@@ -145,7 +149,7 @@ def is_duplicate(v: ValueVector, s: Sequence[ValueVector]) -> bool:
 def _duplicates_row(row: np.ndarray, vals: np.ndarray) -> bool:
     """`is_duplicate` on arrays: some row of vals lies within
     DUPLICATE_VALUE_ATOL of row in every component."""
-    return len(vals) > 0 and bool(np.max(np.abs(vals - row), axis=1).min() <= DUPLICATE_VALUE_ATOL)
+    return len(vals) > 0 and bool(np.abs(vals - row).max(axis=1).min() <= DUPLICATE_VALUE_ATOL)
 
 
 def _stacked(v: ValueVector, s: Sequence[ValueVector]) -> np.ndarray:
@@ -271,8 +275,20 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
     is positive, so no linear system is solved; a weight that is +0.0 at
     both ends stays exactly +0.0. A new corner joins when it is farther
     than WEIGHT_MATCH_ATOL from every corner kept before it.
+
+    That search reads only the kept corners where g >= -reach, with
+    reach = 4 WEIGHT_MATCH_ATOL max_i |V_i|_1. g = min_i w.(V_j - V_i) is
+    concave, so g >= 0 at a crossing, where its interpolation between the
+    edge's ends is 0 (or g(b) > 0). It changes by at most
+    max_i |V_j - V_i|_1 <= 2 max_i |V_i|_1 per unit of max-norm distance,
+    so a corner within WEIGHT_MATCH_ATOL of a crossing has g >= -reach / 2;
+    the other half covers round-off. An edge holds no corner but its ends,
+    so the corners searched are mostly the crossed edges' kept ends. Where
+    gaps are near WEIGHT_MATCH_ATOL, an edge read with that tolerance can
+    also pass that close to a third corner, which the search finds too.
     """
     dim = points.shape[1]
+    reach = 4.0 * WEIGHT_MATCH_ATOL * np.abs(vals).sum(axis=1).max(initial=0.0)
     for j in range(max(start, 1), len(vals)):
         dots = points @ vals[: j + 1].T
         surface = dots[:, :j].max(axis=1)
@@ -280,6 +296,8 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
         lifted = lift > WEIGHT_MATCH_ATOL
         if not lifted.any():
             continue
+        keep = ~lifted
+        keep[:dim] = True
         tied = dots[:, :j] >= surface[:, None] - WEIGHT_MATCH_ATOL
         active = np.hstack([tied, points == 0.0]).astype(float)
         up, down = np.flatnonzero(lifted), np.flatnonzero(~lifted)
@@ -292,28 +310,31 @@ def _add_facets(points: np.ndarray, vals: np.ndarray, start: int) -> np.ndarray:
         a, b = a[edge], b[edge]
         t = lift[a] / (lift[a] - np.minimum(lift[b], 0.0))
         crossed = points[a] + t[:, None] * (points[b] - points[a])
-        points = _append_distinct(np.vstack([points[:dim], points[dim:][~lifted[dim:]]]), crossed)
+        # Only kept corners within reach of vector j's facet can lie within
+        # WEIGHT_MATCH_ATOL of a crossing.
+        near = points[keep & (lift >= -reach)]
+        crossed = crossed[_nearest_gap(crossed, near) > WEIGHT_MATCH_ATOL]
+        points = np.vstack([points[keep], _distinct(crossed)])
     return points
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The rows, in order, each farther than WEIGHT_MATCH_ATOL from every
+    row kept before it."""
+    close = np.abs(rows[:, None] - rows[None]).max(axis=2) <= WEIGHT_MATCH_ATOL
+    if close.sum() == len(rows):  # each row is close only to itself
+        return rows
+    close = np.triu(close, 1)
+    keep = np.ones(len(rows), dtype=bool)
+    for k in np.flatnonzero(close.any(axis=1)):
+        if keep[k]:
+            keep &= ~close[k]
+    return rows[keep]
 
 
 def _nearest_gap(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """For each row, its max-norm distance to the nearest pool row."""
-    return np.max(np.abs(rows[:, None] - pool[None]), axis=2).min(axis=1)
-
-
-def _append_distinct(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """points plus, in order, each candidate farther than WEIGHT_MATCH_ATOL
-    from every row kept before it."""
-    if len(candidates) == 0:
-        return points
-    candidates = candidates[_nearest_gap(candidates, points) > WEIGHT_MATCH_ATOL]
-    close = np.max(np.abs(candidates[:, None] - candidates[None]), axis=2) <= WEIGHT_MATCH_ATOL
-    close = np.triu(close, 1)
-    keep = np.ones(len(candidates), dtype=bool)
-    for k in np.flatnonzero(close.any(axis=1)):
-        if keep[k]:
-            keep &= ~close[k]
-    return np.vstack([points, candidates[keep]])
+    return np.abs(rows[:, None] - pool[None]).max(axis=2).min(axis=1, initial=np.inf)
 
 
 def _fold_lower_hull(
@@ -342,7 +363,7 @@ def _fold_lower_hull(
     # Two facets share a ridge at most, and equal ridges are neighbours once
     # the rows sort lexicographically (no index key, which could overflow).
     ridges = ridges[np.lexsort(ridges.T[::-1])]
-    repeat = np.all(ridges[1:] == ridges[:-1], axis=1)
+    repeat = (ridges[1:] == ridges[:-1]).all(axis=1)
     horizon = np.ones(len(ridges), dtype=bool)
     horizon[1:] &= ~repeat
     horizon[:-1] &= ~repeat
@@ -352,7 +373,7 @@ def _fold_lower_hull(
     joined[:, -1] = new
     systems = points[joined]
     # The row norms, as np.linalg.norm computes them, without its overhead.
-    scale = np.prod(np.sqrt(np.add.reduce(systems * systems, axis=2)), axis=1)
+    scale = np.sqrt((systems * systems).sum(axis=2)).prod(axis=1)
     joined = joined[np.abs(np.linalg.det(systems)) > RANK_RTOL * scale]
     fresh = np.linalg.solve(points[joined], heights[joined][..., None])[..., 0]
     return np.concatenate([facets[~above], joined]), np.concatenate([planes[~above], fresh])
@@ -469,10 +490,10 @@ def aols(
         if n == len(heights):
             points = np.concatenate([points, np.empty_like(points)])
             heights = np.concatenate([heights, np.empty_like(heights)])
-        points[n] = weight.array
-        heights[n] = scalarize(weight, value) + epsilon
-        n += 1
         answer = value.array
+        points[n] = weight.array
+        heights[n] = float(np.dot(points[n], answer)) + epsilon
+        n += 1
         inserted = not _duplicates_row(answer, vals)
         if inserted:
             s.append(value)
@@ -503,8 +524,8 @@ def aols(
             # `_sorted_rows` order, which is how tuples sort.
             born = np.array(sorted(rows - old)).reshape(-1, objective_count)
             fresh = born[_nearest_gap(born, points[:n]) > WEIGHT_MATCH_ATOL]
-            bounds = np.max(fresh @ planes.T, axis=1)
-            gaps = bounds - np.max(fresh @ vals.T, axis=1)
+            bounds = (fresh @ planes.T).max(axis=1)
+            gaps = bounds - (fresh @ vals.T).max(axis=1)
             for row, bound, gap in zip(fresh.tolist(), bounds.tolist(), gaps.tolist()):
                 if gap > epsilon:
                     r = relative_improvement(bound, bound - gap)

@@ -526,7 +526,7 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
         values = channel_values @ weights
         q = r_w + m.discount * (m.transitions @ values)
         best = q.max(axis=1)
-        largest = float(np.max(np.abs(best)))
+        largest = float(np.abs(best).max())
         threshold = max(1e-12, 1e-14 * largest)
         switch = q[states, policy] < best - threshold
         if not switch.any():
@@ -534,7 +534,7 @@ def value_iteration(m: TabularMomdp, w: WeightVector) -> tuple[np.ndarray, Value
         policy = np.where(switch, q.argmax(axis=1), policy)
     else:
         raise RuntimeError("policy iteration failed to converge")
-    residual = float(np.max(np.abs(best - values)))
+    residual = float(np.abs(best - values).max())
     tolerance = max(1e-8, 1e-14 * largest)
     if residual > tolerance:
         raise RuntimeError(f"Bellman residual {residual:.3e} exceeds {tolerance:.3e}")

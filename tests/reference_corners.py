@@ -5,7 +5,9 @@ new corner on an edge that the newest vector cuts, with no linear solve.
 
 `incremental_corner_weights` is the form it replaced: it also adds the
 vectors one at a time, but solves every facet system that contains the
-newest vector's row.
+newest vector's row. It drops a new corner near any kept corner and
+searches all of them (`_append_distinct`), where `corner_weights` searches
+only the kept corners that lie almost on the new vector's facet.
 
 `rebuilt_corner_weights` is older: it solves all C(n + dim, dim) facet
 systems of the whole set in one pass.
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from morlkit.ccs import RANK_RTOL, WEIGHT_MATCH_ATOL, _append_distinct
+from morlkit.ccs import RANK_RTOL, WEIGHT_MATCH_ATOL
 from morlkit.core import ValueVector, WeightVector, simplex_extrema
 
 # The facet systems are solved this many at a time, so their memory does
@@ -45,6 +47,22 @@ def _clean_simplex_point(raw: np.ndarray) -> WeightVector | None:
         return None
     clipped = np.clip(raw, 0.0, None)
     return WeightVector(tuple(clipped / clipped.sum()))
+
+
+def _append_distinct(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """points plus, in order, each candidate farther than WEIGHT_MATCH_ATOL
+    from every row kept before it, searched among all of them."""
+    if len(candidates) == 0:
+        return points
+    gap = np.max(np.abs(candidates[:, None] - points[None]), axis=2).min(axis=1)
+    candidates = candidates[gap > WEIGHT_MATCH_ATOL]
+    close = np.max(np.abs(candidates[:, None] - candidates[None]), axis=2) <= WEIGHT_MATCH_ATOL
+    close = np.triu(close, 1)
+    keep = np.ones(len(candidates), dtype=bool)
+    for k in np.flatnonzero(close.any(axis=1)):
+        if keep[k]:
+            keep &= ~close[k]
+    return np.vstack([points, candidates[keep]])
 
 
 def _near_any(w: WeightVector, pool: Sequence[WeightVector], atol: float) -> bool:

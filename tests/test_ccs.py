@@ -34,6 +34,7 @@ from reference_corners import (
     pairwise_corner_weights,
     rebuilt_corner_weights,
 )
+from reference_trees import TREE_DISCOUNT, best_leaf_oracle, fruit_tree, tree_leaves
 
 # Time bound for AOLS on each group of exactness instances. The 20
 # three-objective ones take 0.8 s together on a 2-CPU host (2 s under
@@ -145,6 +146,14 @@ def assert_scaled_sets(scales):
             size = np.max(np.abs(expected))
             assert np.max(max_norm_gaps(got, expected)) <= 1e-12 * size, f"{i}, {scale}"
             assert np.max(max_norm_gaps(expected, got)) <= 1e-12 * size, f"{i}, {scale}"
+
+
+def assert_every_leaf(vectors, depth, objectives):
+    """The vectors are the fruit tree's discounted leaves, as sets within 1e-9."""
+    want = TREE_DISCOUNT ** (depth - 1) * tree_leaves(depth, objectives)
+    got = np.array([v.values for v in vectors])
+    assert len(got) == len(want)
+    assert max_norm_gaps(got, want).max() <= 1e-9 and max_norm_gaps(want, got).max() <= 1e-9
 
 
 def tie_grid():
@@ -310,6 +319,28 @@ class TestCornerWeights:
             assert len(got) == len(want), f"{kind} seed {seed}"
             assert np.max(max_norm_gaps(got, want)) <= 1e-9, f"{kind} seed {seed}"
             assert np.max(max_norm_gaps(want, got)) <= 1e-9, f"{kind} seed {seed}"
+
+    def test_crossing_near_a_lifted_extremum_is_dropped(self):
+        # (5e-8, -100) lifts e_0 by 5e-8 and crosses the edge to e_1 at
+        # 5e-10 from e_0, which stays a corner.
+        corners = corner_weights([vv(0, 0), vv(5e-8, -100)])
+        assert [c.weights for c in corners] == [(0.0, 1.0), (1.0, 0.0)]
+
+    def test_crossing_near_a_corner_off_its_edge_is_dropped(self):
+        # Gaps near WEIGHT_MATCH_ATOL: a crossing lands 9e-10 from
+        # (1 - 1.2e-9, 6e-10, 6e-10, 0), which is not an end of its edge.
+        # Checking each crossing against its own edge's ends alone kept it.
+        s = [
+            vv(0.9999999999, 1.0000000001, -1e-10, 2e-09),
+            vv(1.0000000005, -1e-10, 0.9999999999, -1e-10),
+            vv(0.9999999999, 0.9999999999, 0.9999999999, -1e-10),
+            vv(1.0000000005, 1.000000002, 1.0000000005, 0.9999999999),
+            vv(1.000000002, -1e-10, 1.0000000005, 1.0000000005),
+        ]
+        corners = np.array([c.weights for c in corner_weights(s)])
+        assert len(corners) == 5
+        gaps = np.abs(corners[:, None] - corners[None]).max(axis=2) + np.eye(5)
+        assert gaps.min() > WEIGHT_MATCH_ATOL
 
     def test_small_gaps_on_a_large_common_offset(self):
         # Shifting every vector by a common vector keeps the corners; the
@@ -895,6 +926,17 @@ class TestAols:
                 below = np.max(points[:n] @ planes.T, axis=1) - heights[:n]
                 worst = max(worst, float(below.max()))
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("objectives", [4, 5, 6])
+    def test_fruit_tree_returns_every_leaf(self, objectives):
+        # 32 leaves; 192, 474 and 1,188 oracle calls, one per corner.
+        result = aols(best_leaf_oracle(5, objectives), objectives, 1e-6)
+        assert_every_leaf(result.ccs.vectors, 5, objectives)
+
+    def test_fruit_tree_through_the_planner(self):
+        m = fruit_tree(5, 4)
+        result = aols(lambda w: value_iteration(m, w)[1], 4, 1e-6)
+        assert_every_leaf(result.ccs.vectors, 5, 4)
 
     def test_benchmark_problems_prune_without_a_dominance_test(self, monkeypatch):
         # Every member of these sets wins at the centroid of its corners.

@@ -2,8 +2,11 @@
 Oliehoek, JAIR 2015): relabelling the objectives relabels every output,
 scaling every reward by a power of two scales the coverage set by the same
 factor, and a vector that a member beats in every component changes no
-membership. The lower hull that bounds `aols`'s corners gives the value
-of the LP in `optimistic_bound`, its dual.
+membership. `pruned` keeps no member that another member weakly
+dominates, and no two corner weights lie within WEIGHT_MATCH_ATOL of each
+other, even when gaps are below that tolerance. The lower
+hull that bounds `aols`'s corners gives the value of the LP in
+`optimistic_bound`, its dual.
 
 Sets are compared as sets, each element within 1e-9 relative (absolute
 below magnitude 1). Value sets are small integer vectors, so that a tie is
@@ -16,7 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morlkit import ccs
-from morlkit.ccs import aols, corner_weights, coverage_gap, optimistic_bound, pruned
+from morlkit.ccs import (
+    WEIGHT_MATCH_ATOL,
+    aols,
+    corner_weights,
+    coverage_gap,
+    optimistic_bound,
+    pruned,
+)
 from morlkit.core import ValueVector, WeightVector, scalarize
 from morlkit.envs import TabularMomdp, random_tabular_momdp, value_iteration
 
@@ -131,6 +141,44 @@ def test_beaten_vector_leaves_pruned_unchanged(case, data):
     at = data.draw(st.integers(0, len(vectors)))
     grown = vectors[:at] + [beaten] + vectors[at:]
     assert same_set([v.values for v in pruned(grown)], [v.values for v in pruned(vectors)])
+
+
+@st.composite
+def tie_heavy_sets(draw):
+    """1-8 distinct vectors of 2-5 objectives: small integers, where ties
+    abound, or small integers moved by gaps below WEIGHT_MATCH_ATOL."""
+    dim = draw(st.integers(2, 5))
+    number = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 2).map(float),
+                st.tuples(st.integers(0, 1), st.sampled_from([0.0, 1e-10, 5e-10])).map(sum),
+            ]
+        )
+    )
+    rows = draw(st.lists(st.tuples(*[number] * dim), min_size=1, max_size=8, unique=True))
+    return [ValueVector(r) for r in rows]
+
+
+def weakly_dominated(v: ValueVector, vectors) -> bool:
+    """Some other member is at least v in every component."""
+    return any(u != v and all(a >= b for a, b in zip(u.values, v.values)) for u in vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_sets())
+@example([ValueVector((0.0, 0.0, 0.0)), ValueVector((0.0, 1e-10, 0.0)), ValueVector((0.0, 0.0, 1e-10))])
+def test_pruned_keeps_no_weakly_dominated_member(vectors):
+    kept = pruned(vectors)
+    assert kept and not any(weakly_dominated(v, vectors) for v in kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_sets())
+def test_corner_weights_lie_apart(vectors):
+    corners = np.array([w.weights for w in corner_weights(vectors)])
+    gaps = np.abs(corners[:, None] - corners[None]).max(axis=2)
+    assert gaps[np.triu_indices(len(corners), 1)].min(initial=np.inf) > WEIGHT_MATCH_ATOL
 
 
 def test_beaten_vector_near_a_tie_leaves_pruned_unchanged():
