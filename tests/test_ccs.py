@@ -320,28 +320,6 @@ class TestCornerWeights:
             assert np.max(max_norm_gaps(got, want)) <= 1e-9, f"{kind} seed {seed}"
             assert np.max(max_norm_gaps(want, got)) <= 1e-9, f"{kind} seed {seed}"
 
-    def test_crossing_near_a_lifted_extremum_is_dropped(self):
-        # (5e-8, -100) lifts e_0 by 5e-8 and crosses the edge to e_1 at
-        # 5e-10 from e_0, which stays a corner.
-        corners = corner_weights([vv(0, 0), vv(5e-8, -100)])
-        assert [c.weights for c in corners] == [(0.0, 1.0), (1.0, 0.0)]
-
-    def test_crossing_near_a_corner_off_its_edge_is_dropped(self):
-        # Gaps near WEIGHT_MATCH_ATOL: a crossing lands 9e-10 from
-        # (1 - 1.2e-9, 6e-10, 6e-10, 0), which is not an end of its edge.
-        # Checking each crossing against its own edge's ends alone kept it.
-        s = [
-            vv(0.9999999999, 1.0000000001, -1e-10, 2e-09),
-            vv(1.0000000005, -1e-10, 0.9999999999, -1e-10),
-            vv(0.9999999999, 0.9999999999, 0.9999999999, -1e-10),
-            vv(1.0000000005, 1.000000002, 1.0000000005, 0.9999999999),
-            vv(1.000000002, -1e-10, 1.0000000005, 1.0000000005),
-        ]
-        corners = np.array([c.weights for c in corner_weights(s)])
-        assert len(corners) == 5
-        gaps = np.abs(corners[:, None] - corners[None]).max(axis=2) + np.eye(5)
-        assert gaps.min() > WEIGHT_MATCH_ATOL
-
     def test_small_gaps_on_a_large_common_offset(self):
         # Shifting every vector by a common vector keeps the corners; the
         # interior vertex must survive the rank test at any offset.

@@ -143,6 +143,19 @@ def test_beaten_vector_leaves_pruned_unchanged(case, data):
     assert same_set([v.values for v in pruned(grown)], [v.values for v in pruned(vectors)])
 
 
+def test_beaten_vector_near_a_tie_leaves_pruned_unchanged():
+    # A case the property above found: with the beaten vector added, the
+    # simplex tableau reported a worst slack of 1.4e-9 for (-2, -2, 2),
+    # which (0, 0, 2) ties at weight (0, 0, 1).
+    vectors = [ValueVector((1.0, 0.0, 0.0)), ValueVector((-2.0, -2.0, 2.0)), ValueVector((0.0, 0.0, 2.0))]
+    grown = [ValueVector((1.0 - 1e-6, -1.0, -1.0))] + vectors
+    assert pruned(grown) == pruned(vectors) == [vectors[0], vectors[2]]
+
+
+def value_set(*rows) -> list[ValueVector]:
+    return [ValueVector(tuple(map(float, r))) for r in rows]
+
+
 @st.composite
 def tie_heavy_sets(draw):
     """1-8 distinct vectors of 2-5 objectives: small integers, where ties
@@ -167,27 +180,35 @@ def weakly_dominated(v: ValueVector, vectors) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_sets())
-@example([ValueVector((0.0, 0.0, 0.0)), ValueVector((0.0, 1e-10, 0.0)), ValueVector((0.0, 0.0, 1e-10))])
+@example(value_set((0, 0, 0), (0, 1e-10, 0), (0, 0, 1e-10)))
 def test_pruned_keeps_no_weakly_dominated_member(vectors):
     kept = pruned(vectors)
     assert kept and not any(weakly_dominated(v, vectors) for v in kept)
 
 
+# (5e-8, -100) lifts the extremum e_0 by 5e-8 and crosses the edge to e_1
+# 5e-10 from e_0, which stays a corner.
+LIFTED_EXTREMUM = value_set((0, 0), (5e-8, -100))
+# A crossing lands 9e-10 from (1 - 1.2e-9, 6e-10, 6e-10, 0), which is not
+# an end of its edge: checking each crossing against its own edge's ends
+# alone kept both.
+OFF_EDGE_CORNER = value_set(
+    (0.9999999999, 1.0000000001, -1e-10, 2e-09),
+    (1.0000000005, -1e-10, 0.9999999999, -1e-10),
+    (0.9999999999, 0.9999999999, 0.9999999999, -1e-10),
+    (1.0000000005, 1.000000002, 1.0000000005, 0.9999999999),
+    (1.000000002, -1e-10, 1.0000000005, 1.0000000005),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_sets())
+@example(LIFTED_EXTREMUM)
+@example(OFF_EDGE_CORNER)
 def test_corner_weights_lie_apart(vectors):
     corners = np.array([w.weights for w in corner_weights(vectors)])
     gaps = np.abs(corners[:, None] - corners[None]).max(axis=2)
     assert gaps[np.triu_indices(len(corners), 1)].min(initial=np.inf) > WEIGHT_MATCH_ATOL
-
-
-def test_beaten_vector_near_a_tie_leaves_pruned_unchanged():
-    # A case the property above found: with the beaten vector added, the
-    # simplex tableau reported a worst slack of 1.4e-9 for (-2, -2, 2),
-    # which (0, 0, 2) ties at weight (0, 0, 1).
-    vectors = [ValueVector((1.0, 0.0, 0.0)), ValueVector((-2.0, -2.0, 2.0)), ValueVector((0.0, 0.0, 2.0))]
-    grown = [ValueVector((1.0 - 1e-6, -1.0, -1.0))] + vectors
-    assert pruned(grown) == pruned(vectors) == [vectors[0], vectors[2]]
 
 
 def simplex_weights(dim: int):
